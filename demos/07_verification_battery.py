@@ -4,7 +4,9 @@ The verification battery
 
 Every structural claim the package makes, as one report table: exact
 symbolic checks (tolerance 0) and numeric checks with explicit
-tolerances.  The same battery backs `brstkdv verify all`.
+tolerances.  The same battery backs `brstkdv verify all`: it runs the
+checks serially in registry order, and both conservation reports (odd at
+1e-6, classical at 1e-8) read one standard kdv soliton run.
 """
 
 from brstkdv.verify import run_all

@@ -192,9 +192,6 @@ def _sort_odd(odd):
             j -= 1
         if j > 0 and seq[j - 1] == seq[j]:
             return None, 0
-    for k in range(len(seq) - 1):
-        if seq[k] == seq[k + 1]:
-            return None, 0
     return tuple(seq), sign
 
 

@@ -140,9 +140,16 @@ def _dx3(p):
 
 
 def _coerce_param(v):
-    if isinstance(v, str):
-        return as_scalar(Fraction(v)) if set(v) <= set("-0123456789/") else as_scalar(sp.Symbol(v))
-    return as_scalar(v)
+    """Numeric strings ("3", "-1/2", "1.5") become exact Fractions and
+    identifiers become symbols; any other string is rejected."""
+    if not isinstance(v, str):
+        return as_scalar(v)
+    try:
+        return as_scalar(Fraction(v))
+    except (ValueError, ZeroDivisionError):
+        if v.isidentifier():
+            return as_scalar(sp.Symbol(v))
+        raise ValueError(f"family parameter {v!r} is neither a number nor a name") from None
 
 
 # --- the (beta, s) family in T ---------------------------------------------

@@ -21,6 +21,7 @@ odd generator is factored out ond the coefficient function is evolved.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -107,11 +108,15 @@ class FieldState:
 
     def __post_init__(self):
         _require_power_of_two(self.N)
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"domain length must be finite and positive, got {self.L!r}")
+        fields = {}
         for sym, arr in self.fields.items():
             a = np.asarray(arr, dtype=float)
             if a.shape != (self.N,):
                 raise ValueError(f"field {sym!r} has shape {a.shape}, want ({self.N},)")
-            self.fields[sym] = a
+            fields[sym] = a
+        object.__setattr__(self, "fields", fields)
 
     @property
     def x(self):
@@ -122,7 +127,7 @@ class FieldState:
             t=self.t if t is None else t,
             L=self.L,
             N=self.N,
-            fields=dict(self.fields if fields is None else fields),
+            fields=self.fields if fields is None else fields,
         )
 
 
@@ -416,19 +421,17 @@ class _Stepper:
 
 def step(state, system, dt, floor=1e-6):
     """Advance one RK4/integrating-factor step; convenience wrapper."""
-    st = _Stepper(system, state.L, state.N, dt, floor=floor)
-    hats = st.advance(st.to_hats(state), state.t)
-    fields = st.to_fields(hats, state)
-    for sym, arr in fields.items():
-        if not np.all(np.isfinite(arr)):
-            raise BlowUpError(f"non-finite values in field {sym!r}", state.t + dt)
-    return state.replace(t=state.t + dt, fields=fields)
+    return evolve(state, system, state.t + dt, dt, floor=floor).states[-1]
 
 
 def evolve(state, system, t_end, dt, record_every=1, diagnostics=(), floor=1e-6):
     """Integrate to t_end, recording every record_every-th step (plus the
     initial and final states) and evaluating the given conserved densities
     on each recorded snapshot."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not isinstance(record_every, (int, np.integer)) or record_every < 1:
+        raise ValueError(f"record_every must be an int >= 1, got {record_every!r}")
     if t_end <= state.t:
         raise ValueError("t_end must exceed the initial time")
     span = t_end - state.t

@@ -10,8 +10,7 @@ corrupted structure constants or equation coefficients.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,14 +29,14 @@ from .graded import (
 )
 from .grammar import parse
 from .reductions import (
+    SLICE_A,
     build_system,
     ckdv_to_mkdv,
     miura_map,
+    reconstruct_connection,
     upsilon_poly,
-    upsilon_rules,
-    zero_curvature_components,
 )
-from .sl2 import CANONICAL_FIELDS, canonical_brst_rules
+from .sl2 import CANONICAL_FIELDS, canonical_brst_rules, curvature_residual
 from .solver import FieldState, evolve, evaluate_functional, soliton_initial, spectral_derivative
 
 __all__ = [
@@ -238,12 +237,31 @@ def check_gradient_ghost(density=None, system=None):
 # ---------------------------------------------------------------------------
 # numeric checks
 
-def _standard_soliton_run(t_end=1.0, dt=1e-3, record_every=100, ghost="gradient",
-                          diagnostics=()):
+_ODD_DENSITIES = ("Ht0", "Ht1", "H1g", "H3", "H5")
+_EVEN_DENSITIES = ("H0", "H1")
+
+
+def _standard_soliton_run(densities=(), t_end=1.0, record_every=100, ghost="gradient"):
+    """The kdv soliton run (k = 0.7, L = 40, N = 512, dt = 1e-3) with the
+    given densities (catalog names or objects) as diagnostics."""
     kdv = build_system("kdv")
     state = soliton_initial(0.7, 20.0, "kdv", 40.0, 512, ghost=ghost)
-    return kdv, evolve(state, kdv, t_end, dt, record_every=record_every,
-                       diagnostics=diagnostics)
+    diagnostics = [kdv.density(d) if isinstance(d, str) else d for d in densities]
+    return evolve(state, kdv, t_end, 1e-3, record_every=record_every,
+                  diagnostics=diagnostics)
+
+
+def _snapshot_rates(states, values):
+    """4th-order centred d/dt of per-snapshot ``values`` at the interior
+    snapshots ``states[2:-2]``; needs five or more equispaced snapshots."""
+    if len(states) < 5:
+        raise ValueError("need at least five snapshots for the time stencil")
+    hs = np.diff([s.t for s in states])
+    if np.max(np.abs(hs - hs[0])) > 1e-12:
+        raise ValueError("snapshots must be equispaced in time")
+    h = float(hs[0])
+    return [(-values[i + 2] + 8 * values[i + 1] - 8 * values[i - 1] + values[i - 2]) / (12 * h)
+            for i in range(2, len(values) - 2)]
 
 
 def check_conservation(trajectory=None, densities=None, tolerance=1e-6,
@@ -256,18 +274,15 @@ def check_conservation(trajectory=None, densities=None, tolerance=1e-6,
     densities for the even sector.
     """
     if trajectory is None:
-        kdv = build_system("kdv")
-        names = (["Ht0", "Ht1", "H1g", "H3", "H5"] if densities is None
-                 else densities)
-        densities = [kdv.density(n) if isinstance(n, str) else n for n in names]
-        _, trajectory = _standard_soliton_run(diagnostics=densities)
-    elif densities is not None:
+        densities = _ODD_DENSITIES if densities is None else densities
+        trajectory = _standard_soliton_run(densities)
+    if densities is None:
+        names = sorted(trajectory.diagnostics)
+    else:
         names = [d if isinstance(d, str) else d.name for d in densities]
         missing = [n for n in names if n not in trajectory.diagnostics]
         if missing:
             raise ValueError(f"trajectory lacks diagnostics {missing}")
-    else:
-        names = sorted(trajectory.diagnostics)
     metrics = {}
     for n in names:
         vals = np.asarray(trajectory.diagnostics[n], dtype=float)
@@ -304,11 +319,8 @@ def check_miura_chain(t_end=1.0, dt=1e-3, n=512, length=40.0, ckdv_t_end=0.2):
     trajW = evolve(FieldState(0.0, length, n, {"w": w0, "c": zeros}),
                    ck, ckdv_t_end, dt, record_every=10)
     vs = [ckdv_to_mkdv(s.fields["w"], length) for s in trajW.states]
-    h = trajW.states[1].t - trajW.states[0].t
     residual = 0.0
-    for i in range(2, len(vs) - 2):
-        v_t = (-vs[i + 2] + 8 * vs[i + 1] - 8 * vs[i - 1] + vs[i - 2]) / (12 * h)
-        v = vs[i]
+    for v, v_t in zip(vs[2:-2], _snapshot_rates(trajW.states, vs)):
         rhs = spectral_derivative(v, 3, length) - 6 * v * v * spectral_derivative(v, 1, length)
         residual = max(residual, float(np.max(np.abs(v_t - rhs))))
     metrics = {"mkdv_to_kdv_linf": linf, "ckdv_to_mkdv_residual": residual}
@@ -320,39 +332,25 @@ def check_miura_chain(t_end=1.0, dt=1e-3, n=512, length=40.0, ckdv_t_end=0.2):
 
 
 def check_zero_curvature(trajectory=None, gauge_scale=Fraction(1, 2)):
-    """Reconstructs the flat-connection variables along a trajectory of the
-    cubic-dispersion flow (T = u/2 on this gauge slice) and measures the
-    three component residuals, with d/dt from a 4th-order stencil in
-    snapshot time."""
+    """Lifts each snapshot of a cubic-dispersion trajectory to the flat
+    connection on slice A (T = u/2 on this gauge slice) and measures the
+    (0, +, -) components of its curvature dt A1 - dx A0 + [A0, A1], with
+    dt A1 from a 4th-order stencil in snapshot time."""
     if trajectory is None:
-        _, trajectory = _standard_soliton_run(t_end=0.4, dt=1e-3,
-                                              record_every=10, ghost="none")
+        trajectory = _standard_soliton_run(t_end=0.4, record_every=10, ghost="none")
     states = trajectory.states
-    if len(states) < 5:
-        raise ValueError("need at least five snapshots for the time stencil")
-    hs = np.diff([s.t for s in states])
-    if np.max(np.abs(hs - hs[0])) > 1e-12:
-        raise ValueError("snapshots must be equispaced in time")
-    h = float(hs[0])
-    length, n = states[0].L, states[0].N
-    us = [s.fields["u"] for s in states]
     scale = float(gauge_scale)
-    zeros = np.zeros(n)
-    ones = np.ones(n)
-    worst = {"component_0": 0.0, "component_plus": 0.0, "component_minus": 0.0}
-    for i in range(2, len(us) - 2):
-        u = us[i]
-        T = scale * u
-        T_t = scale * (-us[i + 2] + 8 * us[i + 1] - 8 * us[i - 1] + us[i - 2]) / (12 * h)
-        P = 0.5 * spectral_derivative(u, 1, length)
-        Q = -0.5 * spectral_derivative(u, 2, length) - u * T
-        r1, r2, r3 = zero_curvature_components(
-            P, Q, zeros, ones, T, u, zeros, zeros, T_t, length)
-        for key, r in zip(("component_0", "component_plus", "component_minus"),
-                          (r1, r2, r3)):
-            worst[key] = max(worst[key], float(np.max(np.abs(r))))
+    conns = [reconstruct_connection(
+        FieldState(s.t, s.L, s.N, {"u": s.fields["u"], "T": scale * s.fields["u"]}),
+        SLICE_A) for s in states]
+    worst = np.zeros(3)
+    for conn, dt_a1 in zip(conns[2:-2], _snapshot_rates(states, [c.a1 for c in conns])):
+        dx_a0 = spectral_derivative(conn.a0, 1, conn.length)
+        res = curvature_residual(dt_a1, dx_a0, conn.a0, conn.a1)
+        worst = np.maximum(worst, [np.max(np.abs(r)) for r in res])
+    metrics = dict(zip(("component_0", "component_plus", "component_minus"), worst))
     return _report(
-        "check_zero_curvature", worst, 1e-5,
+        "check_zero_curvature", metrics, 1e-5,
         "the connection reconstructed from the reduced flow is flat: all "
         "three curvature component residuals vanish to tolerance",
     )
@@ -369,19 +367,13 @@ CHECKS = {
 }
 
 
-def run_all(max_workers=4):
-    """Run every check concurrently; reports in registry order, plus the
-    even-sector conservation variant at its tighter tolerance."""
-    def classical():
-        kdv = build_system("kdv")
-        dens = [kdv.density(nm) for nm in ("H0", "H1")]
-        _, traj = _standard_soliton_run(diagnostics=dens)
-        rep = check_conservation(traj, ["H0", "H1"], tolerance=1e-8)
-        return CheckReport(check="check_conservation_classical", status=rep.status,
-                           metrics=rep.metrics, tolerance=rep.tolerance, claim=rep.claim)
-
-    jobs = [(name, fn) for name, fn in CHECKS.items()]
-    jobs.append(("check_conservation_classical", classical))
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = {name: pool.submit(fn) for name, fn in jobs}
-        return [futures[name].result() for name, _ in jobs]
+def run_all():
+    """Run every check serially in registry order, plus the even-sector
+    conservation variant at its tighter tolerance; both conservation
+    reports read one standard soliton run."""
+    trajectory = _standard_soliton_run(_EVEN_DENSITIES + _ODD_DENSITIES)
+    reports = [fn(trajectory, _ODD_DENSITIES) if name == "check_conservation" else fn()
+               for name, fn in CHECKS.items()]
+    classical = check_conservation(trajectory, _EVEN_DENSITIES, tolerance=1e-8)
+    reports.append(replace(classical, check="check_conservation_classical"))
+    return reports

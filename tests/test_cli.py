@@ -175,6 +175,19 @@ def test_simulate_usage_errors(capsys, tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
+def test_simulate_decimal_family_parameter(capsys, tmp_path):
+    # alpha = 3/2 puts u^(-1/2) in the flow; the soliton's tail is below the
+    # positivity floor, so the run stops with a message, not a traceback
+    code, _, err = invoke(capsys, "simulate", "--system", "kdv", "--alpha", "1.5",
+                          "--soliton", "k=0.5", "--out", str(tmp_path))
+    assert code == 1
+    assert err.startswith("simulate:") and "Traceback" not in err
+    code, _, err = invoke(capsys, "simulate", "--system", "kdv", "--alpha", "1.5x",
+                          "--soliton", "k=0.5", "--out", str(tmp_path))
+    assert code == 2 and err.startswith("simulate:")
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_simulate_guard_failure_exit_code(capsys, tmp_path):
     # harry-dym data crossing the positivity floor is a runtime failure (1),
     # not a usage error (2); the step-size advisory also fires for this

@@ -151,6 +151,14 @@ def test_parameters_from_strings_and_symbols():
     assert got == (beta + 1) * GradedPoly.gen("T", 0, beta, odd_syms=frozenset({"c"}))
 
 
+def test_decimal_parameter_strings_are_exact():
+    assert build_system("kdv", alpha="1.5").parameters["alpha"] == Fraction(3, 2)
+    assert build_system("kdv", alpha="1.5").rhs == build_system("kdv", alpha=Fraction(3, 2)).rhs
+    for bad in ("1.5x", "1/0", "two words", ""):
+        with pytest.raises(ValueError):
+            build_system("kdv", alpha=bad)
+
+
 def test_system_from_config():
     sys_ = system_from_config({"system": "t-form", "beta": "1/2", "s": "1"})
     assert sys_.rhs["T"] == build_system("harry-dym").rhs["T"]

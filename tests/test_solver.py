@@ -111,6 +111,21 @@ def test_field_state_validation():
     assert st2.t == 1.0 and st2.L == st.L
 
 
+@pytest.mark.parametrize("length", [-1.0, 0.0, float("inf"), float("nan")])
+def test_field_state_rejects_bad_length(length):
+    with pytest.raises(ValueError):
+        FieldState(0.0, length, 64, {"u": np.zeros(64)})
+
+
+def test_field_state_leaves_callers_dict_alone():
+    u = [0.0] * 64
+    given = {"u": u}
+    st = FieldState(0.0, 10.0, 64, given)
+    assert given == {"u": u} and given["u"] is u
+    assert st.fields is not given
+    assert isinstance(st.fields["u"], np.ndarray)
+
+
 def test_trajectory_times_must_increase():
     a = FieldState(0.0, 10.0, 64, {"u": np.zeros(64)})
     b = FieldState(0.0, 10.0, 64, {"u": np.zeros(64)})
@@ -244,6 +259,26 @@ def test_evolve_validation():
         evolve(st, kdv, 0.0, 1e-3)
     with pytest.raises(ValueError):
         evolve(st, kdv, 0.1005, 1e-3)  # not an integer number of steps
+
+
+def test_evolve_rejects_negative_dt():
+    st = soliton_initial(0.5, 20.0, "kdv", 40.0, 128)
+    with pytest.raises(ValueError, match="dt"):
+        evolve(st, build_system("kdv"), 0.1, -1e-3)
+
+
+def test_evolve_rejects_zero_dt():
+    st = soliton_initial(0.5, 20.0, "kdv", 40.0, 128)
+    with pytest.raises(ValueError, match="dt"):
+        evolve(st, build_system("kdv"), 0.1, 0.0)
+    with pytest.raises(ValueError, match="dt"):
+        step(st, build_system("kdv"), 0.0)
+
+
+def test_evolve_rejects_zero_record_stride():
+    st = soliton_initial(0.5, 20.0, "kdv", 40.0, 128)
+    with pytest.raises(ValueError, match="record_every"):
+        evolve(st, build_system("kdv"), 0.1, 1e-3, record_every=0)
 
 
 def test_systems_without_complete_evolution_laws_cannot_run():

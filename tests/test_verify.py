@@ -8,18 +8,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import brstkdv.verify
 from brstkdv import parse
 from brstkdv.reductions import build_system
 from brstkdv.sl2 import structure_table
-from brstkdv.solver import FieldState, evolve
+from brstkdv.solver import FieldState, evolve, spectral_derivative
 from brstkdv.verify import (
     CHECKS,
     CheckReport,
     check_conservation,
     check_gradient_ghost,
+    check_miura_chain,
     check_nilpotency,
     check_system_invariance,
     check_upsilon_covariance,
+    check_zero_curvature,
     run_all,
 )
 
@@ -119,6 +122,36 @@ def test_conservation_fails_for_non_conserved_functional():
     assert rep_good.status == "pass"
 
 
+def test_zero_curvature_fails_off_the_gauge_slice():
+    rep = check_zero_curvature(gauge_scale=Fraction(1))
+    assert rep.status == "fail"
+    assert rep.metrics["component_minus"] > 1e-5
+
+
+def test_miura_chain_fails_for_wrong_miura_sign(monkeypatch):
+    def wrong_miura(R, length):  # 2(R_x + R^2) instead of 2(R_x - R^2)
+        R = np.asarray(R, dtype=float)
+        return 2.0 * (spectral_derivative(R, 1, length) + R * R)
+
+    monkeypatch.setattr(brstkdv.verify, "miura_map", wrong_miura)
+    rep = check_miura_chain()
+    assert rep.status == "fail"
+    assert rep.metrics["mkdv_to_kdv_linf"] > 1e-5
+
+
+def test_miura_chain_fails_for_wrong_ckdv_map(monkeypatch):
+    # (w_x - 2 w^2)/(2w) instead of (w_x - w^2)/(2w); the sign flip of w^2
+    # would not do, as it is the map composed with the flow's symmetry w -> -w
+    def wrong_ckdv(w, length):
+        w = np.asarray(w, dtype=float)
+        return (spectral_derivative(w, 1, length) - 2.0 * w * w) / (2.0 * w)
+
+    monkeypatch.setattr(brstkdv.verify, "ckdv_to_mkdv", wrong_ckdv)
+    rep = check_miura_chain()
+    assert rep.status == "fail"
+    assert rep.metrics["ckdv_to_mkdv_residual"] > 1e-5
+
+
 def test_conservation_requires_recorded_diagnostics():
     kdv = build_system("kdv")
     from brstkdv.solver import soliton_initial
@@ -144,10 +177,18 @@ def test_status_threshold_semantics():
     assert ok.to_dict()["metrics"]["m"] == 0.5
 
 
-def test_run_all_everything_passes():
+def test_run_all_everything_passes(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].name)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(brstkdv.verify, "evolve", counted)
     reports = run_all()
     names = [r.check for r in reports]
-    assert len(names) == len(set(names)) == 8
-    assert "check_conservation_classical" in names
+    assert names == list(CHECKS) + ["check_conservation_classical"]
+    # one soliton run serves both conservation reports
+    assert sorted(calls) == ["ckdv", "kdv", "kdv", "kdv", "mkdv"]
     failing = {r.check: r.metrics for r in reports if r.status != "pass"}
     assert failing == {}
