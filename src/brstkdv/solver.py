@@ -1,9 +1,13 @@
 """Periodic pseudospectral time integration for the catalog systems.
 
 Space is discretised by a Fourier collocation grid (N a power of two,
-domain [0, L)); nonlinear products are dealiased by the 2/3 rule, and
-fractional powers are computed pointwise in physical space and then
-filtered.  Time stepping is classical RK4 composed with an exact
+domain [0, L)); derivatives are the multipliers (ik)^order, with the
+unpaired Nyquist mode dropped for odd orders.  Each right-hand side is
+compiled once into an evaluation plan that reads every (field, order) grid
+and every power once per RK stage, filters each power and each product by
+the 2/3 rule as it is formed, and sums the terms in spectral space.
+Quadrature of conserved densities uses the same plan without the filter.
+Time stepping is classical RK4 composed with an exact
 integrating factor for the constant-coefficient dispersive part of each
 field (a term a*f_xxx with constant a is detected in the right-hand side
 and propagated exactly per mode), which removes the k^3 stiffness; systems
@@ -15,7 +19,7 @@ warning is emitted when dt looks too large.
 The ghost field is odd, but every ghost evolution equation in scope is
 linear in the ghost and every density is at most linear in it, so a single
 real coefficient array per odd field is a faithful representation: the
-odd generator is factored out ond the coefficient function is evolved.
+odd generator is factored out and the coefficient function is evolved.
 """
 
 from __future__ import annotations
@@ -67,8 +71,13 @@ def _require_power_of_two(n):
         raise ValueError(f"grid size must be a power of two >= 4, got {n}")
 
 
-def _wavenumbers(n, length):
-    return 2.0 * np.pi / length * np.fft.rfftfreq(n, d=1.0 / n)
+def _multiplier(n, length, order):
+    """(ik)^order on the rfft modes; odd orders drop the unpaired Nyquist mode."""
+    k = 2.0 * np.pi / length * np.fft.rfftfreq(n, d=1.0 / n)
+    mult = (1j * k) ** order
+    if order % 2:
+        mult[-1] = 0.0
+    return mult
 
 
 def spectral_derivative(f, order, length):
@@ -78,19 +87,14 @@ def spectral_derivative(f, order, length):
     f = np.asarray(f, dtype=float)
     n = f.shape[-1]
     _require_power_of_two(n)
-    k = _wavenumbers(n, length)
-    mult = (1j * k) ** order
-    if order % 2:
-        mult[-1] = 0.0  # drop the unpaired Nyquist mode of odd derivatives
-    return np.fft.irfft(np.fft.rfft(f) * mult, n)
+    return np.fft.irfft(np.fft.rfft(f) * _multiplier(n, length, order), n)
 
 
 def _dealias_mask(n):
-    idx = np.arange(n // 2 + 1)
-    return idx <= n // 3
+    return np.arange(n // 2 + 1) <= n // 3
 
 
-def dealias(f, length=None):
+def dealias(f):
     """Project onto the lowest third of the spectrum (2/3 rule)."""
     f = np.asarray(f, dtype=float)
     n = f.shape[-1]
@@ -188,13 +192,24 @@ def _jsonable(v):
 
 
 # ---------------------------------------------------------------------------
-# compiling polynomials to grid evaluators
+# compiling polynomials to spectral evaluation plans
+
+def _number(value, what):
+    try:
+        return float(value)
+    except TypeError:
+        free = ", ".join(sorted(str(s) for s in getattr(value, "free_symbols", ())))
+        raise ValueError(
+            f"{what} {value} is not numeric (free symbols: {free or 'none'}); "
+            "give every family parameter a number") from None
+
 
 def _compile_terms(poly, odd_fields):
-    """Flatten a polynomial into (coeff, even factors, ghost factor) triples.
+    """Flatten a polynomial into (coeff, factors) pairs.
 
-    Even factors are (sym, order, float exponent); the ghost factor is a
-    (sym, order) pair or None.  Only ghost-linear polynomials compile.
+    Factors are (sym, order, float exponent): the even factors, then the
+    ghost factor with exponent 1 if there is one.  Only ghost-linear
+    polynomials with numeric coefficients and exponents compile.
     """
     if poly.has_markers():
         raise ValueError("cannot evaluate a polynomial containing time markers")
@@ -204,80 +219,75 @@ def _compile_terms(poly, odd_fields):
             raise ValueError(
                 "polynomial is quadratic in odd generators; a single ghost "
                 "coefficient array cannot represent it")
-        ghost = None
-        if odd:
-            sym, order = odd[0]
+        factors = [(sym, order, _number(e, "exponent")) for (sym, order), e in even]
+        for sym, order in odd:
             if base_symbol(sym) not in odd_fields:
                 raise ValueError(f"odd generator {sym!r} is not a ghost field here")
-            ghost = (sym, order)
-        evens = []
-        for (sym, order), e in even:
-            evens.append((sym, order, float(e)))
-        out.append((float(coeff), tuple(evens), ghost))
+            factors.append((sym, order, 1.0))
+        out.append((_number(coeff, "coefficient"), tuple(factors)))
     return tuple(out)
 
 
-class _GridCache:
-    """Physical-space views (field, derivative order) backed by rfft data."""
+def _is_lone(factors):
+    return len(factors) == 1 and factors[0][2] == 1.0
 
-    def __init__(self, hats, n, length):
-        self.hats = hats
+
+class _Plan:
+    """Compiled terms of several polynomials, evaluated from rfft data.
+
+    Each evaluation reads every (field, order) grid and every power other
+    than 1 once.  Powers and products are filtered by the mask as they are
+    formed, and each polynomial's terms are summed in spectral space; a lone
+    linear factor adds hat * (ik)^order with no FFT.  Without a mask
+    (quadrature) nothing is filtered and products are summed in physical
+    space before one rfft.
+    """
+
+    def __init__(self, terms, n, length, mask=None):
+        self.terms = terms
         self.n = n
-        self.k = _wavenumbers(n, length)
-        self.cache = {}
+        self.mask = mask
+        formed = [fs for ts in terms.values() for _, fs in ts if not _is_lone(fs)]
+        self.reads = sorted({(s, o) for fs in formed for s, o, _ in fs})
+        self.powers = sorted({x for fs in formed for x in fs if x[2] != 1.0})
+        every = [x for ts in terms.values() for _, fs in ts for x in fs]
+        self.fields = sorted({s for s, _, _ in every})
+        self.mult = {o: _multiplier(n, length, o) for o in {o for _, o, _ in every} if o}
 
-    def __call__(self, sym, order):
-        key = (sym, order)
-        if key not in self.cache:
-            if sym not in self.hats:
-                raise KeyError(f"no field {sym!r} in state")
-            h = self.hats[sym]
-            if order:
-                mult = (1j * self.k) ** order
-                if order % 2:
-                    mult = mult.copy()
-                    mult[-1] = 0.0
-                h = h * mult
-            self.cache[key] = np.fft.irfft(h, self.n)
-        return self.cache[key]
+    def _filter(self, a):
+        return a if self.mask is None else np.fft.irfft(np.fft.rfft(a) * self.mask, self.n)
 
+    def grids(self, hats, keys=None):
+        """Physical values of (field, order) grids; by default all the plan reads."""
+        return {(s, o): np.fft.irfft(hats[s] * self.mult[o] if o else hats[s], self.n)
+                for s, o in (self.reads if keys is None else keys)}
 
-def _eval_terms(terms, grids, n, mask):
-    """Evaluate compiled triples; every nonlinear product is dealiased."""
-
-    def filt(a):
-        return np.fft.irfft(np.fft.rfft(a) * mask, n)
-
-    out = np.zeros(n)
-    for coeff, evens, ghost in terms:
-        acc = None
-        for sym, order, e in evens:
-            g = grids(sym, order)
-            f = g if e == 1.0 else filt(np.power(g, e))
-            acc = f if acc is None else filt(acc * f)
-        if ghost is not None:
-            g = grids(ghost[0], ghost[1])
-            acc = g if acc is None else filt(acc * g)
-        out += coeff * (acc if acc is not None else np.ones(n))
-    return out
-
-
-def _guards_for(polys):
-    """Positivity / nonvanishing preconditions implied by the exponents."""
-    positive, nonzero = set(), set()
-    for poly in polys:
-        if poly is None:
-            continue
-        for _, even, _ in poly.terms():
-            for (sym, order), e in even:
-                if order:
+    def __call__(self, hats, grids):
+        """The rfft of every compiled polynomial, given its grids."""
+        vals = dict(grids)
+        for s, o, e in self.powers:
+            vals[s, o, e] = self._filter(np.power(grids[s, o], e))
+        out = {}
+        for name, terms in self.terms.items():
+            spec = np.zeros(self.n // 2 + 1, dtype=complex)
+            phys = np.zeros(self.n)
+            for coeff, fs in terms:
+                if _is_lone(fs):
+                    s, o, _ = fs[0]
+                    spec += coeff * (hats[s] * self.mult[o] if o else hats[s])
                     continue
-                fe = float(e)
-                if fe != int(fe):
-                    positive.add(sym)
-                elif fe < 0:
-                    nonzero.add(sym)
-    return positive, nonzero
+                factors = [vals[x[:2] if x[2] == 1.0 else x] for x in fs] or [np.ones(self.n)]
+                acc = factors[0]
+                for f in factors[1:-1]:
+                    acc = self._filter(acc * f)
+                if len(factors) > 1:
+                    acc = acc * factors[-1]
+                if self.mask is None:
+                    phys += coeff * acc
+                else:
+                    spec += coeff * (np.fft.rfft(acc) * self.mask)
+            out[name] = spec if self.mask is not None else spec + np.fft.rfft(phys)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +296,10 @@ def _guards_for(polys):
 class _Stepper:
     def __init__(self, system, length, n, dt, floor=1e-6):
         _require_power_of_two(n)
-        self.system = system
         self.length = length
         self.n = n
         self.dt = dt
         self.floor = floor
-        self.mask = _dealias_mask(n)
-        self.k = _wavenumbers(n, length)
         self.fields = system.evolving_fields()
         if not self.fields:
             raise ValueError(f"system {system.name!r} has no evolution equations")
@@ -302,38 +309,28 @@ class _Stepper:
             raise ValueError(
                 f"system {system.name!r} leaves {missing} without an evolution "
                 "law and cannot be integrated")
-        odd_fields = set(system.odd_fields)
+        self.odd = set(system.odd_fields)
 
+        # a constant-coefficient a*f_xxx is propagated exactly by the
+        # integrating factor and kept out of the plan
         self.linear = {}
-        self.terms = {}
-        self.has_stiff_tail = {}
+        terms = {}
         for f in self.fields:
-            a = 0.0
-            rest = []
-            for coeff, evens, ghost in _compile_terms(system.rhs[f], odd_fields):
-                if f in odd_fields:
-                    is_disp = evens == () and ghost == (f, 3)
-                else:
-                    is_disp = ghost is None and evens == ((f, 3, 1.0),)
-                if is_disp:
-                    a += coeff
-                else:
-                    rest.append((coeff, evens, ghost))
-            self.linear[f] = a
-            self.terms[f] = tuple(rest)
-            self.has_stiff_tail[f] = any(
-                any(order == 3 for _, order, _ in evens) or (g and g[1] == 3)
-                for _, evens, g in rest
-            )
+            disp = ((f, 3, 1.0),)
+            compiled = _compile_terms(system.rhs[f], self.odd)
+            self.linear[f] = sum(c for c, fs in compiled if fs == disp)
+            terms[f] = tuple(t for t in compiled if t[1] != disp)
+        self.plan = _Plan(terms, n, length, _dealias_mask(n))
+        # preconditions implied by the exponents of undifferentiated powers
+        powers = [(s, e) for s, o, e in self.plan.powers if not o]
+        self.positive = {s for s, e in powers if e != int(e)}
+        self.nonzero = {s for s, e in powers if e == int(e) and e < 0}
 
-        self.positive, self.nonzero = _guards_for(
-            [system.rhs[f] for f in self.fields])
-
+        mult3 = _multiplier(n, length, 3)
         self.E = {}
         self.E2 = {}
         for f in self.fields:
-            lam = self.linear[f] * (1j * self.k) ** 3
-            lam[-1] = 0.0
+            lam = self.linear[f] * mult3
             self.E[f] = np.exp(dt * lam)
             self.E2[f] = np.exp(0.5 * dt * lam)
 
@@ -348,27 +345,23 @@ class _Stepper:
 
     def _check_guards(self, grids, t):
         for sym in self.positive:
-            m = float(np.min(grids(sym, 0)))
+            m = float(np.min(grids[sym, 0]))
             if m <= self.floor:
                 raise SingularityError(
                     f"field {sym!r} reached {m:.3e} <= positivity floor "
                     f"{self.floor:.1e} at t = {t:.6g}")
         for sym in self.nonzero:
-            m = float(np.min(np.abs(grids(sym, 0))))
+            m = float(np.min(np.abs(grids[sym, 0])))
             if m <= self.floor:
                 raise SingularityError(
                     f"|{sym}| reached {m:.3e} <= nonvanishing floor "
                     f"{self.floor:.1e} at t = {t:.6g}")
 
     def nonlinear_hat(self, hats, t, check=False):
-        grids = _GridCache(hats, self.n, self.length)
+        grids = self.plan.grids(hats)
         if check:
             self._check_guards(grids, t)
-        out = {}
-        for f in self.fields:
-            val = _eval_terms(self.terms[f], grids, self.n, self.mask)
-            out[f] = np.fft.rfft(val)
-        return out
+        return self.plan(hats, grids)
 
     def advance(self, hats, t):
         """One integrating-factor RK4 step in spectral space.
@@ -395,22 +388,20 @@ class _Stepper:
     def cfl_advisory(self, state):
         """Warn when an unextracted third-derivative term looks unstable."""
         kmax = 2.0 * np.pi / self.length * (self.n // 3)
-        grids = _GridCache(self.to_hats(state), self.n, self.length)
-        for f in self.fields:
-            if not self.has_stiff_tail[f]:
-                continue
+        # |coeff| and the even factors other than the third derivative, for
+        # each term that carries one
+        stiff = {f: [(abs(c), [x for x in fs if x[1] != 3 and x[0] not in self.odd])
+                     for c, fs in self.plan.terms[f] if any(x[1] == 3 for x in fs)]
+                 for f in self.fields}
+        keys = {x[:2] for amps in stiff.values() for _, xs in amps for x in xs}
+        grids = self.plan.grids(self.to_hats(state), keys)
+        for f, amps in stiff.items():
             worst = 0.0
-            for coeff, evens, ghost in self.terms[f]:
-                carries_3 = any(order == 3 for _, order, _ in evens) or (
-                    ghost is not None and ghost[1] == 3)
-                if not carries_3:
-                    continue
-                amp = abs(coeff) * np.ones(self.n)
-                for sym, order, e in evens:
-                    if order == 3:
-                        continue
+            for coeff, xs in amps:
+                amp = coeff * np.ones(self.n)
+                for sym, order, e in xs:
                     # |x^e| via |x|^e: fractional e on negative data would NaN
-                    amp = amp * np.power(np.abs(grids(sym, order)), e)
+                    amp = amp * np.power(np.abs(grids[sym, order]), e)
                 worst = max(worst, float(np.max(amp)))
             if self.dt * worst * kmax ** 3 > _RK4_IMAG_LIMIT:
                 warnings.warn(
@@ -480,12 +471,15 @@ def evaluate_functional(density, state):
     derivatives of the ghost coefficient array."""
     poly = density.density if hasattr(density, "density") else density
     odd_fields = {base_symbol(s) for s in poly.odd_syms}
-    terms = _compile_terms(poly, odd_fields)
-    hats = {sym: np.fft.rfft(state.fields[sym]) for sym in state.fields}
-    grids = _GridCache(hats, state.N, state.L)
-    mask = np.ones(state.N // 2 + 1, dtype=bool)  # no dealiasing in quadrature
-    val = _eval_terms(terms, grids, state.N, mask)
-    return float(np.mean(val) * state.L)
+    plan = _Plan({"density": _compile_terms(poly, odd_fields)}, state.N, state.L)
+    missing = [sym for sym in plan.fields if sym not in state.fields]
+    if missing:
+        raise KeyError(f"no field {missing[0]!r} in state")
+    hats = {sym: np.fft.rfft(state.fields[sym]) for sym in plan.fields}
+    grids = plan.grids(hats, [k for k in plan.reads if k[1]])
+    grids.update({k: state.fields[k[0]] for k in plan.reads if not k[1]})
+    total = plan(hats, grids)["density"][0].real
+    return float(total / state.N * state.L)
 
 
 def soliton_initial(k, x0, system, length=40.0, n=512, ghost="gradient"):

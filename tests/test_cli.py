@@ -187,6 +187,16 @@ def test_simulate_decimal_family_parameter(capsys, tmp_path):
     assert code == 2 and err.startswith("simulate:")
 
 
+def test_simulate_symbolic_family_parameter(capsys, tmp_path):
+    # a parameter left as a symbol is a usage error before any stepping
+    code, _, err = invoke(capsys, "simulate", "--system", "t-form", "--beta", "beta",
+                          "--s", "2", "--initial", "1 + 1/10*cx", "--t-end", "0.01",
+                          "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("simulate:") and "beta" in err and "Traceback" not in err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_simulate_guard_failure_exit_code(capsys, tmp_path):
     # harry-dym data crossing the positivity floor is a runtime failure (1),

@@ -12,6 +12,7 @@ from brstkdv import parse
 from brstkdv.graded import GradedPoly
 from brstkdv.reductions import build_system
 from brstkdv.solver import (
+    _Stepper,
     BlowUpError,
     FieldState,
     SingularityError,
@@ -358,6 +359,94 @@ def test_mkdv_short_run_conserves_classical_densities():
                   diagnostics=[mk.density("H0"), mk.density("H1")])
     h1 = np.array(traj.diagnostics["H1"])
     assert np.max(np.abs(h1 - h1[0])) / abs(h1[0]) < 1e-9
+
+
+# --- the compiled evaluation plan -------------------------------------------------
+
+def _reference_nonlinear_hat(system, state):
+    """The physical-space evaluator: read each grid with (ik)^order, filter
+    each power other than 1 and each product, sum the terms on the grid and
+    take one rfft.  The constant-coefficient dispersion a*f_xxx belongs to
+    the integrating factor and is left out."""
+    n, length = state.N, state.L
+    k = 2 * np.pi / length * np.fft.rfftfreq(n, d=1.0 / n)
+    mask = np.arange(n // 2 + 1) <= n // 3
+
+    def grid(sym, order):
+        mult = (1j * k) ** order
+        if order % 2:
+            mult[-1] = 0.0
+        return np.fft.irfft(np.fft.rfft(state.fields[sym]) * mult, n)
+
+    def filt(a):
+        return np.fft.irfft(np.fft.rfft(a) * mask, n)
+
+    out = {}
+    for f in system.evolving_fields():
+        val = np.zeros(n)
+        for coeff, even, odd in system.rhs[f].terms():
+            factors = [(sym, order, float(e)) for (sym, order), e in even]
+            factors += [(sym, order, 1.0) for sym, order in odd]
+            if factors == [(f, 3, 1.0)]:
+                continue
+            acc = None
+            for sym, order, e in factors:
+                g = grid(sym, order) if e == 1.0 else filt(grid(sym, order) ** e)
+                acc = g if acc is None else filt(acc * g)
+            val += float(coeff) * acc
+        out[f] = np.fft.rfft(val)
+    return out
+
+
+@pytest.mark.parametrize("name", ["kdv", "mkdv", "ckdv", "harry-dym"])
+def test_plan_matches_physical_space_evaluator(name):
+    # band-limited data whose mode 25 puts products above the N/3 cutoff,
+    # so the filtering order matters
+    system = build_system(name)
+    n, length = 128, 20.0
+    z = 2 * np.pi * grid(length, n) / length
+    f = 1.0 + 0.3 * np.cos(z) + 0.2 * np.sin(2 * z) + 0.05 * np.cos(25 * z)
+    c = 0.5 * np.sin(z) + 0.1 * np.cos(3 * z) + 0.05 * np.sin(25 * z)
+    st = FieldState(0.0, length, n, {system.even_fields[0]: f, "c": c})
+    stepper = _Stepper(system, length, n, 1e-3)
+    got = stepper.nonlinear_hat(stepper.to_hats(st), 0.0, check=True)
+    want = _reference_nonlinear_hat(system, st)
+    assert set(got) == set(want)
+    for sym in want:
+        scale = np.max(np.abs(want[sym]))
+        assert scale > 0
+        assert np.max(np.abs(got[sym] - want[sym])) <= 1e-12 * scale
+
+
+def test_kdv_step_fft_count(monkeypatch):
+    # per RK stage: the grids u, u_x and c_x, and one rfft for each of the
+    # products u*u_x and u*c_x; the dispersion never reaches the grid
+    kdv = build_system("kdv")
+    st = soliton_initial(0.5, 20.0, "kdv", 40.0, 128)
+    stepper = _Stepper(kdv, st.L, st.N, 1e-3)
+    hats = stepper.to_hats(st)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    stepper.advance(hats, 0.0)
+    assert 0 < len(calls) <= 20
+
+
+def test_symbolic_family_parameter_fails_loudly():
+    tf = build_system("t-form", beta="beta", s=2)
+    n = 64
+    st = FieldState(0.0, 20.0, n, {"T": np.ones(n), "c": np.zeros(n)})
+    with pytest.raises(ValueError, match="beta"):
+        evolve(st, tf, 0.01, 1e-3)
+    with pytest.raises(ValueError, match="beta"):
+        evaluate_functional(tf.density("H1"), st)
 
 
 # --- initial data ----------------------------------------------------------------
