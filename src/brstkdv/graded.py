@@ -66,10 +66,15 @@ def as_scalar(x):
     if isinstance(x, str):
         return _normalize_fraction(Fraction(x))
     if isinstance(x, sp.Basic):
-        if x.is_Rational:
-            return _normalize_fraction(Fraction(int(x.p), int(x.q)))
-        return sp.expand(x)
+        return _from_expanded(sp.expand(x))
     raise TypeError(f"not an exact scalar: {x!r}")
+
+
+def _from_expanded(x):
+    """The canonical scalar of an expanded sympy expression."""
+    if x.is_Rational:
+        return _normalize_fraction(Fraction(int(x.p), int(x.q)))
+    return x
 
 
 def _normalize_fraction(f):
@@ -85,15 +90,19 @@ def _lift(x):
 
 
 def s_add(a, b):
+    if type(a) is int and type(b) is int:
+        return a + b
     if isinstance(a, sp.Basic) or isinstance(b, sp.Basic):
-        return as_scalar(sp.expand(_lift(a) + _lift(b)))
-    return _normalize_fraction(Fraction(a) + Fraction(b))
+        return _from_expanded(sp.expand(_lift(a) + _lift(b)))
+    return _normalize_fraction(a + b)
 
 
 def s_mul(a, b):
+    if type(a) is int and type(b) is int:
+        return a * b
     if isinstance(a, sp.Basic) or isinstance(b, sp.Basic):
-        return as_scalar(sp.expand(_lift(a) * _lift(b)))
-    return _normalize_fraction(Fraction(a) * Fraction(b))
+        return _from_expanded(sp.expand(_lift(a) * _lift(b)))
+    return _normalize_fraction(a * b)
 
 
 def s_neg(a):
@@ -107,8 +116,11 @@ def s_div(a, b):
 
 
 def s_is_zero(a):
+    """Exact zero test.  Scalars built by this module are expanded, so a
+    coefficient with free symbols is zero only as the literal 0; the
+    assumption system is asked only about symbol-free constants."""
     if isinstance(a, sp.Basic):
-        return a.is_zero is True
+        return a == 0 if a.free_symbols else a.is_zero is True
     return a == 0
 
 
@@ -152,33 +164,6 @@ def _term_sort_key(key):
     return (odd, tuple((g, _exp_sort_key(e)) for g, e in even))
 
 
-def _merge_odd(od1, od2):
-    """Merge two sorted odd-generator tuples; returns (tuple, sign) or (None, 0)."""
-    if not od1:
-        return od2, 1
-    if not od2:
-        return od1, 1
-    merged = []
-    sign = 1
-    i = j = 0
-    while i < len(od1) and j < len(od2):
-        a, b = od1[i], od2[j]
-        if a == b:
-            return None, 0
-        if a < b:
-            merged.append(a)
-            i += 1
-        else:
-            # b jumps over the remaining len(od1)-i odd factors of od1
-            if (len(od1) - i) % 2:
-                sign = -sign
-            merged.append(b)
-            j += 1
-    merged.extend(od1[i:])
-    merged.extend(od2[j:])
-    return tuple(merged), sign
-
-
 def _sort_odd(odd):
     """Sort an odd factor sequence, tracking the permutation sign; dup -> None."""
     seq = list(odd)
@@ -193,6 +178,58 @@ def _sort_odd(odd):
         if j > 0 and seq[j - 1] == seq[j]:
             return None, 0
     return tuple(seq), sign
+
+
+def _merge_even(ev1, ev2):
+    """Product of two canonical even-factor tuples (exponents add)."""
+    if not ev1 or not ev2:
+        return ev1 or ev2
+    ev = dict(ev1)
+    for g, e in ev2:
+        if g in ev:
+            e = s_add(ev[g], e)
+            if s_is_zero(e):
+                del ev[g]
+                continue
+        ev[g] = e
+    return tuple(sorted(ev.items()))
+
+
+def _acc(acc, key, c):
+    """acc[key] += c for a nonzero c, deleting the key when it cancels."""
+    if key in acc:
+        c = s_add(acc[key], c)
+        if s_is_zero(c):
+            del acc[key]
+            return
+    acc[key] = c
+
+
+def _mul_into(acc, even, head, tail, coeff, terms):
+    """acc += coeff * even * head * q * tail, where ``terms`` is q's dict.
+
+    ``even`` is a canonical even-factor tuple, ``head`` and ``tail`` sorted
+    odd tuples whose concatenation is sorted.  Every graded sign of a
+    product is taken here.
+    """
+    for (ev2, od2), c2 in terms.items():
+        od, sign = _sort_odd(head + od2 + tail) if od2 else (head + tail, 1)
+        if od is None:
+            continue
+        c = s_mul(coeff, c2)
+        _acc(acc, (_merge_even(even, ev2), od), c if sign > 0 else s_neg(c))
+
+
+def _merged_odds(*polys):
+    """Union of the odd-symbol sets; a symbol even in one poly must not be odd."""
+    odd_syms = frozenset().union(*(p.odd_syms for p in polys))
+    for p in polys:
+        if p.odd_syms != odd_syms:
+            for (even, _) in p._terms:
+                for g, _e in even:
+                    if _sym_is_odd(g[0], odd_syms):
+                        raise ValueError(f"symbol {g[0]} is even here but odd elsewhere")
+    return odd_syms
 
 
 def _check_exponent(gen, e):
@@ -223,6 +260,13 @@ class GradedPoly:
             if not s_is_zero(coeff):
                 pruned[key] = coeff
         self._terms = pruned
+
+    @classmethod
+    def _of(cls, terms, odd_syms):
+        """Wrap a dict that holds no zero coefficient, without copying it."""
+        p = cls.__new__(cls)
+        p._terms, p.odd_syms = terms, odd_syms
+        return p
 
     # -- constructors -------------------------------------------------------
 
@@ -335,33 +379,19 @@ class GradedPoly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _merged_odds(self, other):
-        odd_syms = self.odd_syms | other.odd_syms
-        if odd_syms != self.odd_syms:
-            for (even, _) in self._terms:
-                for g, _e in even:
-                    if _sym_is_odd(g[0], odd_syms):
-                        raise ValueError(f"symbol {g[0]} is even here but odd elsewhere")
-        if odd_syms != other.odd_syms:
-            for (even, _) in other._terms:
-                for g, _e in even:
-                    if _sym_is_odd(g[0], odd_syms):
-                        raise ValueError(f"symbol {g[0]} is even here but odd elsewhere")
-        return odd_syms
-
     def __add__(self, other):
         if not isinstance(other, GradedPoly):
             other = GradedPoly.number(other)
-        odd_syms = self._merged_odds(other)
+        odd_syms = _merged_odds(self, other)
         acc = dict(self._terms)
         for key, coeff in other._terms.items():
-            acc[key] = s_add(acc[key], coeff) if key in acc else coeff
-        return GradedPoly(acc, odd_syms)
+            _acc(acc, key, coeff)
+        return GradedPoly._of(acc, odd_syms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPoly({k: s_neg(c) for k, c in self._terms.items()}, self.odd_syms)
+        return GradedPoly._of({k: s_neg(c) for k, c in self._terms.items()}, self.odd_syms)
 
     def __sub__(self, other):
         if not isinstance(other, GradedPoly):
@@ -380,22 +410,11 @@ class GradedPoly:
     def __mul__(self, other):
         if not isinstance(other, GradedPoly):
             return self._scale(other)
-        odd_syms = self._merged_odds(other)
+        odd_syms = _merged_odds(self, other)
         acc = {}
         for (ev1, od1), c1 in self._terms.items():
-            for (ev2, od2), c2 in other._terms.items():
-                od, sign = _merge_odd(od1, od2)
-                if od is None:
-                    continue
-                ev = dict(ev1)
-                for g, e in ev2:
-                    ev[g] = s_add(ev[g], e) if g in ev else e
-                key = (tuple(sorted((g, e) for g, e in ev.items() if not s_is_zero(e))), od)
-                c = s_mul(c1, c2)
-                if sign < 0:
-                    c = s_neg(c)
-                acc[key] = s_add(acc[key], c) if key in acc else c
-        return GradedPoly(acc, odd_syms)
+            _mul_into(acc, ev1, od1, (), c1, other._terms)
+        return GradedPoly._of(acc, odd_syms)
 
     def __rmul__(self, other):
         # scalars commute with everything
@@ -409,8 +428,9 @@ class GradedPoly:
         while n:
             if n & 1:
                 out = out * b
-            b = b * b
             n >>= 1
+            if n:
+                b = b * b
         return out
 
     def __eq__(self, other):
@@ -546,30 +566,23 @@ def _derive(p, image_of, parity):
     Graded Leibniz rule: passing an odd derivation over k odd factors costs
     (-1)^k; even factors never contribute a sign.
     """
-    out = GradedPoly.zero(p.odd_syms)
+    acc, images = {}, {}
     for (even, odd), coeff in p._terms.items():
         for idx, (g, e) in enumerate(even):
-            img = image_of(g)
+            img = images[g] if g in images else images.setdefault(g, image_of(g))
             if img.is_zero:
                 continue
-            rest = list(even)
             e1 = s_add(e, -1)
-            if s_is_zero(e1):
-                del rest[idx]
-            else:
-                rest[idx] = (g, e1)
-            head = GradedPoly({(tuple(rest), ()): s_mul(coeff, e)}, p.odd_syms)
-            tail = GradedPoly({((), odd): 1}, p.odd_syms)
-            out = out + head * img * tail
+            rest = even[:idx] + (() if s_is_zero(e1) else ((g, e1),)) + even[idx + 1:]
+            _mul_into(acc, rest, (), odd, s_mul(coeff, e), img._terms)
         for i, g in enumerate(odd):
-            img = image_of(g)
+            img = images[g] if g in images else images.setdefault(g, image_of(g))
             if img.is_zero:
                 continue
             c = coeff if not (parity and i % 2) else s_neg(coeff)
-            head = GradedPoly({(even, odd[:i]): c}, p.odd_syms)
-            tail = GradedPoly({((), odd[i + 1:]): 1}, p.odd_syms)
-            out = out + head * img * tail
-    return out
+            _mul_into(acc, even, odd[:i], odd[i + 1:], c, img._terms)
+    used = [img for img in images.values() if not img.is_zero]
+    return GradedPoly._of(acc, _merged_odds(p, *used))
 
 
 def total_x_derivative(p, rules=None):
@@ -589,23 +602,15 @@ def _dx_power(p, k, xrules):
 
 def apply_derivation(p, d):
     """Apply a :class:`DerivationRuleSet` to ``p``."""
-    odd_syms = p.odd_syms | d.odd_symbols()
-    cache = {}
+    odd_syms = _merged_odds(p, GradedPoly.zero(d.odd_symbols()))
 
     def image_of(g):
         sym, order = g
-        if g in cache:
-            return cache[g]
         if sym not in d.base:
             raise KeyError(f"derivation '{d.name}' has no rule for generator '{sym}'")
-        img = d.base[sym]
-        if order:
-            img = _dx_power(img, order, d.xrules or None)
-        cache[g] = img
-        return img
+        return _dx_power(d.base[sym], order, d.xrules or None)
 
-    q = GradedPoly(p._terms, odd_syms)
-    return _derive(q, image_of, d.parity)
+    return _derive(GradedPoly._of(p._terms, odd_syms), image_of, d.parity)
 
 
 def t_prolong(p):
@@ -626,12 +631,12 @@ def _substitute(p, image_of):
     Each monomial is rebuilt as an ordered product, so all anticommutation
     signs come out of the multiplication itself.
     """
-    out = GradedPoly.zero(p.odd_syms)
+    acc, images = {}, {}
     for (even, odd), coeff in p._terms.items():
         kept = []
-        repl = []
+        factors = []
         for g, e in even:
-            q = image_of(g)
+            q = images[g] if g in images else images.setdefault(g, image_of(g))
             if q is None:
                 kept.append((g, e))
             else:
@@ -640,15 +645,20 @@ def _substitute(p, image_of):
                         f"cannot substitute into {_gen_str(g)}^{_exp_str(e)}: "
                         "only positive integer powers are substitutable"
                     )
-                repl.append(q ** e)
-        term = GradedPoly({(tuple(kept), ()): coeff}, p.odd_syms)
-        for q in repl:
-            term = term * q
+                factors.append((q ** e)._terms)
         for g in odd:
-            q = image_of(g)
-            term = term * (GradedPoly.gen(g[0], g[1], odd_syms=p.odd_syms) if q is None else q)
-        out = out + term
-    return out
+            q = images[g] if g in images else images.setdefault(g, image_of(g))
+            factors.append({((), (g,)): 1} if q is None else q._terms)
+        term = {(tuple(kept), ()): coeff}
+        for q in factors:
+            prod = {}
+            for (ev, od), c in term.items():
+                _mul_into(prod, ev, od, (), c, q)
+            term = prod
+        for key, c in term.items():
+            _acc(acc, key, c)
+    used = [q for q in images.values() if q is not None]
+    return GradedPoly._of(acc, _merged_odds(p, *used))
 
 
 def reduce_on_shell(p, system):
@@ -659,7 +669,6 @@ def reduce_on_shell(p, system):
     raise.
     """
     rhs = system if isinstance(system, dict) else system.rhs
-    cache = {}
 
     def image_of(g):
         sym, order = g
@@ -668,9 +677,7 @@ def reduce_on_shell(p, system):
         base = base_symbol(sym)
         if base not in rhs or rhs[base] is None:
             raise ValueError(f"no evolution rule to reduce marker '{sym}'")
-        if g not in cache:
-            cache[g] = _dx_power(rhs[base], order, None)
-        return cache[g]
+        return _dx_power(rhs[base], order, None)
 
     out = _substitute(p, image_of)
     if out.has_markers():
@@ -685,7 +692,6 @@ def substitute_family(p, sym, replacement):
     (sym_t, k) map to d^k/dx^k of its formal time derivative.
     """
     mk = marker(sym)
-    cache = {}
 
     def image_of(g):
         s, order = g
@@ -695,10 +701,7 @@ def substitute_family(p, sym, replacement):
             seed = t_prolong(replacement)
         else:
             return None
-        key = (s, order)
-        if key not in cache:
-            cache[key] = _dx_power(seed, order, None)
-        return cache[key]
+        return _dx_power(seed, order, None)
 
     return _substitute(p, image_of)
 
@@ -707,21 +710,8 @@ def substitute_family(p, sym, replacement):
 # variational operators
 
 def _formal_partial(p, g):
-    acc = {}
-    for (even, odd), coeff in p._terms.items():
-        for idx, (h, e) in enumerate(even):
-            if h != g:
-                continue
-            rest = list(even)
-            e1 = s_add(e, -1)
-            if s_is_zero(e1):
-                del rest[idx]
-            else:
-                rest[idx] = (h, e1)
-            key = (tuple(rest), odd)
-            c = s_mul(coeff, e)
-            acc[key] = s_add(acc[key], c) if key in acc else c
-    return GradedPoly(acc, p.odd_syms)
+    one, zero = GradedPoly.number(1, p.odd_syms), GradedPoly.zero(p.odd_syms)
+    return _derive(p, lambda h: one if h == g else zero, parity=0)
 
 
 def euler_operator(p, sym):
@@ -732,15 +722,13 @@ def euler_operator(p, sym):
         raise ValueError(f"euler_operator differentiates even fields only, '{sym}' is odd")
     if p.max_order(marker(sym)) >= 0:
         raise ValueError(f"density contains time markers of '{sym}'; reduce on shell first")
-    out = GradedPoly.zero(p.odd_syms)
-    sign = 1
+    acc = {}
     for i in range(p.max_order(sym) + 1):
         part = _formal_partial(p, (sym, i))
         if not part.is_zero:
-            term = _dx_power(part, i, None)
-            out = out + (term if sign > 0 else -term)
-        sign = -sign
-    return out
+            for key, c in _dx_power(part, i, None)._terms.items():
+                _acc(acc, key, s_neg(c) if i % 2 else c)
+    return GradedPoly._of(acc, p.odd_syms)
 
 
 def odd_gradient(p, sym):
@@ -759,9 +747,8 @@ def odd_gradient(p, sym):
         order = fam[0][1]
         key = (even, ())
         buckets.setdefault(order, {})[key] = coeff
-    out = GradedPoly.zero(p.odd_syms)
+    acc = {}
     for order, terms in buckets.items():
-        part = GradedPoly(terms, p.odd_syms)
-        term = _dx_power(part, order, None)
-        out = out + (term if order % 2 == 0 else -term)
-    return out
+        for key, c in _dx_power(GradedPoly._of(terms, p.odd_syms), order, None)._terms.items():
+            _acc(acc, key, s_neg(c) if order % 2 else c)
+    return GradedPoly._of(acc, p.odd_syms)

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import sympy as sp
 
-from .graded import GradedPoly, as_scalar
+from .graded import GradedPoly, s_add, s_mul
 
 __all__ = ["parse", "ParseError"]
 
@@ -162,10 +162,7 @@ def _scalar_product(sc, params):
         sc.skip_ws()
         if sc.peek() == "*":
             sc.pos += 1
-            w = _scalar_atom(sc, params)
-            v = sp.expand(sp.sympify(v) * sp.sympify(w)) if (
-                isinstance(v, sp.Basic) or isinstance(w, sp.Basic)
-            ) else v * w
+            v = s_mul(v, _scalar_atom(sc, params))
         else:
             return v
 
@@ -188,11 +185,8 @@ def _scalar_sum(sc, params):
             sc.pos += 1
             v2 = -_scalar_product(sc, params)
         else:
-            return as_scalar(sp.sympify(v)) if isinstance(v, sp.Basic) else v
-        if isinstance(v, sp.Basic) or isinstance(v2, sp.Basic):
-            v = sp.expand(sp.sympify(v) + sp.sympify(v2))
-        else:
-            v = v + v2
+            return v
+        v = s_add(v, v2)
 
 
 def _exponent(sc, params):

@@ -46,6 +46,7 @@ from .graded import (
     as_scalar,
     s_add,
     s_div,
+    s_is_zero,
     s_mul,
     to_string,
     total_x_derivative,
@@ -205,7 +206,7 @@ def _u_family(alpha, s, name="kdv"):
     c = GradedPoly.gen("c", 0, odd_syms=odd)
     cx = GradedPoly.gen("c", 1, odd_syms=odd)
     c3 = GradedPoly.gen("c", 3, odd_syms=odd)
-    if s_add(alpha, 0) == 0 or (isinstance(alpha, sp.Basic) and alpha.is_zero):
+    if s_is_zero(alpha):
         raise ValueError("alpha must be nonzero")
 
     adv = s_div(s_add(alpha, 2), alpha)        # (alpha+2)/alpha
