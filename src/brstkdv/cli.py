@@ -26,7 +26,8 @@ from .reductions import (
     ckdv_to_mkdv,
     miura_map,
 )
-from .solver import SolverError, evolve, FieldState, soliton_initial
+from .solver import (SolverError, FieldState, _compile_terms, _grids, _pointwise, evolve,
+                     soliton_initial, spectral_derivative)
 from .verify import CHECKS, run_all
 
 _FAMILY_KEYS = ("alpha", "beta", "s")
@@ -81,21 +82,17 @@ def _eval_expression(text, x, length):
         "sx": np.sin(2 * np.pi * x / length),
     }
     poly = parse(text)
-    out = np.zeros_like(x)
-    for coeff, even, odd in poly.terms():
-        if odd:
-            raise ValueError("initial-data expressions must be even")
-        acc = np.full_like(x, float(coeff))
-        for (sym, order), e in even:
-            if order:
-                raise ValueError(
-                    f"derivative generator {sym!r} is not allowed in initial data")
-            if sym not in bind:
-                raise ValueError(
-                    f"unknown name {sym!r} in initial data; bound names: x, cx, sx")
-            acc = acc * np.power(bind[sym], float(e))
-        out += acc
-    return out
+    if any(odd for _, _, odd in poly.terms()):
+        raise ValueError("initial-data expressions must be even")
+    terms = _compile_terms(poly, ())
+    for sym, order in {f[:2] for _, fs in terms for f in fs}:
+        if order:
+            raise ValueError(
+                f"derivative generator {sym!r} is not allowed in initial data")
+        if sym not in bind:
+            raise ValueError(
+                f"unknown name {sym!r} in initial data; bound names: x, cx, sx")
+    return _pointwise(terms, _grids(terms, bind, length), len(x))
 
 
 def _parse_soliton(spec):
@@ -137,27 +134,18 @@ def _cmd_simulate(args):
     dt = float(eff["dt"])
     t_end = float(eff["t-end"])
 
-    even = system.even_fields[0]
+    ghost = eff["ghost-initial"]
+    if ghost not in ("gradient", "none"):
+        ghost = _eval_expression(ghost, x, length)
     if eff.get("soliton"):
         k, x0 = _parse_soliton(eff["soliton"])
-        gspec = eff["ghost-initial"]
-        if gspec in ("gradient", "none"):
-            ghost = gspec
-        else:
-            ghost = _eval_expression(gspec, x, length)
         state = soliton_initial(k, length / 2 if x0 is None else x0,
                                 system.name, length, n, ghost=ghost)
     elif eff.get("initial"):
         f = _eval_expression(eff["initial"], x, length)
-        gspec = eff["ghost-initial"]
-        if gspec == "none":
-            g = np.zeros(n)
-        elif gspec == "gradient":
-            from .solver import spectral_derivative
-            g = spectral_derivative(f, 1, length)
-        else:
-            g = _eval_expression(gspec, x, length)
-        state = FieldState(0.0, length, n, {even: f, "c": g})
+        if isinstance(ghost, str):
+            ghost = spectral_derivative(f, 1, length) if ghost == "gradient" else np.zeros(n)
+        state = FieldState(0.0, length, n, {system.even_fields[0]: f, "c": ghost})
     else:
         print("simulate: provide --soliton or --initial", file=sys.stderr)
         return 2
@@ -246,13 +234,8 @@ def _cmd_conserved(args):
 
 def _cmd_euler(args):
     odd = tuple(s.strip() for s in (args.odd or "").split(",") if s.strip())
-    try:
-        density = parse(args.density, odd=odd)
-        result = euler_operator(density, args.field)
-    except (ParseError, ValueError) as exc:
-        print(f"euler: {exc}", file=sys.stderr)
-        return 2
-    print(to_string(result))
+    density = parse(args.density, odd=odd)
+    print(to_string(euler_operator(density, args.field)))
     return 0
 
 

@@ -85,6 +85,19 @@ class _Scanner:
         self.pos = j
         return int(self.text[i:j])
 
+    def number(self):
+        """The integer or n/d literal at the cursor, as a Fraction."""
+        n = self.digits()
+        if not (self.pos < len(self.text) and self.text[self.pos] == "/"):
+            return Fraction(n)
+        self.pos += 1
+        d = self.digits()
+        if d is None:
+            raise ParseError("expected denominator", self.pos)
+        if d == 0:
+            raise ParseError("zero denominator", self.pos)
+        return Fraction(n, d)
+
 
 def _scan_generator(sc, base):
     """Consume derivative suffixes after a base name; return (symbol, order)."""
@@ -141,14 +154,7 @@ def _scalar_atom(sc, params):
         return v
     ch = sc.peek()
     if ch.isdigit():
-        n = sc.digits()
-        if sc.pos < len(sc.text) and sc.text[sc.pos] == "/":
-            sc.pos += 1
-            d = sc.digits()
-            if d is None:
-                raise ParseError("expected denominator", sc.pos)
-            return Fraction(n, d)
-        return Fraction(n)
+        return sc.number()
     nm = sc.name()
     if nm is None:
         raise ParseError("expected a number or parameter name", sc.pos)
@@ -198,14 +204,7 @@ def _exponent(sc, params):
     neg = sc.take("-")
     ch = sc.peek()
     if ch.isdigit():
-        n = sc.digits()
-        v = Fraction(n)
-        if sc.pos < len(sc.text) and sc.text[sc.pos] == "/":
-            sc.pos += 1
-            d = sc.digits()
-            if d is None:
-                raise ParseError("expected denominator", sc.pos)
-            v = Fraction(n, d)
+        v = sc.number()
         return -v if neg else v
     nm = sc.name()
     if nm is None:
@@ -251,15 +250,7 @@ def parse(text, odd=()):
             return ("scalar", v)
         ch = sc.peek()
         if ch.isdigit():
-            n = sc.digits()
-            v = Fraction(n)
-            if sc.pos < len(sc.text) and sc.text[sc.pos] == "/":
-                sc.pos += 1
-                d = sc.digits()
-                if d is None:
-                    raise ParseError("expected denominator", sc.pos)
-                v = Fraction(n, d)
-            return ("scalar", v)
+            return ("scalar", sc.number())
         nm = sc.name()
         if nm is None:
             raise ParseError("expected a factor", sc.pos)

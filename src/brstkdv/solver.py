@@ -6,7 +6,8 @@ unpaired Nyquist mode dropped for odd orders.  Each right-hand side is
 compiled once into an evaluation plan that reads every (field, order) grid
 and every power once per RK stage, filters each power and each product by
 the 2/3 rule as it is formed, and sums the terms in spectral space.
-Quadrature of conserved densities uses the same plan without the filter.
+Quadrature of conserved densities, the step-size advisory and the CLI's
+initial data share one unfiltered pointwise evaluator on physical grids.
 Time stepping is classical RK4 composed with an exact
 integrating factor for the constant-coefficient dispersive part of each
 field (a term a*f_xxx with constant a is detected in the right-hand side
@@ -157,12 +158,9 @@ class Trajectory:
         with open(path, "w") as fh:
             fh.write(",".join(["t", "x"] + syms) + "\n")
             for st in self.states:
-                x = st.x
-                cols = [st.fields[s] for s in syms]
-                for i in range(st.N):
-                    row = [repr(float(st.t)), repr(float(x[i]))]
-                    row += [repr(float(c[i])) for c in cols]
-                    fh.write(",".join(row) + "\n")
+                rows = np.column_stack([np.full(st.N, st.t), st.x]
+                                       + [st.fields[s] for s in syms]).tolist()
+                fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
     def export_manifest(self, path, config=None):
         doc = {
@@ -201,7 +199,7 @@ def _number(value, what):
         free = ", ".join(sorted(str(s) for s in getattr(value, "free_symbols", ())))
         raise ValueError(
             f"{what} {value} is not numeric (free symbols: {free or 'none'}); "
-            "give every family parameter a number") from None
+            "only numbers can be evaluated on a grid") from None
 
 
 def _compile_terms(poly, odd_fields):
@@ -228,39 +226,57 @@ def _compile_terms(poly, odd_fields):
     return tuple(out)
 
 
+def _grids(terms, fields, length):
+    """Physical grids of every (field, order) that the compiled terms read."""
+    keys = {x[:2] for _, fs in terms for x in fs}
+    missing = sorted({s for s, _ in keys} - set(fields))
+    if missing:
+        raise KeyError(f"no field {missing[0]!r} in state")
+    return {(s, o): spectral_derivative(fields[s], o, length) if o else fields[s]
+            for s, o in keys}
+
+
+def _pointwise(terms, grids, n):
+    """Sum of coeff * prod grid^e over compiled terms, unfiltered, on n points."""
+    out = np.zeros(n)
+    for coeff, fs in terms:
+        acc = 1.0
+        for s, o, e in fs:
+            acc = acc * (grids[s, o] if e == 1.0 else np.power(grids[s, o], e))
+        out += coeff * acc
+    return out
+
+
 def _is_lone(factors):
     return len(factors) == 1 and factors[0][2] == 1.0
 
 
 class _Plan:
-    """Compiled terms of several polynomials, evaluated from rfft data.
+    """Compiled right-hand sides, evaluated from rfft data with the 2/3 rule.
 
     Each evaluation reads every (field, order) grid and every power other
-    than 1 once.  Powers and products are filtered by the mask as they are
-    formed, and each polynomial's terms are summed in spectral space; a lone
-    linear factor adds hat * (ik)^order with no FFT.  Without a mask
-    (quadrature) nothing is filtered and products are summed in physical
-    space before one rfft.
+    than 1 once.  Powers and products are filtered as they are formed, and
+    each polynomial's terms are summed in spectral space; a lone linear
+    factor adds hat * (ik)^order with no FFT.
     """
 
-    def __init__(self, terms, n, length, mask=None):
+    def __init__(self, terms, n, length):
         self.terms = terms
         self.n = n
-        self.mask = mask
+        self.mask = _dealias_mask(n)
         formed = [fs for ts in terms.values() for _, fs in ts if not _is_lone(fs)]
         self.reads = sorted({(s, o) for fs in formed for s, o, _ in fs})
         self.powers = sorted({x for fs in formed for x in fs if x[2] != 1.0})
-        every = [x for ts in terms.values() for _, fs in ts for x in fs]
-        self.fields = sorted({s for s, _, _ in every})
-        self.mult = {o: _multiplier(n, length, o) for o in {o for _, o, _ in every} if o}
+        orders = {o for ts in terms.values() for _, fs in ts for _, o, _ in fs}
+        self.mult = {o: _multiplier(n, length, o) for o in orders if o}
 
     def _filter(self, a):
-        return a if self.mask is None else np.fft.irfft(np.fft.rfft(a) * self.mask, self.n)
+        return np.fft.irfft(np.fft.rfft(a) * self.mask, self.n)
 
-    def grids(self, hats, keys=None):
-        """Physical values of (field, order) grids; by default all the plan reads."""
+    def grids(self, hats):
+        """Physical values of the (field, order) grids the plan reads."""
         return {(s, o): np.fft.irfft(hats[s] * self.mult[o] if o else hats[s], self.n)
-                for s, o in (self.reads if keys is None else keys)}
+                for s, o in self.reads}
 
     def __call__(self, hats, grids):
         """The rfft of every compiled polynomial, given its grids."""
@@ -270,7 +286,6 @@ class _Plan:
         out = {}
         for name, terms in self.terms.items():
             spec = np.zeros(self.n // 2 + 1, dtype=complex)
-            phys = np.zeros(self.n)
             for coeff, fs in terms:
                 if _is_lone(fs):
                     s, o, _ = fs[0]
@@ -282,11 +297,8 @@ class _Plan:
                     acc = self._filter(acc * f)
                 if len(factors) > 1:
                     acc = acc * factors[-1]
-                if self.mask is None:
-                    phys += coeff * acc
-                else:
-                    spec += coeff * (np.fft.rfft(acc) * self.mask)
-            out[name] = spec if self.mask is not None else spec + np.fft.rfft(phys)
+                spec += coeff * (np.fft.rfft(acc) * self.mask)
+            out[name] = spec
         return out
 
 
@@ -320,7 +332,7 @@ class _Stepper:
             compiled = _compile_terms(system.rhs[f], self.odd)
             self.linear[f] = sum(c for c, fs in compiled if fs == disp)
             terms[f] = tuple(t for t in compiled if t[1] != disp)
-        self.plan = _Plan(terms, n, length, _dealias_mask(n))
+        self.plan = _Plan(terms, n, length)
         # preconditions implied by the exponents of undifferentiated powers
         powers = [(s, e) for s, o, e in self.plan.powers if not o]
         self.positive = {s for s, e in powers if e != int(e)}
@@ -393,16 +405,12 @@ class _Stepper:
         stiff = {f: [(abs(c), [x for x in fs if x[1] != 3 and x[0] not in self.odd])
                      for c, fs in self.plan.terms[f] if any(x[1] == 3 for x in fs)]
                  for f in self.fields}
-        keys = {x[:2] for amps in stiff.values() for _, xs in amps for x in xs}
-        grids = self.plan.grids(self.to_hats(state), keys)
+        grids = _grids([t for amps in stiff.values() for t in amps], state.fields, self.length)
+        # |x^e| via |x|^e: fractional e on negative data would NaN
+        grids = {k: np.abs(g) for k, g in grids.items()}
         for f, amps in stiff.items():
-            worst = 0.0
-            for coeff, xs in amps:
-                amp = coeff * np.ones(self.n)
-                for sym, order, e in xs:
-                    # |x^e| via |x|^e: fractional e on negative data would NaN
-                    amp = amp * np.power(np.abs(grids[sym, order]), e)
-                worst = max(worst, float(np.max(amp)))
+            worst = max((float(np.max(_pointwise([t], grids, self.n))) for t in amps),
+                        default=0.0)
             if self.dt * worst * kmax ** 3 > _RK4_IMAG_LIMIT:
                 warnings.warn(
                     f"field {f!r}: variable-coefficient dispersion with "
@@ -429,17 +437,17 @@ def evolve(state, system, t_end, dt, record_every=1, diagnostics=(), floor=1e-6)
     n_steps = int(round(span / dt))
     if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError("t_end - t must be an integer number of steps")
+    diagnostics = list(diagnostics)
+    names = [d.name if hasattr(d, "name") else str(d) for d in diagnostics]
+    twice = sorted({nm for nm in names if names.count(nm) > 1})
+    if twice:
+        raise ValueError(f"diagnostic {twice[0]!r} is given more than once")
+    compiled = [_density_terms(d) for d in diagnostics]
     stepper = _Stepper(system, state.L, state.N, dt, floor=floor)
     stepper.cfl_advisory(state)
 
-    names = []
-    dens = []
-    for d in diagnostics:
-        names.append(d.name if hasattr(d, "name") else str(d))
-        dens.append(d)
-
     states = [state]
-    diag = {nm: [evaluate_functional(d, state)] for nm, d in zip(names, dens)}
+    records = [_quadrature(compiled, state)]
     hats = stepper.to_hats(state)
     t0 = state.t
     for i in range(1, n_steps + 1):
@@ -450,11 +458,10 @@ def evolve(state, system, t_end, dt, record_every=1, diagnostics=(), floor=1e-6)
         if i % record_every == 0 or i == n_steps:
             snap = state.replace(t=t0 + i * dt, fields=stepper.to_fields(hats, state))
             states.append(snap)
-            for nm, d in zip(names, dens):
-                diag[nm].append(evaluate_functional(d, snap))
+            records.append(_quadrature(compiled, snap))
     return Trajectory(
         states=states,
-        diagnostics=diag,
+        diagnostics={nm: list(vs) for nm, vs in zip(names, zip(*records))},
         meta={
             "system": system.name,
             "parameters": {k: str(v) for k, v in system.parameters.items()},
@@ -465,21 +472,23 @@ def evolve(state, system, t_end, dt, record_every=1, diagnostics=(), floor=1e-6)
     )
 
 
+def _density_terms(density):
+    poly = density.density if hasattr(density, "density") else density
+    return _compile_terms(poly, {base_symbol(s) for s in poly.odd_syms})
+
+
+def _quadrature(compiled, state):
+    """Mean * L of each compiled density, all read from one set of grids."""
+    grids = _grids([t for terms in compiled for t in terms], state.fields, state.L)
+    return [float(np.mean(_pointwise(terms, grids, state.N)) * state.L)
+            for terms in compiled]
+
+
 def evaluate_functional(density, state):
     """Trapezoid quadrature of a density over the periodic domain (exact
     mean * L on the equispaced grid).  Ghost generators are replaced by
     derivatives of the ghost coefficient array."""
-    poly = density.density if hasattr(density, "density") else density
-    odd_fields = {base_symbol(s) for s in poly.odd_syms}
-    plan = _Plan({"density": _compile_terms(poly, odd_fields)}, state.N, state.L)
-    missing = [sym for sym in plan.fields if sym not in state.fields]
-    if missing:
-        raise KeyError(f"no field {missing[0]!r} in state")
-    hats = {sym: np.fft.rfft(state.fields[sym]) for sym in plan.fields}
-    grids = plan.grids(hats, [k for k in plan.reads if k[1]])
-    grids.update({k: state.fields[k[0]] for k in plan.reads if not k[1]})
-    total = plan(hats, grids)["density"][0].real
-    return float(total / state.N * state.L)
+    return _quadrature([_density_terms(density)], state)[0]
 
 
 def soliton_initial(k, x0, system, length=40.0, n=512, ghost="gradient"):

@@ -37,7 +37,7 @@ from .reductions import (
     upsilon_poly,
 )
 from .sl2 import CANONICAL_FIELDS, canonical_brst_rules, curvature_residual
-from .solver import FieldState, evolve, evaluate_functional, soliton_initial, spectral_derivative
+from .solver import FieldState, evolve, soliton_initial, spectral_derivative
 
 __all__ = [
     "CheckReport",
@@ -239,15 +239,22 @@ def check_gradient_ghost(density=None, system=None):
 
 _ODD_DENSITIES = ("Ht0", "Ht1", "H1g", "H3", "H5")
 _EVEN_DENSITIES = ("H0", "H1")
+# domain, grid, time step and end time of the numeric checks' runs
+_LENGTH = 40.0
+_N = 512
+_DT = 1e-3
+_T_END = 1.0
+_CKDV_T_END = 0.2  # the ckdv leg of the substitution chain
+_ZERO_FLOOR = 1e-8  # conservation drift is absolute below this initial value
 
 
-def _standard_soliton_run(densities=(), t_end=1.0, record_every=100, ghost="gradient"):
-    """The kdv soliton run (k = 0.7, L = 40, N = 512, dt = 1e-3) with the
-    given densities (catalog names or objects) as diagnostics."""
+def _standard_soliton_run(densities=(), t_end=_T_END, record_every=100, ghost="gradient"):
+    """The kdv soliton run (k = 0.7, centred, on the checks' grid and step)
+    with the given densities (catalog names or objects) as diagnostics."""
     kdv = build_system("kdv")
-    state = soliton_initial(0.7, 20.0, "kdv", 40.0, 512, ghost=ghost)
+    state = soliton_initial(0.7, _LENGTH / 2, "kdv", _LENGTH, _N, ghost=ghost)
     diagnostics = [kdv.density(d) if isinstance(d, str) else d for d in densities]
-    return evolve(state, kdv, t_end, 1e-3, record_every=record_every,
+    return evolve(state, kdv, t_end, _DT, record_every=record_every,
                   diagnostics=diagnostics)
 
 
@@ -264,10 +271,9 @@ def _snapshot_rates(states, values):
             for i in range(2, len(values) - 2)]
 
 
-def check_conservation(trajectory=None, densities=None, tolerance=1e-6,
-                       zero_floor=1e-8):
+def check_conservation(trajectory=None, densities=None, tolerance=1e-6):
     """Max relative drift of each diagnostic along a trajectory (absolute
-    drift when the initial value is below ``zero_floor``).
+    drift when the initial value is below 1e-8).
 
     Default evidence: the coupled soliton+ghost run with all odd
     functionals at tolerance 1e-6; pass tolerance=1e-8 with the classical
@@ -290,7 +296,7 @@ def check_conservation(trajectory=None, densities=None, tolerance=1e-6,
             raise ValueError("need at least two recorded snapshots")
         drift = float(np.max(np.abs(vals - vals[0])))
         ref = abs(float(vals[0]))
-        metrics[n] = drift / ref if ref > zero_floor else drift
+        metrics[n] = drift / ref if ref > _ZERO_FLOOR else drift
     return _report(
         "check_conservation", metrics, tolerance,
         "the catalogued functionals are constant along the flow to the "
@@ -298,30 +304,31 @@ def check_conservation(trajectory=None, densities=None, tolerance=1e-6,
     )
 
 
-def check_miura_chain(t_end=1.0, dt=1e-3, n=512, length=40.0, ckdv_t_end=0.2):
+def check_miura_chain():
     """Numeric consistency of the substitution chain: evolving under the
     modified flow and mapping agrees with mapping first and evolving under
     the target flow; mapped ckdv data satisfies the modified-flow residual."""
-    x = length * np.arange(n) / n
+    x = _LENGTH * np.arange(_N) / _N
     mk = build_system("mkdv")
     kdv = build_system("kdv")
-    R0 = 0.9 / np.cosh(0.8 * (x - length / 2))
-    zeros = np.zeros(n)
-    trajR = evolve(FieldState(0.0, length, n, {"R": R0, "c": zeros}),
-                   mk, t_end, dt, record_every=10 ** 9)
-    trajU = evolve(FieldState(0.0, length, n, {"u": miura_map(R0, length), "c": zeros}),
-                   kdv, t_end, dt, record_every=10 ** 9)
-    mapped = miura_map(trajR.states[-1].fields["R"], length)
+    R0 = 0.9 / np.cosh(0.8 * (x - _LENGTH / 2))
+    zeros = np.zeros(_N)
+    trajR = evolve(FieldState(0.0, _LENGTH, _N, {"R": R0, "c": zeros}),
+                   mk, _T_END, _DT, record_every=10 ** 9)
+    trajU = evolve(FieldState(0.0, _LENGTH, _N, {"u": miura_map(R0, _LENGTH), "c": zeros}),
+                   kdv, _T_END, _DT, record_every=10 ** 9)
+    mapped = miura_map(trajR.states[-1].fields["R"], _LENGTH)
     linf = float(np.max(np.abs(mapped - trajU.states[-1].fields["u"])))
 
     ck = build_system("ckdv")
-    w0 = 1.0 + 0.3 * np.cos(2 * np.pi * x / length)
-    trajW = evolve(FieldState(0.0, length, n, {"w": w0, "c": zeros}),
-                   ck, ckdv_t_end, dt, record_every=10)
-    vs = [ckdv_to_mkdv(s.fields["w"], length) for s in trajW.states]
+    w0 = 1.0 + 0.3 * np.cos(2 * np.pi * x / _LENGTH)
+    trajW = evolve(FieldState(0.0, _LENGTH, _N, {"w": w0, "c": zeros}),
+                   ck, _CKDV_T_END, _DT, record_every=10)
+    vs = [ckdv_to_mkdv(s.fields["w"], _LENGTH) for s in trajW.states]
     residual = 0.0
     for v, v_t in zip(vs[2:-2], _snapshot_rates(trajW.states, vs)):
-        rhs = spectral_derivative(v, 3, length) - 6 * v * v * spectral_derivative(v, 1, length)
+        rhs = (spectral_derivative(v, 3, _LENGTH)
+               - 6 * v * v * spectral_derivative(v, 1, _LENGTH))
         residual = max(residual, float(np.max(np.abs(v_t - rhs))))
     metrics = {"mkdv_to_kdv_linf": linf, "ckdv_to_mkdv_residual": residual}
     return _report(

@@ -1,13 +1,18 @@
 """Command-line interface: subcommands, config precedence, exit codes,
 and reproducible file output."""
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brstkdv.cli import run
 
@@ -195,6 +200,61 @@ def test_simulate_symbolic_family_parameter(capsys, tmp_path):
     assert code == 2
     assert err.startswith("simulate:") and "beta" in err and "Traceback" not in err
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_simulate_duplicate_diagnostic(capsys, tmp_path):
+    # one series per name, or the manifest's diagnostics stop matching its times
+    code, _, err = invoke(capsys, "simulate", "--system", "kdv", "--soliton", "k=0.5",
+                          "--n", "64", "--t-end", "0.01", "--diag", "H0,H1,H0",
+                          "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("simulate:") and "'H0'" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "miura"])
+@pytest.mark.parametrize("text", ["(beta)*cx", "1 + cx^beta", "(1/0)*cx"])
+def test_initial_data_must_be_numeric(capsys, tmp_path, command, text):
+    # a symbolic coefficient or exponent, or a zero denominator, is a usage
+    # error with a message
+    args = ["--system", "kdv"] if command == "simulate" else []
+    code, _, err = invoke(capsys, command, *args, "--initial", text, "--n", "16",
+                          "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith(f"{command}:") and "Traceback" not in err
+
+
+# mostly well-formed initial data; a zero denominator, a parameter name, a
+# derivative suffix, the field u or the ghost c turn up now and then
+_NUMBERS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 9), st.sampled_from([1, 2, 3, 4, 0])).map("{0[0]}/{0[1]}".format))
+_EXPONENTS = st.one_of(st.integers(1, 3).map(str), st.sampled_from(
+    ["(-1)", "(-2)", "(1/2)", "(3/2)", "1/3", "(beta)"]))
+_NAMES = st.tuples(st.sampled_from(["x", "cx", "cx", "sx", "sx", "u", "c"]),
+                   st.sampled_from(["", "", "", "", "_x"])).map("".join)
+_POWERS = st.tuples(_NAMES, st.one_of(st.just(""), _EXPONENTS.map("^{}".format))).map("".join)
+_FACTORS = st.one_of(_NUMBERS, _POWERS, _POWERS, st.sampled_from(["(beta)"]))
+_TERMS = st.lists(_FACTORS, min_size=1, max_size=3).map("*".join)
+_EXPRESSIONS = st.tuples(
+    st.sampled_from(["", "", "", "odd: c; "]),
+    st.lists(st.tuples(st.sampled_from([" + ", " - "]), _TERMS), min_size=1, max_size=3),
+).map(lambda p: p[0] + "".join(sign + t for sign, t in p[1]).lstrip(" +"))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+@settings(max_examples=40)
+@given(_EXPRESSIONS)
+def test_initial_expressions_never_escape_run(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in (["simulate", "--system", "kdv", "--n", "16", "--dt", "1e-3",
+                      "--t-end", "1e-3", "--initial", text, "--out", tmp],
+                     ["miura", "--n", "16", "--initial", text, "--out", f"{tmp}/m.csv"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 1, 2)
+            assert code == 0 or err.getvalue().startswith(f"{argv[0]}:")
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

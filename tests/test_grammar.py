@@ -91,6 +91,14 @@ def test_malformed_inputs():
             parse(bad)
 
 
+def test_zero_denominator_is_a_parse_error():
+    # a coefficient, an exponent and a parenthesised scalar; each used to
+    # escape as ZeroDivisionError
+    for bad in ("1/0", "1/0*u", "u^1/0", "u^(1/0)", "(1/0)*u", "(2*1/0)*u"):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse(bad)
+
+
 def test_fractional_power_of_derivative_rejected():
     with pytest.raises(ValueError):
         parse("u_x^1/2")

@@ -10,6 +10,7 @@ import pytest
 
 from brstkdv import parse
 from brstkdv.graded import GradedPoly
+from brstkdv import solver
 from brstkdv.reductions import build_system
 from brstkdv.solver import (
     _Stepper,
@@ -148,6 +149,30 @@ def test_csv_export(tmp_path):
     assert float(row[0]) == 0.0 and float(row[3]) == 0.0
 
 
+def _per_cell_csv(traj):
+    """The CSV text as one repr(float(...)) per cell."""
+    syms = sorted(traj.states[0].fields)
+    out = [",".join(["t", "x"] + syms) + "\n"]
+    for st in traj.states:
+        x = st.x
+        for i in range(st.N):
+            row = [repr(float(st.t)), repr(float(x[i]))]
+            row += [repr(float(st.fields[s][i])) for s in syms]
+            out.append(",".join(row) + "\n")
+    return "".join(out)
+
+
+def test_csv_rows_match_per_cell_formatting(tmp_path):
+    n = 8
+    u = np.array([0.1, 1 / 3, -0.0, 1e-300, -2.5e300, 5e-324, 2.0 / 3.0 - 1e-17, 7.0])
+    c = np.array([np.nan, np.inf, -np.inf, 0.0, 1e16, -1e-5, 123456789.125, 0.3])
+    traj = Trajectory(states=[FieldState(0.1 + 0.2, 0.7, n, {"u": u, "c": c}),
+                              FieldState(1 / 3, 0.7, n, {"u": c, "c": u})])
+    path = tmp_path / "out.csv"
+    traj.export_csv(path)
+    assert path.read_bytes() == _per_cell_csv(traj).encode()
+
+
 def test_manifest_export_is_deterministic(tmp_path):
     n = 8
     st0 = FieldState(0.0, 4.0, n, {"u": np.zeros(n)})
@@ -251,6 +276,43 @@ def test_record_every_semantics():
     assert np.allclose(traj.times, [0.0, 0.03, 0.06, 0.09, 0.1])
     assert traj.meta["system"] == "kdv"
     assert traj.meta["record_every"] == 3
+
+
+def test_evolve_compiles_each_density_once(monkeypatch):
+    # one compile per evolving field (u, c) and one per density, however
+    # many snapshots are recorded; per-snapshot compiling made 2 + 7 * 101
+    kdv = build_system("kdv")
+    st = soliton_initial(0.5, 20.0, "kdv", 40.0, 64)
+    calls = []
+    compile_terms = solver._compile_terms
+
+    def counted(poly, odd_fields):
+        calls.append(poly)
+        return compile_terms(poly, odd_fields)
+
+    monkeypatch.setattr(solver, "_compile_terms", counted)
+    dens = [kdv.density(nm) for nm in sorted(kdv.densities)]
+    assert len(dens) == 7
+    traj = evolve(st, kdv, 0.1, 1e-3, record_every=1, diagnostics=dens)
+    assert len(traj.states) == 101
+    assert len(calls) == 9
+
+
+def test_evolve_diagnostics_are_the_quadrature_of_each_snapshot():
+    kdv = build_system("kdv")
+    st = soliton_initial(0.6, 20.0, "kdv", 40.0, 128)
+    dens = [kdv.density(nm) for nm in sorted(kdv.densities)]
+    traj = evolve(st, kdv, 0.05, 1e-3, record_every=10, diagnostics=dens)
+    for d in dens:
+        assert traj.diagnostics[d.name] == [evaluate_functional(d, s) for s in traj.states]
+
+
+def test_evolve_rejects_duplicate_diagnostic_names():
+    kdv = build_system("kdv")
+    st = soliton_initial(0.5, 20.0, "kdv", 40.0, 64)
+    h0 = kdv.density("H0")
+    with pytest.raises(ValueError, match="'H0'"):
+        evolve(st, kdv, 0.01, 1e-3, diagnostics=[h0, kdv.density("H1"), h0])
 
 
 def test_evolve_validation():
