@@ -50,6 +50,9 @@ def _load_config(path):
 def _effective(args, keys, defaults):
     """flags > config file > defaults, with the winning values returned."""
     cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ValueError(f"{args.config}: unknown key {unknown[0]!r}; keys: {', '.join(keys)}")
     out = {}
     for key in keys:
         flag = getattr(args, key.replace("-", "_"), None)
@@ -92,7 +95,11 @@ def _eval_expression(text, x, length):
         if sym not in bind:
             raise ValueError(
                 f"unknown name {sym!r} in initial data; bound names: x, cx, sx")
-    return _pointwise(terms, _grids(terms, bind, length), len(x))
+    with np.errstate(all="ignore"):
+        values = _pointwise(terms, _grids(terms, bind, length), len(x))
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"initial data {text!r} is not finite on the grid")
+    return values
 
 
 def _parse_soliton(spec):

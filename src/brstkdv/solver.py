@@ -2,9 +2,11 @@
 
 Space is discretised by a Fourier collocation grid (N a power of two,
 domain [0, L)); derivatives are the multipliers (ik)^order, with the
-unpaired Nyquist mode dropped for odd orders.  Each right-hand side is
-compiled once into an evaluation plan that reads every (field, order) grid
-and every power once per RK stage, filters each power and each product by
+unpaired Nyquist mode dropped for odd orders.  The stepper holds the
+spectra of all evolving fields as the rows of one (F, N/2+1) array, so each
+RK stage is one array expression.  The right-hand sides are compiled once
+into an evaluation plan that reads all (field, order) grids in one irfft,
+filters all powers in one rfft/irfft round trip, filters each product by
 the 2/3 rule as it is formed, and sums the terms in spectral space.
 Quadrature of conserved densities, the step-size advisory and the CLI's
 initial data share one unfiltered pointwise evaluator on physical grids.
@@ -254,42 +256,47 @@ def _is_lone(factors):
 class _Plan:
     """Compiled right-hand sides, evaluated from rfft data with the 2/3 rule.
 
-    Each evaluation reads every (field, order) grid and every power other
-    than 1 once.  Powers and products are filtered as they are formed, and
-    each polynomial's terms are summed in spectral space; a lone linear
-    factor adds hat * (ik)^order with no FFT.
+    The spectral state is one (F, N/2+1) array with a row per field.  Each
+    evaluation reads every (field, order) grid in one irfft and filters
+    every power other than 1 in one rfft/irfft round trip.  Products are
+    filtered as they are formed, and each right-hand side's terms are summed
+    in spectral space into its output row; a lone linear factor adds
+    hat * (ik)^order with no FFT.
     """
 
-    def __init__(self, terms, n, length):
+    def __init__(self, fields, terms, n, length):
         self.terms = terms
         self.n = n
         self.mask = _dealias_mask(n)
-        formed = [fs for ts in terms.values() for _, fs in ts if not _is_lone(fs)]
+        self.row = {f: i for i, f in enumerate(fields)}
+        formed = [fs for ts in terms for _, fs in ts if not _is_lone(fs)]
         self.reads = sorted({(s, o) for fs in formed for s, o, _ in fs})
         self.powers = sorted({x for fs in formed for x in fs if x[2] != 1.0})
-        orders = {o for ts in terms.values() for _, fs in ts for _, o, _ in fs}
+        orders = {o for ts in terms for _, fs in ts for _, o, _ in fs}
         self.mult = {o: _multiplier(n, length, o) for o in orders if o}
 
     def _filter(self, a):
         return np.fft.irfft(np.fft.rfft(a) * self.mask, self.n)
 
+    def _spectrum(self, hats, s, o):
+        return hats[self.row[s]] * self.mult[o] if o else hats[self.row[s]]
+
     def grids(self, hats):
         """Physical values of the (field, order) grids the plan reads."""
-        return {(s, o): np.fft.irfft(hats[s] * self.mult[o] if o else hats[s], self.n)
-                for s, o in self.reads}
+        spectra = [self._spectrum(hats, s, o) for s, o in self.reads]
+        return dict(zip(self.reads, np.fft.irfft(np.stack(spectra), self.n))) if spectra else {}
 
     def __call__(self, hats, grids):
-        """The rfft of every compiled polynomial, given its grids."""
+        """The rfft of every compiled right-hand side, one row per field."""
         vals = dict(grids)
-        for s, o, e in self.powers:
-            vals[s, o, e] = self._filter(np.power(grids[s, o], e))
-        out = {}
-        for name, terms in self.terms.items():
-            spec = np.zeros(self.n // 2 + 1, dtype=complex)
+        if self.powers:
+            raised = np.stack([np.power(grids[s, o], e) for s, o, e in self.powers])
+            vals.update(zip(self.powers, self._filter(raised)))
+        out = np.zeros((len(self.terms), self.n // 2 + 1), dtype=complex)
+        for spec, terms in zip(out, self.terms):
             for coeff, fs in terms:
                 if _is_lone(fs):
-                    s, o, _ = fs[0]
-                    spec += coeff * (hats[s] * self.mult[o] if o else hats[s])
+                    spec += coeff * self._spectrum(hats, *fs[0][:2])
                     continue
                 factors = [vals[x[:2] if x[2] == 1.0 else x] for x in fs] or [np.ones(self.n)]
                 acc = factors[0]
@@ -298,7 +305,6 @@ class _Plan:
                 if len(factors) > 1:
                     acc = acc * factors[-1]
                 spec += coeff * (np.fft.rfft(acc) * self.mask)
-            out[name] = spec
         return out
 
 
@@ -325,35 +331,27 @@ class _Stepper:
 
         # a constant-coefficient a*f_xxx is propagated exactly by the
         # integrating factor and kept out of the plan
-        self.linear = {}
-        terms = {}
+        linear, terms = [], []
         for f in self.fields:
             disp = ((f, 3, 1.0),)
             compiled = _compile_terms(system.rhs[f], self.odd)
-            self.linear[f] = sum(c for c, fs in compiled if fs == disp)
-            terms[f] = tuple(t for t in compiled if t[1] != disp)
-        self.plan = _Plan(terms, n, length)
+            linear.append(sum(c for c, fs in compiled if fs == disp))
+            terms.append(tuple(t for t in compiled if t[1] != disp))
+        self.plan = _Plan(self.fields, terms, n, length)
         # preconditions implied by the exponents of undifferentiated powers
         powers = [(s, e) for s, o, e in self.plan.powers if not o]
         self.positive = {s for s, e in powers if e != int(e)}
         self.nonzero = {s for s, e in powers if e == int(e) and e < 0}
 
-        mult3 = _multiplier(n, length, 3)
-        self.E = {}
-        self.E2 = {}
-        for f in self.fields:
-            lam = self.linear[f] * mult3
-            self.E[f] = np.exp(dt * lam)
-            self.E2[f] = np.exp(0.5 * dt * lam)
+        lam = np.outer(linear, _multiplier(n, length, 3))
+        self.E, self.E2 = np.exp(dt * lam), np.exp(0.5 * dt * lam)
 
     def to_hats(self, state):
-        return {f: np.fft.rfft(state.fields[f]) for f in self.fields}
+        """The spectral state: one rfft row per field, in self.fields order."""
+        return np.fft.rfft(np.stack([state.fields[f] for f in self.fields]))
 
     def to_fields(self, hats, state):
-        out = dict(state.fields)
-        for f in self.fields:
-            out[f] = np.fft.irfft(hats[f], self.n)
-        return out
+        return {**state.fields, **dict(zip(self.fields, np.fft.irfft(hats, self.n)))}
 
     def _check_guards(self, grids, t):
         for sym in self.positive:
@@ -385,17 +383,10 @@ class _Stepper:
         dt, E, E2 = self.dt, self.E, self.E2
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             a = self.nonlinear_hat(hats, t, check=True)
-            u1 = {f: E2[f] * (hats[f] + 0.5 * dt * a[f]) for f in self.fields}
-            b = self.nonlinear_hat(u1, t + 0.5 * dt)
-            u2 = {f: E2[f] * hats[f] + 0.5 * dt * b[f] for f in self.fields}
-            c = self.nonlinear_hat(u2, t + 0.5 * dt)
-            u3 = {f: E[f] * hats[f] + dt * E2[f] * c[f] for f in self.fields}
-            d = self.nonlinear_hat(u3, t + dt)
-            out = {}
-            for f in self.fields:
-                out[f] = E[f] * hats[f] + dt / 6.0 * (
-                    E[f] * a[f] + 2.0 * E2[f] * (b[f] + c[f]) + d[f])
-        return out
+            b = self.nonlinear_hat(E2 * (hats + 0.5 * dt * a), t + 0.5 * dt)
+            c = self.nonlinear_hat(E2 * hats + 0.5 * dt * b, t + 0.5 * dt)
+            d = self.nonlinear_hat(E * hats + dt * E2 * c, t + dt)
+            return E * hats + dt / 6.0 * (E * a + 2.0 * E2 * (b + c) + d)
 
     def cfl_advisory(self, state):
         """Warn when an unextracted third-derivative term looks unstable."""
@@ -403,8 +394,8 @@ class _Stepper:
         # |coeff| and the even factors other than the third derivative, for
         # each term that carries one
         stiff = {f: [(abs(c), [x for x in fs if x[1] != 3 and x[0] not in self.odd])
-                     for c, fs in self.plan.terms[f] if any(x[1] == 3 for x in fs)]
-                 for f in self.fields}
+                     for c, fs in terms if any(x[1] == 3 for x in fs)]
+                 for f, terms in zip(self.fields, self.plan.terms)}
         grids = _grids([t for amps in stiff.values() for t in amps], state.fields, self.length)
         # |x^e| via |x|^e: fractional e on negative data would NaN
         grids = {k: np.abs(g) for k, g in grids.items()}
@@ -452,9 +443,10 @@ def evolve(state, system, t_end, dt, record_every=1, diagnostics=(), floor=1e-6)
     t0 = state.t
     for i in range(1, n_steps + 1):
         hats = stepper.advance(hats, t0 + (i - 1) * dt)
-        bad = [f for f in stepper.fields if not np.all(np.isfinite(hats[f]))]
-        if bad:
-            raise BlowUpError(f"non-finite values in field {bad[0]!r}", t0 + i * dt)
+        bad = ~np.isfinite(hats).all(axis=1)
+        if bad.any():
+            raise BlowUpError(f"non-finite values in field {stepper.fields[bad.argmax()]!r}",
+                              t0 + i * dt)
         if i % record_every == 0 or i == n_steps:
             snap = state.replace(t=t0 + i * dt, fields=stepper.to_fields(hats, state))
             states.append(snap)

@@ -248,27 +248,26 @@ _CKDV_T_END = 0.2  # the ckdv leg of the substitution chain
 _ZERO_FLOOR = 1e-8  # conservation drift is absolute below this initial value
 
 
-def _standard_soliton_run(densities=(), t_end=_T_END, record_every=100, ghost="gradient"):
-    """The kdv soliton run (k = 0.7, centred, on the checks' grid and step)
-    with the given densities (catalog names or objects) as diagnostics."""
+def _standard_soliton_run(densities=()):
+    """The kdv soliton run (k = 0.7, centred, on the checks' grid and step,
+    recorded every 10 steps) with the given densities as diagnostics."""
     kdv = build_system("kdv")
-    state = soliton_initial(0.7, _LENGTH / 2, "kdv", _LENGTH, _N, ghost=ghost)
+    state = soliton_initial(0.7, _LENGTH / 2, "kdv", _LENGTH, _N)
     diagnostics = [kdv.density(d) if isinstance(d, str) else d for d in densities]
-    return evolve(state, kdv, t_end, _DT, record_every=record_every,
-                  diagnostics=diagnostics)
+    return evolve(state, kdv, _T_END, _DT, record_every=10, diagnostics=diagnostics)
 
 
 def _snapshot_rates(states, values):
-    """4th-order centred d/dt of per-snapshot ``values`` at the interior
-    snapshots ``states[2:-2]``; needs five or more equispaced snapshots."""
+    """Iterator over the 4th-order centred d/dt of per-snapshot ``values`` at
+    the interior snapshots ``states[2:-2]``; needs five or more equispaced ones."""
     if len(states) < 5:
         raise ValueError("need at least five snapshots for the time stencil")
     hs = np.diff([s.t for s in states])
     if np.max(np.abs(hs - hs[0])) > 1e-12:
         raise ValueError("snapshots must be equispaced in time")
     h = float(hs[0])
-    return [(-values[i + 2] + 8 * values[i + 1] - 8 * values[i - 1] + values[i - 2]) / (12 * h)
-            for i in range(2, len(values) - 2)]
+    return ((-values[i + 2] + 8 * values[i + 1] - 8 * values[i - 1] + values[i - 2]) / (12 * h)
+            for i in range(2, len(values) - 2))
 
 
 def check_conservation(trajectory=None, densities=None, tolerance=1e-6):
@@ -344,7 +343,7 @@ def check_zero_curvature(trajectory=None, gauge_scale=Fraction(1, 2)):
     (0, +, -) components of its curvature dt A1 - dx A0 + [A0, A1], with
     dt A1 from a 4th-order stencil in snapshot time."""
     if trajectory is None:
-        trajectory = _standard_soliton_run(t_end=0.4, record_every=10, ghost="none")
+        trajectory = _standard_soliton_run()
     states = trajectory.states
     scale = float(gauge_scale)
     conns = [reconstruct_connection(
@@ -376,11 +375,12 @@ CHECKS = {
 
 def run_all():
     """Run every check serially in registry order, plus the even-sector
-    conservation variant at its tighter tolerance; both conservation
-    reports read one standard soliton run."""
+    conservation variant at its tighter tolerance; both conservation reports
+    and the zero-curvature check read one standard soliton run."""
     trajectory = _standard_soliton_run(_EVEN_DENSITIES + _ODD_DENSITIES)
-    reports = [fn(trajectory, _ODD_DENSITIES) if name == "check_conservation" else fn()
-               for name, fn in CHECKS.items()]
+    shared = {"check_conservation": (trajectory, _ODD_DENSITIES),
+              "check_zero_curvature": (trajectory,)}
+    reports = [fn(*shared.get(name, ())) for name, fn in CHECKS.items()]
     classical = check_conservation(trajectory, _EVEN_DENSITIES, tolerance=1e-8)
     reports.append(replace(classical, check="check_conservation_classical"))
     return reports

@@ -152,6 +152,21 @@ def test_simulate_config_file_and_flag_precedence(capsys, tmp_path):
     assert doc["meta"]["dt"] == 1e-3
 
 
+def test_config_file_rejects_unknown_key(capsys, tmp_path):
+    # a misspelt key used to be dropped silently: tend=0.01 ran to t = 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("system=kdv\nsoliton=k=0.5\nn=64\ntend=0.01\n")
+    out = tmp_path / "run"
+    code, _, err = invoke(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert err.startswith("simulate:") and "'tend'" in err and str(cfg) in err
+    assert not out.exists()
+    cfg.write_text("initial=cx\ndirection=mkdv-to-kdv\nseed=1\n")
+    code, _, err = invoke(capsys, "miura", "--config", str(cfg), "--n", "16")
+    assert code == 2
+    assert err.startswith("miura:") and "'seed'" in err
+
+
 def test_simulate_initial_expression(capsys, tmp_path):
     out = tmp_path / "run"
     code, _, _ = invoke(capsys, "simulate", "--system", "t-form",
@@ -222,6 +237,20 @@ def test_initial_data_must_be_numeric(capsys, tmp_path, command, text):
                           "--out", str(tmp_path / "out"))
     assert code == 2
     assert err.startswith(f"{command}:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["miura", "--initial", "x^1000"],
+    ["simulate", "--system", "kdv", "--initial", "x^(-1)"],
+    ["simulate", "--system", "kdv", "--initial", "1 + cx", "--ghost-initial", "x^(-1)"],
+], ids=["miura-overflow", "simulate-initial", "simulate-ghost"])
+def test_initial_data_must_be_finite(capsys, tmp_path, argv):
+    # inf on the grid is a usage error before any map or step
+    out = tmp_path / "out"
+    code, stdout, err = invoke(capsys, *argv, "--n", "16", "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"{argv[0]}:") and "not finite" in err
+    assert stdout == "" and not out.exists()
 
 
 # mostly well-formed initial data; a zero denominator, a parameter name, a

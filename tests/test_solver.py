@@ -364,6 +364,17 @@ def test_blow_up_detection():
     assert ei.value.t == pytest.approx(1e-3)
 
 
+def test_blow_up_in_the_ghost_row_names_the_ghost():
+    kdv = build_system("kdv")
+    # the u-flow never reads the ghost, so only the ghost row goes bad
+    st = soliton_initial(0.5, 20.0, "kdv", 40.0, 128, ghost="none")
+    c = st.fields["c"].copy()
+    c[0] = np.inf
+    with pytest.raises(BlowUpError, match="field 'c'") as ei:
+        evolve(st.replace(fields={**st.fields, "c": c}), kdv, 0.01, 1e-3)
+    assert ei.value.t == pytest.approx(1e-3)
+
+
 def test_positivity_guard_fires():
     hd = build_system("harry-dym")
     n = 128
@@ -471,7 +482,7 @@ def test_plan_matches_physical_space_evaluator(name):
     c = 0.5 * np.sin(z) + 0.1 * np.cos(3 * z) + 0.05 * np.sin(25 * z)
     st = FieldState(0.0, length, n, {system.even_fields[0]: f, "c": c})
     stepper = _Stepper(system, length, n, 1e-3)
-    got = stepper.nonlinear_hat(stepper.to_hats(st), 0.0, check=True)
+    got = dict(zip(stepper.fields, stepper.nonlinear_hat(stepper.to_hats(st), 0.0, check=True)))
     want = _reference_nonlinear_hat(system, st)
     assert set(got) == set(want)
     for sym in want:
@@ -480,13 +491,9 @@ def test_plan_matches_physical_space_evaluator(name):
         assert np.max(np.abs(got[sym] - want[sym])) <= 1e-12 * scale
 
 
-def test_kdv_step_fft_count(monkeypatch):
-    # per RK stage: the grids u, u_x and c_x, and one rfft for each of the
-    # products u*u_x and u*c_x; the dispersion never reaches the grid
-    kdv = build_system("kdv")
-    st = soliton_initial(0.5, 20.0, "kdv", 40.0, 128)
-    stepper = _Stepper(kdv, st.L, st.N, 1e-3)
-    hats = stepper.to_hats(st)
+def _ffts_per_step(monkeypatch, system, state):
+    stepper = _Stepper(system, state.L, state.N, 1e-3)
+    hats = stepper.to_hats(state)
     calls = []
 
     def counted(fn):
@@ -498,7 +505,24 @@ def test_kdv_step_fft_count(monkeypatch):
     for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     stepper.advance(hats, 0.0)
-    assert 0 < len(calls) <= 20
+    return len(calls)
+
+
+def test_kdv_step_fft_count(monkeypatch):
+    # per RK stage: one irfft for the grids u, u_x and c_x, and one rfft for
+    # each of the products u*u_x and u*c_x; the dispersion never reaches the
+    # grid and kdv has no powers to filter
+    st = soliton_initial(0.5, 20.0, "kdv", 40.0, 128)
+    assert 0 < _ffts_per_step(monkeypatch, build_system("kdv"), st) <= 12
+
+
+def test_ckdv_step_fft_count(monkeypatch):
+    # per RK stage: one irfft for the grids, one rfft/irfft round trip for
+    # all five powers, then the product filters and one rfft per product term
+    n = 128
+    w = 1.0 + 0.3 * np.cos(2 * np.pi * grid(40.0, n) / 40.0)
+    st = FieldState(0.0, 40.0, n, {"w": w, "c": np.zeros(n)})
+    assert 0 < _ffts_per_step(monkeypatch, build_system("ckdv"), st) <= 60
 
 
 def test_symbolic_family_parameter_fails_loudly():

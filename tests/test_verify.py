@@ -188,7 +188,7 @@ def test_run_all_everything_passes(monkeypatch):
     reports = run_all()
     names = [r.check for r in reports]
     assert names == list(CHECKS) + ["check_conservation_classical"]
-    # one soliton run serves both conservation reports
-    assert sorted(calls) == ["ckdv", "kdv", "kdv", "kdv", "mkdv"]
+    # one soliton run serves both conservation reports and the curvature check
+    assert sorted(calls) == ["ckdv", "kdv", "kdv", "mkdv"]
     failing = {r.check: r.metrics for r in reports if r.status != "pass"}
     assert failing == {}
