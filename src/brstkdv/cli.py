@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,8 +25,8 @@ from .reductions import (
     ckdv_to_mkdv,
     miura_map,
 )
-from .solver import (SolverError, FieldState, _compile_terms, _grids, _pointwise, evolve,
-                     soliton_initial, spectral_derivative)
+from .solver import (SolverError, FieldState, evaluate, evolve, soliton_initial,
+                     spectral_derivative)
 from .verify import CHECKS, run_all
 
 _FAMILY_KEYS = ("alpha", "beta", "s")
@@ -87,16 +86,15 @@ def _eval_expression(text, x, length):
     poly = parse(text)
     if any(odd for _, _, odd in poly.terms()):
         raise ValueError("initial-data expressions must be even")
-    terms = _compile_terms(poly, ())
-    for sym, order in {f[:2] for _, fs in terms for f in fs}:
-        if order:
+    for sym in sorted(poly.symbols()):
+        if poly.max_order(sym) > 0:
             raise ValueError(
                 f"derivative generator {sym!r} is not allowed in initial data")
         if sym not in bind:
             raise ValueError(
                 f"unknown name {sym!r} in initial data; bound names: x, cx, sx")
     with np.errstate(all="ignore"):
-        values = _pointwise(terms, _grids(terms, bind, length), len(x))
+        values = evaluate(poly, bind, length)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"initial data {text!r} is not finite on the grid")
     return values

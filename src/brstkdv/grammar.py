@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import sympy as sp
 
-from .graded import GradedPoly, s_add, s_mul
+from .graded import GradedPoly
 
 __all__ = ["parse", "ParseError"]
 
@@ -147,73 +147,56 @@ def _scan_generator(sc, base):
     return sym, order
 
 
-def _scalar_atom(sc, params):
-    if sc.take("("):
-        v = _scalar_sum(sc, params)
-        sc.expect(")")
-        return v
-    ch = sc.peek()
-    if ch.isdigit():
-        return sc.number()
-    nm = sc.name()
-    if nm is None:
-        raise ParseError("expected a number or parameter name", sc.pos)
-    params.add(nm)
-    return sp.Symbol(nm)
-
-
-def _scalar_product(sc, params):
-    v = _scalar_atom(sc, params)
-    while True:
-        sc.skip_ws()
-        if sc.peek() == "*":
-            sc.pos += 1
-            v = s_mul(v, _scalar_atom(sc, params))
-        else:
-            return v
-
-
-def _scalar_sum(sc, params):
-    neg = False
-    if sc.take("-"):
-        neg = True
-    elif sc.take("+"):
-        pass
-    v = _scalar_product(sc, params)
+def _sum(sc, atom):
+    """[+|-] product {(+|-) product}; the operands are whatever ``atom``
+    returns (scalars or polynomials)."""
+    neg = sc.take("-")
+    if not neg:
+        sc.take("+")
+    v = _product(sc, atom)
     if neg:
         v = -v
     while True:
-        ch = sc.peek()
-        if ch == "+":
-            sc.pos += 1
-            v2 = _scalar_product(sc, params)
-        elif ch == "-":
-            sc.pos += 1
-            v2 = -_scalar_product(sc, params)
+        if sc.take("+"):
+            v = v + _product(sc, atom)
+        elif sc.take("-"):
+            v = v - _product(sc, atom)
         else:
             return v
-        v = s_add(v, v2)
+
+
+def _product(sc, atom):
+    """atom {* atom}."""
+    v = atom()
+    while sc.take("*"):
+        v = v * atom()
+    return v
+
+
+def _scalar(sc, params, what):
+    """A parenthesised scalar sum, a number or a parameter name; ``what``
+    names the expected item when there is none."""
+    if sc.take("("):
+        v = _sum(sc, lambda: _scalar(sc, params, "a number or parameter name"))
+        sc.expect(")")
+        return v
+    if sc.peek().isdigit():
+        return sc.number()
+    nm = sc.name()
+    if nm is None:
+        raise ParseError(f"expected {what}", sc.pos)
+    params.add(nm)
+    return sp.Symbol(nm)
 
 
 def _exponent(sc, params):
-    if sc.peek() == "(":
-        sc.take("(")
-        v = _scalar_sum(sc, params)
-        sc.expect(")")
-        return v
-    neg = sc.take("-")
-    ch = sc.peek()
-    if ch.isdigit():
-        v = sc.number()
-        return -v if neg else v
-    nm = sc.name()
-    if nm is None:
-        raise ParseError("expected an exponent", sc.pos)
-    if neg:
-        params.add(nm)
-        return -sp.Symbol(nm)
-    params.add(nm)
-    return sp.Symbol(nm)
+    if sc.take("-"):
+        # a sign binds a number or a name; the printer writes ^(-beta),
+        # and ^-( stays an error
+        if sc.peek() == "(":
+            raise ParseError("expected an exponent", sc.pos)
+        return -_scalar(sc, params, "an exponent")
+    return _scalar(sc, params, "an exponent")
 
 
 def parse(text, odd=()):
@@ -238,62 +221,26 @@ def parse(text, odd=()):
             break
     else:
         sc.pos = save
+    odd_syms = frozenset(odd_syms)
 
     gens_seen = set()
 
     def factor():
         pos0 = sc.pos
-        if sc.peek() == "(":
-            sc.take("(")
-            v = _scalar_sum(sc, params)
-            sc.expect(")")
-            return ("scalar", v)
-        ch = sc.peek()
-        if ch.isdigit():
-            return ("scalar", sc.number())
-        nm = sc.name()
-        if nm is None:
-            raise ParseError("expected a factor", sc.pos)
-        sym, order = _scan_generator(sc, nm)
-        exp = Fraction(1)
-        if sc.peek() == "^":
-            sc.take("^")
-            exp = _exponent(sc, params)
+        if not sc.peek().isalpha():
+            return GradedPoly.number(_scalar(sc, params, "a factor"), odd_syms)
+        sym, order = _scan_generator(sc, sc.name())
+        exp = _exponent(sc, params) if sc.take("^") else 1
         gens_seen.add(sym)
         try:
             # defer oddness to declared set; validation happens in gen()
-            return ("gen", GradedPoly.gen(sym, order, exp, odd_syms=frozenset(odd_syms)))
+            return GradedPoly.gen(sym, order, exp, odd_syms=odd_syms)
         except ValueError as exc:
             raise ParseError(str(exc), pos0) from None
 
-    def term():
-        out = GradedPoly.number(1, frozenset(odd_syms))
-        kind, v = factor()
-        out = out * v if kind == "gen" else out * GradedPoly.number(v, frozenset(odd_syms))
-        while sc.peek() == "*":
-            sc.take("*")
-            kind, v = factor()
-            out = out * v if kind == "gen" else out * GradedPoly.number(v, frozenset(odd_syms))
-        return out
-
-    total = GradedPoly.zero(frozenset(odd_syms))
-    neg = sc.take("-")
-    if not neg:
-        sc.take("+")
-    t = term()
-    total = total + (-t if neg else t)
-    while True:
-        ch = sc.peek()
-        if ch == "+":
-            sc.take("+")
-            total = total + term()
-        elif ch == "-":
-            sc.take("-")
-            total = total - term()
-        elif ch == "":
-            break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", sc.pos)
+    total = _sum(sc, factor)
+    if sc.peek():
+        raise ParseError(f"unexpected character {sc.peek()!r}", sc.pos)
 
     clash = params & {s.split("_t")[0] for s in gens_seen} | (params & gens_seen)
     if clash:

@@ -52,7 +52,7 @@ from .graded import (
     total_x_derivative,
 )
 from .grammar import parse
-from .solver import FieldState, SingularityError, spectral_derivative
+from .solver import SingularityError, spectral_derivative
 
 __all__ = [
     "EvolutionSystem",

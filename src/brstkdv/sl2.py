@@ -11,6 +11,12 @@ f_{0+-} = +1.
 Field-name convention for the canonical multiplet (suffix 0/p/m for the
 basis label): a* for the spatial connection, p* for its conjugate momenta,
 c* for ghosts, m* for the odd multipliers paired with the constraints.
+
+The bracket, the Gauss law and every rule of the canonical symmetry are
+built from two contractions of the structure constants with a pair of
+component triples: the raised one, f_bd^a x^b y^d (the commutator
+[x, y]^a; ghost and connection rules), and the lowered one,
+f_ab^d x^b y^d (the constraints, momentum and multiplier rules).
 """
 
 from __future__ import annotations
@@ -120,18 +126,25 @@ def _acc(acc, term):
     return term if acc is None else acc + term
 
 
-def commutator_components(x, y, f=None):
-    """[x, y]^a = f_bc^a x^b y^c for component triples (polys or arrays)."""
-    f = _F if f is None else f
+def _contract(x, y, f, lower):
+    """For each basis position a, the sum of f_bd^a x^b y^d, or of
+    f_ab^d x^b y^d when ``lower`` is set (component triples of polys or
+    arrays)."""
     out = []
     for a in range(3):
         acc = None
         for b in range(3):
-            for c in range(3):
-                if f[b][c][a]:
-                    acc = _acc(acc, f[b][c][a] * (x[b] * y[c]))
+            for d in range(3):
+                v = f[a][b][d] if lower else f[b][d][a]
+                if v:
+                    acc = _acc(acc, v * (x[b] * y[d]))
         out.append(acc if acc is not None else 0 * (x[0] * y[0]))
     return out
+
+
+def commutator_components(x, y, f=None):
+    """[x, y]^a = f_bc^a x^b y^c for component triples (polys or arrays)."""
+    return _contract(x, y, _F if f is None else f, lower=False)
 
 
 def curvature_residual(dt_a1, dx_a0, a0, a1, f=None):
@@ -158,24 +171,14 @@ def _ogen(sym, order=0):
 
 
 def _fields(prefix):
-    return {lab: _ogen(prefix + SUFFIX[lab]) for lab in BASIS}
+    return [_ogen(prefix + SUFFIX[lab]) for lab in BASIS]
 
 
 def constraint_polynomials(f=None):
     """Gauss-law densities phi_a = d/dx p_a + f_ab^c a1^b p_c, fully expanded."""
     f = _F if f is None else f
-    a1 = _fields("a")
-    p = _fields("p")
-    out = {}
-    for a in BASIS:
-        acc = _ogen("p" + SUFFIX[a], 1)
-        for b in BASIS:
-            for c in BASIS:
-                v = f[_IDX[a]][_IDX[b]][_IDX[c]]
-                if v:
-                    acc = acc + Fraction(v) * a1[b] * p[c]
-        out[a] = acc
-    return out
+    quad = _contract(_fields("a"), _fields("p"), f, lower=True)
+    return {lab: _ogen("p" + SUFFIX[lab], 1) + q for lab, q in zip(BASIS, quad)}
 
 
 def canonical_brst_rules(f=None):
@@ -189,42 +192,15 @@ def canonical_brst_rules(f=None):
     A nonstandard structure table may be injected for sensitivity tests.
     """
     f = _F if f is None else f
-    a1 = _fields("a")
-    p = _fields("p")
-    c = _fields("c")
-    m = _fields("m")
+    a1, p, c, m = (_fields(prefix) for prefix in "apcm")
     phi = constraint_polynomials(f)
-    base = {}
-    for a in BASIS:
-        acc = GradedPoly.zero(frozenset(CANONICAL_ODD))
-        for b in BASIS:
-            for d in BASIS:
-                v = f[_IDX[b]][_IDX[d]][_IDX[a]]
-                if v:
-                    acc = acc - Fraction(v, 2) * c[b] * c[d]
-        base["c" + SUFFIX[a]] = acc
-    for a in BASIS:
-        acc = _ogen("c" + SUFFIX[a], 1)
-        for b in BASIS:
-            for d in BASIS:
-                v = f[_IDX[b]][_IDX[d]][_IDX[a]]
-                if v:
-                    acc = acc + Fraction(v) * a1[b] * c[d]
-        base["a" + SUFFIX[a]] = acc
-    for a in BASIS:
-        acc = GradedPoly.zero(frozenset(CANONICAL_ODD))
-        for b in BASIS:
-            for d in BASIS:
-                v = f[_IDX[a]][_IDX[b]][_IDX[d]]
-                if v:
-                    acc = acc - Fraction(v) * p[d] * c[b]
-        base["p" + SUFFIX[a]] = acc
-    for a in BASIS:
-        acc = phi[a]
-        for b in BASIS:
-            for d in BASIS:
-                v = f[_IDX[a]][_IDX[b]][_IDX[d]]
-                if v:
-                    acc = acc - Fraction(v) * c[b] * m[d]
-        base["m" + SUFFIX[a]] = acc
+    rules = (
+        ("c", [Fraction(-1, 2) * q for q in _contract(c, c, f, lower=False)]),
+        ("a", [_ogen("c" + SUFFIX[lab], 1) + q
+               for lab, q in zip(BASIS, _contract(a1, c, f, lower=False))]),
+        ("p", [-q for q in _contract(c, p, f, lower=True)]),
+        ("m", [phi[lab] - q for lab, q in zip(BASIS, _contract(c, m, f, lower=True))]),
+    )
+    base = {prefix + SUFFIX[lab]: poly
+            for prefix, polys in rules for lab, poly in zip(BASIS, polys)}
     return DerivationRuleSet("canonical-brst", parity=1, base=base)

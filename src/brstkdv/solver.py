@@ -8,8 +8,10 @@ RK stage is one array expression.  The right-hand sides are compiled once
 into an evaluation plan that reads all (field, order) grids in one irfft,
 filters all powers in one rfft/irfft round trip, filters each product by
 the 2/3 rule as it is formed, and sums the terms in spectral space.
-Quadrature of conserved densities, the step-size advisory and the CLI's
-initial data share one unfiltered pointwise evaluator on physical grids.
+Quadrature of conserved densities, the step-size advisory and
+:func:`evaluate` share one unfiltered pointwise evaluator on physical
+grids; :func:`evaluate` is what the CLI's initial data and the modified-flow
+residual of ``verify.check_miura_chain`` call.
 Time stepping is classical RK4 composed with an exact
 integrating factor for the constant-coefficient dispersive part of each
 field (a term a*f_xxx with constant a is detected in the right-hand side
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graded import GradedPoly, base_symbol
+from .graded import base_symbol
 
 __all__ = [
     "SolverError",
@@ -46,6 +48,7 @@ __all__ = [
     "dealias",
     "step",
     "evolve",
+    "evaluate",
     "evaluate_functional",
     "soliton_initial",
 ]
@@ -424,6 +427,9 @@ def evolve(state, system, t_end, dt, record_every=1, diagnostics=(), floor=1e-6)
         raise ValueError(f"record_every must be an int >= 1, got {record_every!r}")
     if t_end <= state.t:
         raise ValueError("t_end must exceed the initial time")
+    bad = [f for f in sorted(state.fields) if not np.isfinite(state.fields[f]).all()]
+    if bad:
+        raise ValueError(f"initial field {bad[0]!r} is not finite")
     span = t_end - state.t
     n_steps = int(round(span / dt))
     if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(t_end)):
@@ -474,6 +480,15 @@ def _quadrature(compiled, state):
     grids = _grids([t for terms in compiled for t in terms], state.fields, state.L)
     return [float(np.mean(_pointwise(terms, grids, state.N)) * state.L)
             for terms in compiled]
+
+
+def evaluate(poly, fields, length):
+    """Values of ``poly`` on the grids ``fields`` (equal-length periodic
+    samples on [0, length), keyed by symbol), pointwise and unfiltered.
+    Odd generators read the coefficient arrays of their ghost fields."""
+    terms = _density_terms(poly)
+    n = len(next(iter(fields.values())))
+    return _pointwise(terms, _grids(terms, fields, length), n)
 
 
 def evaluate_functional(density, state):

@@ -109,6 +109,88 @@ def test_scalar_field_name_clash():
         parse("(u+1)*u")  # u cannot be both a parameter and a field
 
 
+# --- golden table -------------------------------------------------------------
+# the printed form of each text, or the ParseError message and position
+
+GOLDEN = [
+    ('3*u*u_x + u_xxx', '3*u*u_x + u_xxx'),
+    ('-1/2*u + u', '1/2*u'),
+    ('+u - u_x', 'u - u_x'),
+    ('u_5x*u_12x', 'u_5x*u_12x'),
+    ('u_t_xx - u_xx', '-u_xx + u_t_xx'),
+    ('T_t - 1/2*u_xxx - 2*u_x*T - u*T_x', '-2*T*u_x - T_x*u + T_t - 1/2*u_xxx'),
+    ('(beta+1)*T', '(beta + 1)*T'),
+    ('(2*beta+1)*T^beta*T_x', '(2*beta + 1)*T^(beta)*T_x'),
+    ('(beta)*(beta)*u', '(beta**2)*u'),
+    ('((beta+1)*(beta-1))*u', '(beta**2 - 1)*u'),
+    ('(1/2)*(2/3)*u', '1/3*u'),
+    ('(-beta + 1/2)*u', '(1/2 - beta)*u'),
+    ('(beta-beta)*u', '0'),
+    ('(s*1/2)*u + (alpha+2)*u', '(alpha + s/2 + 2)*u'),
+    ('u^-2', 'u^-2'),
+    ('T^3/2', 'T^3/2'),
+    ('T^-1/2*T_x', 'T^-1/2*T_x'),
+    ('T^beta', 'T^(beta)'),
+    ('T^-beta', 'T^(-beta)'),
+    ('T^(beta-1)', 'T^(beta - 1)'),
+    ('T^(-beta)', 'T^(-beta)'),
+    ('T^((beta+1)*(beta-1))', 'T^(beta**2 - 1)'),
+    ('T^(beta-beta+2)', 'T^2'),
+    ('T^(1/2+1/2)', 'T'),
+    ('u^beta*u^(1-beta)', 'u'),
+    ('odd: c; u*c_x', 'u*c_x'),
+    ('odd: c, cm; R*cm + c', 'c + R*cm'),
+    ('odd:c;c_x*c', '-c*c_x'),
+    ('odd: c; c*c + u', 'u'),
+    ('', ('expected a factor', 0)),
+    ('^2', ('expected a factor', 0)),
+    ('u^', ('expected an exponent', 2)),
+    ('u**2', ('expected a factor', 2)),
+    ('u_', ("malformed suffix after '_'", 1)),
+    ('u_y', ("malformed suffix after '_'", 1)),
+    ('*u', ('expected a factor', 0)),
+    ('u +* u', ('expected a factor', 3)),
+    ('u + ', ('expected a factor', 4)),
+    ('3u', ("unexpected character 'u'", 1)),
+    ('u u_x', ("unexpected character 'u'", 2)),
+    ('(beta', ("expected ')'", 5)),
+    ('(beta))', ("unexpected character ')'", 6)),
+    ('()*u', ('expected a number or parameter name', 1)),
+    ('T^-(beta)', ('expected an exponent', 3)),
+    ('T^+2', ('expected an exponent', 2)),
+    ('u^--1', ('expected an exponent', 3)),
+    ('u_xx_t', ('time marker must precede x-derivative suffixes (write u_t_... )', 4)),
+    ('u_t_t', ('repeated time marker', 3)),
+    ('u_0x', ('derivative count must be positive', 1)),
+    ('u_3y', ("expected 'x' after derivative count", 1)),
+    ('u_x^1/2', ('generator u_x: derivative generators only take positive integer exponents, got 1/2', 0)),
+    ('u_x^(beta)', ('generator u_x: derivative generators only take positive integer exponents, got beta', 0)),
+    ('odd: c; c^beta', ('odd generator c with exponent beta', 8)),
+    ('odd: c', ("expected ';'", 6)),
+    ('odd: ; c', ('expected an odd symbol name', 5)),
+    ('(u+1)*u', ("name(s) used both as scalar parameter and field: ['u']", 0)),
+    ('(1/2/3)*u', ("expected ')'", 4)),
+    ('1/0', ('zero denominator', 3)),
+    ('1/0*u', ('zero denominator', 3)),
+    ('u^1/0', ('zero denominator', 5)),
+    ('u^(1/0)', ('zero denominator', 6)),
+    ('(1/0)*u', ('zero denominator', 4)),
+    ('(2*1/0)*u', ('zero denominator', 6)),
+]
+
+
+@pytest.mark.parametrize("text, expected", GOLDEN)
+def test_golden_parse(text, expected):
+    if isinstance(expected, str):
+        assert to_string(parse(text)) == expected
+        return
+    message, position = expected
+    with pytest.raises(ParseError) as ei:
+        parse(text)
+    assert str(ei.value) == f"{message} (at position {position})"
+    assert ei.value.position == position
+
+
 # --- round trip ---------------------------------------------------------------
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)

@@ -19,6 +19,7 @@ from brstkdv.solver import (
     SingularityError,
     Trajectory,
     dealias,
+    evaluate,
     evaluate_functional,
     evolve,
     soliton_initial,
@@ -357,7 +358,7 @@ def test_blow_up_detection():
     kdv = build_system("kdv")
     n = 128
     u = np.zeros(n)
-    u[0] = np.inf
+    u[0] = 1e308  # finite, but u*u_x overflows in the first step
     st = FieldState(0.0, 40.0, n, {"u": u, "c": np.zeros(n)})
     with pytest.raises(BlowUpError) as ei:
         evolve(st, kdv, 0.01, 1e-3)
@@ -369,10 +370,33 @@ def test_blow_up_in_the_ghost_row_names_the_ghost():
     # the u-flow never reads the ghost, so only the ghost row goes bad
     st = soliton_initial(0.5, 20.0, "kdv", 40.0, 128, ghost="none")
     c = st.fields["c"].copy()
-    c[0] = np.inf
+    c[0] = 1e308  # finite, but c_x overflows in the first step
     with pytest.raises(BlowUpError, match="field 'c'") as ei:
         evolve(st.replace(fields={**st.fields, "c": c}), kdv, 0.01, 1e-3)
     assert ei.value.t == pytest.approx(1e-3)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_initial_state_is_rejected_before_any_transform(bad):
+    kdv = build_system("kdv")
+    st = soliton_initial(0.5, 20.0, "kdv", 40.0, 128)
+    c = st.fields["c"].copy()
+    c[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an FFT of the bad row would warn
+        with pytest.raises(ValueError, match="initial field 'c' is not finite"):
+            evolve(st.replace(fields={**st.fields, "c": c}), kdv, 0.01, 1e-3)
+
+
+def test_evaluate_matches_the_hand_typed_modified_flow():
+    n, length = 128, 40.0
+    x = grid(length, n)
+    v = 0.9 / np.cosh(0.8 * (x - length / 2))
+    rhs = build_system("mkdv").rhs["R"]  # R_xxx - 6 R^2 R_x
+    want = spectral_derivative(v, 3, length) - 6 * v * v * spectral_derivative(v, 1, length)
+    assert np.max(np.abs(evaluate(rhs, {"R": v}, length) - want)) < 1e-12
+    with pytest.raises(KeyError, match="'R'"):
+        evaluate(rhs, {"u": v}, length)
 
 
 def test_positivity_guard_fires():

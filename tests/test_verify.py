@@ -3,6 +3,7 @@ just as importantly, fail when the structure is deliberately corrupted."""
 
 import dataclasses
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -126,6 +127,20 @@ def test_zero_curvature_fails_off_the_gauge_slice():
     rep = check_zero_curvature(gauge_scale=Fraction(1))
     assert rep.status == "fail"
     assert rep.metrics["component_minus"] > 1e-5
+
+
+def test_zero_curvature_streams_its_snapshots():
+    # holding a connection for each of the 101 snapshots takes ~3 MB; the
+    # five-snapshot window of the time stencil needs a tenth of that
+    trajectory = brstkdv.verify._standard_soliton_run()
+    tracemalloc.start()
+    try:
+        rep = check_zero_curvature(trajectory)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.status == "pass"
+    assert peak < 1_000_000
 
 
 def test_miura_chain_fails_for_wrong_miura_sign(monkeypatch):
