@@ -13,9 +13,10 @@ Two extensions beyond plain rationals are supported exactly:
   symbolic) exponent, e.g. ``T^(1/2)`` or ``T^beta``, with the chain rule
   ``d/dx T^q = q T^(q-1) T_x``; derivative generators only take positive
   integer exponents;
-* coefficients and exponents are promoted to sympy expressions when a free
-  parameter (such as ``beta``) enters, so identities can be verified for a
-  symbolic parameter without floating point.
+* coefficients and exponents become expanded polynomials in named
+  parameters (:class:`ParamPoly`, from :func:`parameter`) when one such as
+  ``beta`` enters, so identities are verified for a symbolic parameter
+  exactly and without floating point; sympy is imported only to print them.
 
 Time derivatives are not part of the jet structure.  They appear as marker
 fields named ``u_t`` (which may themselves carry x-derivative orders, e.g.
@@ -24,14 +25,15 @@ fields named ``u_t`` (which may themselves carry x-derivative orders, e.g.
 
 from __future__ import annotations
 
+import functools
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import sympy as sp
 
 __all__ = [
     "GradedPoly",
     "DerivationRuleSet",
+    "ParamPoly",
     "as_scalar",
     "parameter",
     "total_x_derivative",
@@ -48,61 +50,160 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# scalars: Fraction fast path, sympy expressions when a parameter is present
+# scalars: int, Fraction, or a polynomial in named parameters
+
+class ParamPoly:
+    """An immutable polynomial in named parameters with exact rational
+    coefficients: a map from monomials, sorted ((name, power), ...) tuples,
+    to nonzero ints and Fractions.  Arithmetic returns a plain int or
+    Fraction whenever the result is constant, so a ParamPoly is never
+    constant and its zero test is exact.  ``str`` is sympy's printed form of
+    the expanded polynomial; sympy is imported on first use.
+    """
+
+    __slots__ = ("_terms", "_hash", "_str")
+
+    def __init__(self, terms):
+        self._terms, self._hash, self._str = terms, None, None
+
+    @property
+    def names(self):
+        """The parameters that occur."""
+        return frozenset(v for mono in self._terms for v, _ in mono)
+
+    def __add__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        acc = dict(self._terms)
+        for mono, c in _monomials(other).items():
+            _acc(acc, mono, c)
+        return _collapse(acc)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ParamPoly({mono: -c for mono, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other) if isinstance(other, _SCALARS) else NotImplemented
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        acc = {}
+        for m1, c1 in self._terms.items():
+            for m2, c2 in _monomials(other).items():
+                _acc(acc, _merge_even(m1, m2), s_mul(c1, c2))
+        return _collapse(acc)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self * Fraction(1, other)
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        return functools.reduce(lambda acc, _: self * acc, range(n), 1)
+
+    def __eq__(self, other):
+        if isinstance(other, ParamPoly):
+            return self._terms == other._terms
+        return False if isinstance(other, (int, Fraction)) else NotImplemented
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self._terms.items()))
+        return self._hash
+
+    def __str__(self):
+        if self._str is None:
+            import sympy as sp
+
+            self._str = str(sp.Add(*(
+                sp.Rational(c.numerator, c.denominator)
+                * sp.Mul(*(sp.Symbol(v) ** k for v, k in mono))
+                for mono, c in self._terms.items())))
+        return self._str
+
+    __repr__ = __str__
+
+
+_SCALARS = (int, Fraction, ParamPoly)
+
+
+def _monomials(x):
+    """The monomial dict of a scalar."""
+    if isinstance(x, ParamPoly):
+        return x._terms
+    return {(): as_scalar(x)} if x else {}
+
+
+def _collapse(terms):
+    """The canonical scalar of a monomial dict with no zero coefficient."""
+    if not terms:
+        return 0
+    if len(terms) == 1 and () in terms:
+        return terms[()]
+    return ParamPoly(terms)
+
 
 def parameter(name):
     """A free scalar parameter usable in coefficients and exponents."""
-    return sp.Symbol(name)
+    return ParamPoly({((name, 1),): 1})
+
+
+def _sympy_basic(x):
+    """Whether ``x`` is a sympy expression, without importing sympy."""
+    return "sympy" in sys.modules and isinstance(x, sys.modules["sympy"].Basic)
+
+
+def _from_sympy(x):
+    """The scalar of a sympy polynomial with rational coefficients."""
+    if x.is_Symbol:
+        return parameter(x.name)
+    if x.is_Rational:
+        return _normalize_fraction(Fraction(int(x.p), int(x.q)))
+    if x.is_Add or x.is_Mul:
+        return functools.reduce(s_add if x.is_Add else s_mul, map(_from_sympy, x.args))
+    if x.is_Pow and x.exp.is_Integer and x.exp >= 0:
+        return _from_sympy(x.base) ** int(x.exp)
+    raise TypeError(f"not an exact scalar: {x!r}")
 
 
 def as_scalar(x):
-    """Coerce to an exact scalar.  Floats are rejected to preserve exactness."""
+    """Coerce to an exact scalar.  Floats are rejected to preserve exactness;
+    a sympy expression must be a polynomial with rational coefficients."""
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(x, Fraction):
         return _normalize_fraction(x)
-    if isinstance(x, int):
+    if isinstance(x, (int, ParamPoly)):
         return x
     if isinstance(x, str):
         return _normalize_fraction(Fraction(x))
-    if isinstance(x, sp.Basic):
-        return _from_expanded(sp.expand(x))
+    if _sympy_basic(x):
+        return _from_sympy(x)
     raise TypeError(f"not an exact scalar: {x!r}")
-
-
-def _from_expanded(x):
-    """The canonical scalar of an expanded sympy expression."""
-    if x.is_Rational:
-        return _normalize_fraction(Fraction(int(x.p), int(x.q)))
-    return x
 
 
 def _normalize_fraction(f):
     return int(f) if f.denominator == 1 else f
 
 
-def _lift(x):
-    if isinstance(x, sp.Basic):
-        return x
-    if isinstance(x, int):
-        return sp.Integer(x)
-    return sp.Rational(x.numerator, x.denominator)
-
-
 def s_add(a, b):
-    if type(a) is int and type(b) is int:
-        return a + b
-    if isinstance(a, sp.Basic) or isinstance(b, sp.Basic):
-        return _from_expanded(sp.expand(_lift(a) + _lift(b)))
-    return _normalize_fraction(a + b)
+    c = a + b
+    return int(c) if type(c) is Fraction and c.denominator == 1 else c
 
 
 def s_mul(a, b):
-    if type(a) is int and type(b) is int:
-        return a * b
-    if isinstance(a, sp.Basic) or isinstance(b, sp.Basic):
-        return _from_expanded(sp.expand(_lift(a) * _lift(b)))
-    return _normalize_fraction(a * b)
+    c = a * b
+    return int(c) if type(c) is Fraction and c.denominator == 1 else c
 
 
 def s_neg(a):
@@ -110,17 +211,16 @@ def s_neg(a):
 
 
 def s_div(a, b):
-    if isinstance(a, sp.Basic) or isinstance(b, sp.Basic):
-        return as_scalar(sp.expand(sp.cancel(_lift(a) / _lift(b))))
-    return _normalize_fraction(Fraction(a) / Fraction(b))
+    """a / b for a nonzero number b; nothing divides by a parameter."""
+    return s_mul(a, Fraction(1, b))
 
 
 def s_is_zero(a):
-    """Exact zero test.  Scalars built by this module are expanded, so a
-    coefficient with free symbols is zero only as the literal 0; the
-    assumption system is asked only about symbol-free constants."""
-    if isinstance(a, sp.Basic):
-        return a == 0 if a.free_symbols else a.is_zero is True
+    """Exact zero test; a ParamPoly is canonical, so never zero.  A caller's
+    sympy expression is converted when it has free symbols, and a
+    symbol-free one is decided by sympy's own zero test."""
+    if not isinstance(a, _SCALARS) and _sympy_basic(a):
+        return a.is_zero is True if not a.free_symbols else as_scalar(a) == 0
     return a == 0
 
 
@@ -153,7 +253,7 @@ def _gen_str(gen):
 
 
 def _exp_sort_key(e):
-    if isinstance(e, sp.Basic):
+    if isinstance(e, ParamPoly):
         return (1, str(e), 0)
     f = Fraction(e)
     return (0, f.numerator, f.denominator)
@@ -255,11 +355,8 @@ class GradedPoly:
 
     def __init__(self, terms=None, odd_syms=frozenset()):
         self.odd_syms = frozenset(odd_syms)
-        pruned = {}
-        for key, coeff in (terms or {}).items():
-            if not s_is_zero(coeff):
-                pruned[key] = coeff
-        self._terms = pruned
+        coeffs = ((key, as_scalar(c)) for key, c in (terms or {}).items())
+        self._terms = {key: c for key, c in coeffs if not s_is_zero(c)}
 
     @classmethod
     def _of(cls, terms, odd_syms):
@@ -405,7 +502,8 @@ class GradedPoly:
         q = as_scalar(q)
         if s_is_zero(q):
             return GradedPoly.zero(self.odd_syms)
-        return GradedPoly({k: s_mul(c, q) for k, c in self._terms.items()}, self.odd_syms)
+        # no zero divisors: the product of nonzero scalars is nonzero
+        return GradedPoly._of({k: s_mul(c, q) for k, c in self._terms.items()}, self.odd_syms)
 
     def __mul__(self, other):
         if not isinstance(other, GradedPoly):
@@ -435,9 +533,9 @@ class GradedPoly:
 
     def __eq__(self, other):
         if not isinstance(other, GradedPoly):
-            if isinstance(other, (int, Fraction, sp.Basic, str)):
+            try:
                 other = GradedPoly.number(other)
-            else:
+            except TypeError:
                 return NotImplemented
         return (self - other).is_zero
 
@@ -454,7 +552,7 @@ class GradedPoly:
 # printing
 
 def _coeff_str(c):
-    if isinstance(c, sp.Basic):
+    if isinstance(c, ParamPoly):
         return "(" + str(c) + ")", False
     neg = c < 0
     c = abs(c)
@@ -464,7 +562,7 @@ def _coeff_str(c):
 
 
 def _exp_str(e):
-    if isinstance(e, sp.Basic):
+    if isinstance(e, ParamPoly):
         return "(" + str(e) + ")"
     if isinstance(e, int):
         return str(e)

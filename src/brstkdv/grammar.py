@@ -24,9 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import sympy as sp
-
-from .graded import GradedPoly
+from .graded import GradedPoly, parameter
 
 __all__ = ["parse", "ParseError"]
 
@@ -186,7 +184,7 @@ def _scalar(sc, params, what):
     if nm is None:
         raise ParseError(f"expected {what}", sc.pos)
     params.add(nm)
-    return sp.Symbol(nm)
+    return parameter(nm)
 
 
 def _exponent(sc, params):
@@ -242,7 +240,8 @@ def parse(text, odd=()):
     if sc.peek():
         raise ParseError(f"unexpected character {sc.peek()!r}", sc.pos)
 
-    clash = params & {s.split("_t")[0] for s in gens_seen} | (params & gens_seen)
+    fields = gens_seen | {s.split("_t")[0] for s in gens_seen} | odd_syms
+    clash = params & fields
     if clash:
         raise ParseError(
             f"name(s) used both as scalar parameter and field: {sorted(clash)}", 0

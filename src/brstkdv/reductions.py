@@ -38,12 +38,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import sympy as sp
 
 from .graded import (
     DerivationRuleSet,
     GradedPoly,
+    ParamPoly,
     as_scalar,
+    parameter,
     s_add,
     s_div,
     s_is_zero,
@@ -142,14 +143,12 @@ def _dx3(p):
 
 def _coerce_param(v):
     """Numeric strings ("3", "-1/2", "1.5") become exact Fractions and
-    identifiers become symbols; any other string is rejected."""
-    if not isinstance(v, str):
-        return as_scalar(v)
+    identifiers become parameters; any other string is rejected."""
     try:
-        return as_scalar(Fraction(v))
+        return as_scalar(v)
     except (ValueError, ZeroDivisionError):
         if v.isidentifier():
-            return as_scalar(sp.Symbol(v))
+            return parameter(v)
         raise ValueError(f"family parameter {v!r} is neither a number nor a name") from None
 
 
@@ -206,8 +205,8 @@ def _u_family(alpha, s, name="kdv"):
     c = GradedPoly.gen("c", 0, odd_syms=odd)
     cx = GradedPoly.gen("c", 1, odd_syms=odd)
     c3 = GradedPoly.gen("c", 3, odd_syms=odd)
-    if s_is_zero(alpha):
-        raise ValueError("alpha must be nonzero")
+    if s_is_zero(alpha) or isinstance(alpha, ParamPoly):
+        raise ValueError("alpha must be a nonzero number: the flow divides by alpha")
 
     adv = s_div(s_add(alpha, 2), alpha)        # (alpha+2)/alpha
     disp = s_div(s, s_mul(2, alpha))           # s/(2 alpha)
@@ -333,8 +332,9 @@ def _upsilon_system():
 
 
 def build_system(name, **params):
-    """Construct a catalog system; family parameters may be Fractions,
-    ints, strings like "1/2", or sympy symbols for exact parametric work.
+    """Construct a catalog system; family parameters may be Fractions, ints,
+    strings like "1/2" or "beta", or ``parameter("beta")`` for exact
+    parametric work.  kdv's alpha must be a number: its flow divides by it.
 
     kdv accepts (alpha, s) to reach the whole u-form family (default
     alpha=1, s=2); t-form requires (beta, s); harry-dym is t-form at

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import sympy as sp
 
 from .graded import DerivationRuleSet, GradedPoly
 
@@ -91,6 +90,7 @@ def epsilon_lower(a, b, c):
 def generator_matrices(exact=False):
     """The 2x2 generators {label: matrix}; sympy matrices when exact."""
     if exact:
+        import sympy as sp
         s = 1 / sp.sqrt(2)
         return {
             "0": sp.Matrix([[sp.Rational(1, 2), 0], [0, -sp.Rational(1, 2)]]),
@@ -108,6 +108,7 @@ def generator_matrices(exact=False):
 def matrix_structure_constants():
     """Recompute f_ab^c from the exact matrices via
     f_ab^c = 2 tr([T_a, T_b] T_d) eta^dc; ground truth for the tables."""
+    import sympy as sp
     T = generator_matrices(exact=True)
     out = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     for a in BASIS:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graded import base_symbol
+from .graded import ParamPoly, base_symbol
 
 __all__ = [
     "SolverError",
@@ -162,10 +162,11 @@ class Trajectory:
         syms = sorted(self.states[0].fields)
         with open(path, "w") as fh:
             fh.write(",".join(["t", "x"] + syms) + "\n")
+            x = list(map(repr, self.states[0].x.tolist()))
             for st in self.states:
-                rows = np.column_stack([np.full(st.N, st.t), st.x]
-                                       + [st.fields[s] for s in syms]).tolist()
-                fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+                cols = [x] + [map(repr, st.fields[s].tolist()) for s in syms]
+                t = repr(float(st.t)) + ","
+                fh.writelines(t + ",".join(row) + "\n" for row in zip(*cols))
 
     def export_manifest(self, path, config=None):
         doc = {
@@ -201,7 +202,7 @@ def _number(value, what):
     try:
         return float(value)
     except TypeError:
-        free = ", ".join(sorted(str(s) for s in getattr(value, "free_symbols", ())))
+        free = ", ".join(sorted(value.names)) if isinstance(value, ParamPoly) else ""
         raise ValueError(
             f"{what} {value} is not numeric (free symbols: {free or 'none'}); "
             "only numbers can be evaluated on a grid") from None

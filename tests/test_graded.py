@@ -5,6 +5,7 @@ integration by parts, permutation signs) before being compared against the
 engine; the hypothesis tests check the algebraic laws themselves.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from brstkdv.graded import (
     parameter,
     reduce_on_shell,
     s_add,
+    s_div,
     s_is_zero,
     s_mul,
     substitute_family,
@@ -203,6 +205,67 @@ def test_scalar_exactness():
     assert s_mul(Fraction(2, 3), Fraction(1, 2)) == Fraction(1, 3)
     assert type(s_add(parameter("beta"), -parameter("beta"))) is int
     assert s_mul(parameter("s"), Fraction(1, 2)) == parameter("s") / 2
+    assert type((parameter("s") + Fraction(2)) - parameter("s")) is int
+
+
+def _small_pair(rng):
+    """A random polynomial of degree <= 2 in each of (beta, s), often
+    constant, as a scalar and as a sympy expression."""
+    beta, s = parameter("beta"), parameter("s")
+    ours, ref = 0, sp.Integer(0)
+    for _ in range(rng.randint(1, 3)):
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        i, j = rng.choice((0, 0, 1, 2)), rng.choice((0, 0, 1, 2))
+        ours = s_add(ours, s_mul(c, s_mul(beta ** i, s ** j)))
+        ref += sp.Rational(c.numerator, c.denominator) * sp.Symbol("beta") ** i * sp.Symbol("s") ** j
+    return ours, ref
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_parameter_polynomials_match_sympy(seed):
+    # sympy's expand is the reference for the ring and for the printed form
+    rng = random.Random(seed)
+    ours, ref = _small_pair(rng)
+    for _ in range(8):
+        q, q_ref = _small_pair(rng)
+        op = rng.choice("+-*^~")
+        if op == "+":
+            ours, ref = s_add(ours, q), ref + q_ref
+        elif op == "-":
+            ours, ref = ours - q, ref - q_ref
+        elif op == "*":
+            ours, ref = s_mul(ours, q), ref * q_ref
+        elif op == "^":
+            k = rng.randint(0, 2)
+            ours, ref = s_mul(ours, q ** k), ref * q_ref ** k
+        else:  # cancels down to q, which may be constant
+            ours, ref = s_add(ours, q) - ours, ref + q_ref - ref
+        ref = sp.expand(ref)
+        if ref.is_Rational:
+            assert ours == Fraction(int(ref.p), int(ref.q))
+            assert type(ours) is (int if ref.q == 1 else Fraction)
+        else:
+            assert str(ours) == str(ref)
+        assert as_scalar(ref) == ours and hash(as_scalar(ref)) == hash(ours)
+        assert s_is_zero(ours) == (ref == 0)
+
+
+def test_sympy_scalars_at_the_boundary():
+    beta, b = parameter("beta"), sp.Symbol("beta")
+    assert as_scalar((b + 1) ** 2 - 1) == beta ** 2 + 2 * beta
+    assert type(as_scalar(sp.Rational(4, 2))) is int
+    # a sympy coefficient handed to the raw constructor is converted too
+    u = (((("u", 0), 1),), ())
+    assert GradedPoly({u: b}) - beta * GradedPoly.gen("u") == 0
+    for bad in (sp.sqrt(2), 1 / b, sp.Float(0.5)):
+        with pytest.raises(TypeError):
+            as_scalar(bad)
+    # the only division is by a nonzero number
+    assert s_div(beta, 2) == beta / 2 == Fraction(1, 2) * beta
+    with pytest.raises(TypeError):
+        s_div(1, beta)
+    with pytest.raises(ZeroDivisionError):
+        s_div(beta, 0)
 
 
 def test_generator_validation():

@@ -176,6 +176,9 @@ GOLDEN = [
     ('u^(1/0)', ('zero denominator', 6)),
     ('(1/0)*u', ('zero denominator', 4)),
     ('(2*1/0)*u', ('zero denominator', 6)),
+    # a name declared odd is a field, whether or not it occurs as one
+    ('odd: c; u^c', ("name(s) used both as scalar parameter and field: ['c']", 0)),
+    ('odd: c; (c)*u', ("name(s) used both as scalar parameter and field: ['c']", 0)),
 ]
 
 

@@ -140,6 +140,11 @@ def test_build_system_validation():
         build_system("harry-dym", beta=1)
     with pytest.raises(ValueError):
         build_system("kdv", alpha=0)
+    # s/(2 alpha) is no polynomial in a symbolic alpha
+    with pytest.raises(ValueError, match="alpha"):
+        build_system("kdv", alpha=parameter("a"))
+    with pytest.raises(ValueError, match="alpha"):
+        build_system("kdv", alpha="a")
 
 
 def test_parameters_from_strings_and_symbols():
