@@ -25,8 +25,7 @@ from .reductions import (
     ckdv_to_mkdv,
     miura_map,
 )
-from .solver import (SolverError, FieldState, evaluate, evolve, soliton_initial,
-                     spectral_derivative)
+from .solver import SolverError, evaluate, evolve, initial_state, soliton_initial
 from .verify import CHECKS, run_all
 
 _FAMILY_KEYS = ("alpha", "beta", "s")
@@ -46,9 +45,11 @@ def _load_config(path):
     return cfg
 
 
-def _effective(args, keys, defaults):
-    """flags > config file > defaults, with the winning values returned."""
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+def _effective(args, defaults):
+    """flags > config file > defaults, with the winning values returned.  The
+    keys are the command's flags as spelled on the command line (t-end)."""
+    keys = [dest.replace("_", "-") for dest in vars(args) if dest not in ("command", "config")]
+    cfg = _load_config(args.config) if args.config else {}
     unknown = sorted(set(cfg) - set(keys))
     if unknown:
         raise ValueError(f"{args.config}: unknown key {unknown[0]!r}; keys: {', '.join(keys)}")
@@ -124,13 +125,10 @@ def _cmd_list_systems(args):
 
 
 def _cmd_simulate(args):
-    keys = ["system", "alpha", "beta", "s", "L", "n", "dt", "t-end",
-            "record-every", "soliton", "initial", "ghost-initial", "diag",
-            "out", "seed", "floor"]
     defaults = {"L": "40", "n": "512", "dt": "1e-3", "t-end": "1",
                 "record-every": "10", "ghost-initial": "gradient",
-                "out": ".", "seed": "0", "floor": "1e-6"}
-    eff = _effective(args, keys, defaults)
+                "out": ".", "seed": "0"}
+    eff = _effective(args, defaults)
     if "system" not in eff:
         print("simulate: --system is required", file=sys.stderr)
         return 2
@@ -147,10 +145,8 @@ def _cmd_simulate(args):
         state = soliton_initial(k, length / 2 if x0 is None else x0,
                                 system.name, length, n, ghost=ghost)
     elif eff.get("initial"):
-        f = _eval_expression(eff["initial"], x, length)
-        if isinstance(ghost, str):
-            ghost = spectral_derivative(f, 1, length) if ghost == "gradient" else np.zeros(n)
-        state = FieldState(0.0, length, n, {system.even_fields[0]: f, "c": ghost})
+        state = initial_state(system.even_fields[0],
+                              _eval_expression(eff["initial"], x, length), length, ghost)
     else:
         print("simulate: provide --soliton or --initial", file=sys.stderr)
         return 2
@@ -161,7 +157,7 @@ def _cmd_simulate(args):
             diagnostics.append(system.density(nm.strip()))
     traj = evolve(state, system, t_end, dt,
                   record_every=int(eff["record-every"]),
-                  diagnostics=diagnostics, floor=float(eff["floor"]))
+                  diagnostics=diagnostics)
     outdir = eff["out"]
     os.makedirs(outdir, exist_ok=True)
     traj.export_csv(os.path.join(outdir, "trajectory.csv"))
@@ -191,9 +187,7 @@ def _cmd_verify(args):
 
 
 def _cmd_miura(args):
-    keys = ["direction", "initial", "L", "n", "out", "floor"]
-    defaults = {"direction": "mkdv-to-kdv", "L": "40", "n": "512", "floor": "1e-8"}
-    eff = _effective(args, keys, defaults)
+    eff = _effective(args, {"direction": "mkdv-to-kdv", "L": "40", "n": "512"})
     if not eff.get("initial"):
         print("miura: --initial expression is required", file=sys.stderr)
         return 2
@@ -203,7 +197,7 @@ def _cmd_miura(args):
         g = miura_map(f, length)
         src, dst = "R", "u"
     elif eff["direction"] == "ckdv-to-mkdv":
-        g = ckdv_to_mkdv(f, length, floor=float(eff["floor"]))
+        g = ckdv_to_mkdv(f, length)
         src, dst = "w", "v"
     else:
         print(f"unknown direction {eff['direction']!r}", file=sys.stderr)
@@ -222,8 +216,7 @@ def _cmd_miura(args):
 
 
 def _cmd_conserved(args):
-    keys = ["system", "alpha", "beta", "s"]
-    eff = _effective(args, keys, {})
+    eff = _effective(args, {})
     if "system" not in eff:
         print("conserved: --system is required", file=sys.stderr)
         return 2
@@ -273,7 +266,6 @@ def _build_parser():
     sim.add_argument("--out", help="output directory (default .)")
     sim.add_argument("--config", help="key=value config file")
     sim.add_argument("--seed", help="echoed into the manifest")
-    sim.add_argument("--floor", help="positivity/nonvanishing floor (default 1e-6)")
 
     ver = sub.add_parser("verify", help="run a named check or all of them")
     ver.add_argument("check", help="check name or 'all'")
@@ -284,7 +276,6 @@ def _build_parser():
     miu.add_argument("--initial", metavar="EXPR")
     miu.add_argument("--L")
     miu.add_argument("--n")
-    miu.add_argument("--floor")
     miu.add_argument("--out")
     miu.add_argument("--config", help="key=value config file")
 

@@ -10,7 +10,8 @@ The surface syntax matches :func:`brstkdv.graded.to_string` output::
   through ``u_xxxx``, ``u_5x`` for higher orders, and a time marker ``u_t``
   which may itself be x-differentiated (``u_t_xx``);
 * ``^`` attaches an exponent: an integer, a fraction ``^1/2`` or ``^-2``, a
-  bare parameter name, or a parenthesised scalar expression ``^(beta-1)``;
+  bare parameter name, or a parenthesised scalar expression ``^(beta-1)``,
+  each with an optional sign (``^-beta``, ``^-(beta)``);
 * parenthesised factors are *scalar* coefficients, e.g. ``(beta+1)*T_x``;
   scalar names must not collide with field names used in the polynomial;
 * ``*`` is required between factors; ``+``/``-`` separate monomials.
@@ -26,7 +27,7 @@ from fractions import Fraction
 
 from .graded import GradedPoly, parameter
 
-__all__ = ["parse", "ParseError"]
+__all__ = ["parse", "ParseError", "is_name"]
 
 
 class ParseError(ValueError):
@@ -188,13 +189,15 @@ def _scalar(sc, params, what):
 
 
 def _exponent(sc, params):
-    if sc.take("-"):
-        # a sign binds a number or a name; the printer writes ^(-beta),
-        # and ^-( stays an error
-        if sc.peek() == "(":
-            raise ParseError("expected an exponent", sc.pos)
-        return -_scalar(sc, params, "an exponent")
-    return _scalar(sc, params, "an exponent")
+    """[-] scalar: T^-beta, T^-(beta) and T^(-beta) are one exponent."""
+    neg = sc.take("-")
+    v = _scalar(sc, params, "an exponent")
+    return -v if neg else v
+
+
+def is_name(text):
+    """Whether the grammar reads ``text`` back as one parameter or field name."""
+    return _Scanner(text).name() == text
 
 
 def parse(text, odd=()):

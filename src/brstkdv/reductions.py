@@ -52,8 +52,9 @@ from .graded import (
     to_string,
     total_x_derivative,
 )
-from .grammar import parse
-from .solver import SingularityError, spectral_derivative
+from .grammar import is_name, parse
+from .sl2 import ConnectionGrid
+from .solver import SingularityError, evaluate, spectral_derivative
 
 __all__ = [
     "EvolutionSystem",
@@ -62,7 +63,6 @@ __all__ = [
     "SLICE_A",
     "SLICE_B",
     "build_system",
-    "system_from_config",
     "catalog_manifest",
     "upsilon_poly",
     "upsilon_rules",
@@ -170,11 +170,9 @@ def _t_family(beta, s, name="t-form"):
     Tbm1 = GradedPoly.gen("T", 0, s_add(beta, -1), odd_syms=odd)
     rhs_c = gcoef * (Tbm1 * c3) + big * (Tb * cx)
 
-    delta_T = parse("1/2*c_xxx + T_x*c + 2*T*c_x", odd=("c",))
-    rules = DerivationRuleSet(name + "-brst", parity=1, base={
-        "T": delta_T,
-        "c": parse("c*c_x", odd=("c",)),
-    })
+    laws = upsilon_rules().base
+    delta_T = laws["T"]
+    rules = DerivationRuleSet(name + "-brst", parity=1, base={"T": delta_T, "c": laws["c"]})
 
     Tb1 = GradedPoly.gen("T", 0, s_add(beta, 1), odd_syms=odd)
     densities = {
@@ -219,7 +217,7 @@ def _u_family(alpha, s, name="kdv"):
 
     rules = DerivationRuleSet(name + "-brst", parity=1, base={
         "u": delta_u,
-        "c": parse("c*c_x", odd=("c",)),
+        "c": upsilon_rules().base["c"],
     })
 
     densities = {}
@@ -253,7 +251,7 @@ def _mkdv():
     odd = ("c", "cm")
     rules = DerivationRuleSet("mkdv-brst", parity=1, base={
         "R": parse("1/2*c_xx + R_x*c + R*c_x + cm", odd=odd),
-        "c": parse("c*c_x", odd=odd),
+        "c": upsilon_rules().base["c"],
         # no law for the covariantly constant cm is in scope
     }, xrules={"cm": parse("2*R*cm", odd=odd)})
     densities = {
@@ -276,10 +274,9 @@ def _mkdv():
 
 
 def _ckdv():
-    odd = ("c", "cw")
     rules = DerivationRuleSet("ckdv-brst", parity=1, base={
-        "w": parse("w_x*c + w*c_x + cw", odd=odd),
-        "c": parse("c*c_x", odd=odd),
+        "w": parse("w_x*c + w*c_x + cw", odd=("c", "cw")),
+        "c": upsilon_rules().base["c"],
     })
     return EvolutionSystem(
         name="ckdv",
@@ -305,8 +302,10 @@ def upsilon_poly():
 
 
 def upsilon_rules():
-    """Odd symmetry of the partially gauge-fixed slice: the u variation
-    keeps the ghost's time derivative as a marker."""
+    """Odd symmetry of the partially gauge-fixed slice, and the one
+    statement of its laws: the ghost law delta c = c c_x, which every
+    catalog system shares, the T law, which the t-form family reuses, and
+    the u law, which keeps the ghost's time derivative as a marker."""
     return DerivationRuleSet("slice-brst", parity=1, base={
         "u": parse("c_t - u*c_x + u_x*c", odd=("c",)),
         "T": parse("1/2*c_xxx + T_x*c + 2*T*c_x", odd=("c",)),
@@ -331,6 +330,14 @@ def _upsilon_system():
     )
 
 
+_FIXED = {
+    "harry-dym": lambda: _t_family(Fraction(1, 2), 1, name="harry-dym"),
+    "mkdv": _mkdv,
+    "ckdv": _ckdv,
+    "upsilon": _upsilon_system,
+}
+
+
 def build_system(name, **params):
     """Construct a catalog system; family parameters may be Fractions, ints,
     strings like "1/2" or "beta", or ``parameter("beta")`` for exact
@@ -349,37 +356,24 @@ def build_system(name, **params):
 
     if name == "kdv":
         only({"alpha", "s"})
-        return _u_family(params.get("alpha", 1), params.get("s", 2), name="kdv")
-    if name == "t-form":
+        system = _u_family(params.get("alpha", 1), params.get("s", 2), name="kdv")
+    elif name == "t-form":
         only({"beta", "s"})
         if "beta" not in params or "s" not in params:
             raise ValueError("t-form requires beta and s")
-        return _t_family(params["beta"], params["s"])
-    if name == "harry-dym":
+        system = _t_family(params["beta"], params["s"])
+    elif name in _FIXED:
         only(set())
-        return _t_family(Fraction(1, 2), 1, name="harry-dym")
-    if name == "mkdv":
-        only(set())
-        return _mkdv()
-    if name == "ckdv":
-        only(set())
-        return _ckdv()
-    if name == "upsilon":
-        only(set())
-        return _upsilon_system()
-    raise ValueError(f"unknown system {name!r}; catalog: {', '.join(SYSTEM_NAMES)}")
-
-
-def system_from_config(cfg):
-    """Build a system from a flat {key: value} mapping (e.g. a parsed
-    key=value file): 'system' selects the catalog entry, remaining keys
-    are its parameters."""
-    cfg = dict(cfg)
-    try:
-        name = cfg.pop("system")
-    except KeyError:
-        raise ValueError("config must set system=<name>") from None
-    return build_system(name, **cfg)
+        return _FIXED[name]()
+    else:
+        raise ValueError(f"unknown system {name!r}; catalog: {', '.join(SYSTEM_NAMES)}")
+    fields = system.even_fields + system.odd_fields
+    for key, value in sorted(params.items()):
+        for nm in sorted(value.names) if isinstance(value, ParamPoly) else ():
+            if nm in fields or not is_name(nm):
+                why = f"a field of {name}" if nm in fields else "not a name the grammar reads"
+                raise ValueError(f"family parameter {key} is named {nm!r}, {why}")
+    return system
 
 
 def catalog_manifest():
@@ -414,30 +408,38 @@ def catalog_manifest():
 # ---------------------------------------------------------------------------
 # maps between systems
 
+# The two maps are built from generators, at half the cost of parsing their
+# text, since the grid maps below rebuild them on every call.
+
 def miura_substitution():
-    """u in terms of R: the map sending mKdV solutions to KdV solutions."""
-    return parse("2*R_x - 2*R^2")
+    """u = 2 R_x - 2 R^2: the map sending mKdV solutions to KdV solutions."""
+    R = GradedPoly.gen("R")
+    return 2 * GradedPoly.gen("R", 1) - 2 * (R * R)
 
 
 def ckdv_substitution():
-    """v in terms of w (from w_x - 2vw - w^2 = 0)."""
-    return parse("1/2*w^-1*w_x - 1/2*w")
+    """v = 1/2 w^-1 w_x - 1/2 w, from w_x - 2vw - w^2 = 0."""
+    w = GradedPoly.gen("w")
+    return Fraction(1, 2) * (GradedPoly.gen("w", 0, -1) * GradedPoly.gen("w", 1) - w)
+
+
+_MAP_FLOOR = 1e-8  # ckdv_to_mkdv divides by w, so |w| must stay above this
 
 
 def miura_map(R, length):
-    """Grid version of u = 2(R_x - R^2)."""
-    R = np.asarray(R, dtype=float)
-    return 2.0 * (spectral_derivative(R, 1, length) - R * R)
+    """``miura_substitution()`` evaluated on the grid R."""
+    return evaluate(miura_substitution(), {"R": np.asarray(R, dtype=float)}, length)
 
 
-def ckdv_to_mkdv(w, length, floor=1e-8):
-    """Grid version of v = (w_x - w^2)/(2w); fails when w approaches zero."""
+def ckdv_to_mkdv(w, length):
+    """``ckdv_substitution()`` evaluated on the grid w; fails when w
+    approaches zero."""
     w = np.asarray(w, dtype=float)
     small = np.min(np.abs(w))
-    if small <= floor:
+    if small <= _MAP_FLOOR:
         raise SingularityError(
-            f"ckdv_to_mkdv: |w| reaches {small:.3e} (floor {floor:.1e})")
-    return (spectral_derivative(w, 1, length) - w * w) / (2.0 * w)
+            f"ckdv_to_mkdv: |w| reaches {small:.3e} (floor {_MAP_FLOOR:.1e})")
+    return evaluate(ckdv_substitution(), {"w": w}, length)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +481,6 @@ def reconstruct_connection(state, gauge_slice):
         u = 2(R_x - R^2); the remaining lower component is not determined
         by this slice and is filled with zeros.
     """
-    from .sl2 import ConnectionGrid  # local import: keep module load light
-
     n = state.N
     length = state.L
     rt2 = np.sqrt(2.0)
@@ -494,7 +494,7 @@ def reconstruct_connection(state, gauge_slice):
         uxx = spectral_derivative(u, 2, length)
         a1 = np.stack([np.zeros(n), rt2 * np.ones(n), -rt2 * T])
         a0 = np.stack([ux, rt2 * u, rt2 * (-0.5 * uxx - u * T)])
-        return ConnectionGrid(x=state.x, length=length, a0=a0, a1=a1)
+        return ConnectionGrid(a0=a0, a1=a1)
     if gauge_slice == SLICE_B:
         if "R" not in state.fields:
             raise KeyError("slice-B reconstruction needs field 'R'")
@@ -503,7 +503,7 @@ def reconstruct_connection(state, gauge_slice):
         ux = spectral_derivative(u, 1, length)
         a1 = np.stack([2.0 * R, rt2 * np.ones(n), np.zeros(n)])
         a0 = np.stack([ux + 2.0 * u * R, rt2 * u, np.zeros(n)])
-        return ConnectionGrid(x=state.x, length=length, a0=a0, a1=a1)
+        return ConnectionGrid(a0=a0, a1=a1)
     raise ValueError(f"unknown gauge slice {gauge_slice!r}")
 
 

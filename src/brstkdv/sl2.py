@@ -158,8 +158,6 @@ def curvature_residual(dt_a1, dx_a0, a0, a1, f=None):
 class ConnectionGrid:
     """Sampled connection: components indexed by basis position (0, +, -)."""
 
-    x: np.ndarray
-    length: float
     a0: np.ndarray  # shape (3, N)
     a1: np.ndarray  # shape (3, N)
 

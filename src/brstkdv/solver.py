@@ -50,10 +50,12 @@ __all__ = [
     "evolve",
     "evaluate",
     "evaluate_functional",
+    "initial_state",
     "soliton_initial",
 ]
 
 _RK4_IMAG_LIMIT = 2.0 * np.sqrt(2.0)
+_FLOOR = 1e-6  # positivity / nonvanishing floor of fractional and negative powers
 
 
 class SolverError(RuntimeError):
@@ -316,12 +318,11 @@ class _Plan:
 # the stepper
 
 class _Stepper:
-    def __init__(self, system, length, n, dt, floor=1e-6):
+    def __init__(self, system, length, n, dt):
         _require_power_of_two(n)
         self.length = length
         self.n = n
         self.dt = dt
-        self.floor = floor
         self.fields = system.evolving_fields()
         if not self.fields:
             raise ValueError(f"system {system.name!r} has no evolution equations")
@@ -360,16 +361,16 @@ class _Stepper:
     def _check_guards(self, grids, t):
         for sym in self.positive:
             m = float(np.min(grids[sym, 0]))
-            if m <= self.floor:
+            if m <= _FLOOR:
                 raise SingularityError(
                     f"field {sym!r} reached {m:.3e} <= positivity floor "
-                    f"{self.floor:.1e} at t = {t:.6g}")
+                    f"{_FLOOR:.1e} at t = {t:.6g}")
         for sym in self.nonzero:
             m = float(np.min(np.abs(grids[sym, 0])))
-            if m <= self.floor:
+            if m <= _FLOOR:
                 raise SingularityError(
                     f"|{sym}| reached {m:.3e} <= nonvanishing floor "
-                    f"{self.floor:.1e} at t = {t:.6g}")
+                    f"{_FLOOR:.1e} at t = {t:.6g}")
 
     def nonlinear_hat(self, hats, t, check=False):
         grids = self.plan.grids(hats)
@@ -413,12 +414,12 @@ class _Stepper:
                     "RK4 stability bound ~2.83; reduce dt or N", stacklevel=3)
 
 
-def step(state, system, dt, floor=1e-6):
+def step(state, system, dt):
     """Advance one RK4/integrating-factor step; convenience wrapper."""
-    return evolve(state, system, state.t + dt, dt, floor=floor).states[-1]
+    return evolve(state, system, state.t + dt, dt).states[-1]
 
 
-def evolve(state, system, t_end, dt, record_every=1, diagnostics=(), floor=1e-6):
+def evolve(state, system, t_end, dt, record_every=1, diagnostics=()):
     """Integrate to t_end, recording every record_every-th step (plus the
     initial and final states) and evaluating the given conserved densities
     on each recorded snapshot."""
@@ -441,7 +442,7 @@ def evolve(state, system, t_end, dt, record_every=1, diagnostics=(), floor=1e-6)
     if twice:
         raise ValueError(f"diagnostic {twice[0]!r} is given more than once")
     compiled = [_density_terms(d) for d in diagnostics]
-    stepper = _Stepper(system, state.L, state.N, dt, floor=floor)
+    stepper = _Stepper(system, state.L, state.N, dt)
     stepper.cfl_advisory(state)
 
     states = [state]
@@ -510,8 +511,7 @@ def soliton_initial(k, x0, system, length=40.0, n=512, ghost="gradient"):
     R_t = R_xxx - 6 R^2 R_x the same ansatz forces A^2 = -k^2, so no real
     sech traveling wave exists for this sign of the cubic term.
 
-    ghost: "gradient" initialises the ghost to d/dx of the even field,
-    "none" to zero; an array gives it explicitly.
+    ghost: as for :func:`initial_state`.
     """
     name = system if isinstance(system, str) else system.name
     if name not in ("kdv", "mkdv"):
@@ -524,13 +524,19 @@ def soliton_initial(k, x0, system, length=40.0, n=512, ghost="gradient"):
     else:
         sym = "R"
         f = k / np.cosh(k * z) if k else np.zeros(n)
+    return initial_state(sym, f, length, ghost)
+
+
+def initial_state(sym, f, length, ghost="gradient"):
+    """The t = 0 state with the even field ``sym`` sampled as ``f`` and the
+    ghost c: "gradient" initialises it to d/dx of f, "none" to zero; an
+    array gives it explicitly."""
+    f = np.asarray(f, dtype=float)
     if isinstance(ghost, str):
         if ghost == "gradient":
-            g = spectral_derivative(f, 1, length)
+            ghost = spectral_derivative(f, 1, length)
         elif ghost == "none":
-            g = np.zeros(n)
+            ghost = np.zeros(len(f))
         else:
             raise ValueError(f"unknown ghost profile {ghost!r}")
-    else:
-        g = np.asarray(ghost, dtype=float)
-    return FieldState(t=0.0, L=length, N=n, fields={sym: f, "c": g})
+    return FieldState(t=0.0, L=length, N=len(f), fields={sym: f, "c": ghost})

@@ -36,6 +36,7 @@ from .reductions import (
     miura_map,
     reconstruct_connection,
     upsilon_poly,
+    upsilon_rules,
 )
 from .sl2 import CANONICAL_FIELDS, canonical_brst_rules, curvature_residual
 from .solver import FieldState, evaluate, evolve, soliton_initial, spectral_derivative
@@ -107,7 +108,7 @@ def check_nilpotency(structure=None):
         dd = apply_derivation(apply_derivation(
             GradedPoly.gen(sym, odd_syms=rules.odd_symbols()), rules), rules)
         metrics[f"canonical_{sym}"] = len(dd)
-    ghost = DerivationRuleSet("ghost-only", 1, base={"c": parse("c*c_x", odd=("c",))})
+    ghost = DerivationRuleSet("ghost-only", 1, base={"c": upsilon_rules().base["c"]})
     ddc = apply_derivation(apply_derivation(
         GradedPoly.gen("c", odd_syms=frozenset({"c"})), ghost), ghost)
     metrics["reduced_ghost"] = len(ddc)
@@ -128,17 +129,14 @@ def check_nilpotency(structure=None):
 def check_upsilon_covariance(advection_coeff=Fraction(2)):
     """The residual slice equation transforms as a weight-two density:
     delta(Upsilon) = 2 Upsilon c_x + Upsilon_x c, exactly, with time
-    derivatives kept as markers."""
-    base = {
-        "u": parse("c_t - u*c_x + u_x*c", odd=("c",)),
-        "T": parse("1/2*c_xxx + T_x*c", odd=("c",))
-             + advection_coeff * parse("T*c_x", odd=("c",)),
-        "c": parse("c*c_x", odd=("c",)),
-    }
-    rules = DerivationRuleSet("slice-brst", 1, base).extended_with_markers(["T", "c"])
-    ups = upsilon_poly()
+    derivatives kept as markers.  ``advection_coeff`` replaces the 2 of the
+    T law's 2 T c_x term."""
     c = GradedPoly.gen("c", odd_syms=frozenset({"c"}))
     cx = GradedPoly.gen("c", 1, odd_syms=frozenset({"c"}))
+    base = dict(upsilon_rules().base)
+    base["T"] = base["T"] + (advection_coeff - 2) * (GradedPoly.gen("T") * cx)
+    rules = DerivationRuleSet("slice-brst", 1, base).extended_with_markers(["T", "c"])
+    ups = upsilon_poly()
     diff = apply_derivation(ups, rules) - 2 * (ups * cx) - total_x_derivative(ups) * c
     dups = total_x_derivative(ups)
     consistency = (apply_derivation(dups, rules)

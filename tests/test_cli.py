@@ -299,6 +299,30 @@ def test_simulate_guard_failure_exit_code(capsys, tmp_path):
     assert "floor" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--system", "harry-dym", "--initial", "1 + 1/2*cx"],
+    ["miura", "--direction", "ckdv-to-mkdv", "--initial", "cx"],
+])
+def test_floor_is_not_an_option(capsys, tmp_path, command):
+    # the singularity floors are fixed; neither a flag nor a config key sets them
+    argv = command + ["--n", "16", "--out", str(tmp_path / "out")]
+    code, _, _ = invoke(capsys, *argv, "--floor", "nan")
+    assert code == 2
+    cfg = tmp_path / "floor.cfg"
+    cfg.write_text("floor=nan\n")
+    code, _, err = invoke(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and "'floor'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("beta", ["T", "c", "b_1"])
+def test_family_parameter_named_like_a_field_or_unreadable(capsys, beta):
+    code, out, err = invoke(capsys, "conserved", "--system", "t-form", "--beta", beta,
+                            "--s", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("conserved: family parameter beta is named")
+
+
 # --- miura ------------------------------------------------------------------------
 
 def test_miura_constant_columns(capsys):

@@ -156,7 +156,7 @@ GOLDEN = [
     ('(beta', ("expected ')'", 5)),
     ('(beta))', ("unexpected character ')'", 6)),
     ('()*u', ('expected a number or parameter name', 1)),
-    ('T^-(beta)', ('expected an exponent', 3)),
+    ('T^-(beta)', 'T^(-beta)'),
     ('T^+2', ('expected an exponent', 2)),
     ('u^--1', ('expected an exponent', 3)),
     ('u_xx_t', ('time marker must precede x-derivative suffixes (write u_t_... )', 4)),
@@ -223,6 +223,11 @@ def test_round_trip_fractional_and_symbolic():
     for text in ("1/2*T^-1/2*T_x", "(beta+1)*T^beta", "2*T^1/2*c_x + 1/4*T^-1/2*c_xxx"):
         p = parse(text, odd=("c",))
         assert parse(to_string(p), odd=("c",)) == p
+
+
+def test_signed_exponent_spellings_agree():
+    assert parse("T^-beta") == parse("T^-(beta)") == parse("T^(-beta)")
+    assert parse("T^-(beta+1)") == parse("T^(-beta-1)")
 
 
 def test_round_trip_markers():

@@ -52,6 +52,8 @@ assert cli.run(["simulate", "--system", "kdv", "--soliton", "k=0.7", "--n", "64"
                 "--t-end", "0.01", "--diag", "H0,Ht1", "--out", "run"]) == 0
 assert cli.run(["miura", "--initial", "sx", "--n", "16", "--out", "miura.csv"]) == 0
 assert cli.run(["list-systems"]) == 0
+assert cli.run(["conserved", "--system", "kdv"]) == 0
+assert cli.run(["euler", "--density", "1/2*u_x^2 - u^3", "--field", "u"]) == 0
 assert all(r.status == "pass" for r in verify.run_all())
 print(sorted(m for m in sys.modules if m.split(".")[0] == "sympy"))
 """

@@ -38,7 +38,6 @@ from brstkdv.reductions import (
     miura_map,
     miura_substitution,
     reconstruct_connection,
-    system_from_config,
     upsilon_poly,
     upsilon_rules,
     zero_curvature_components,
@@ -164,11 +163,26 @@ def test_decimal_parameter_strings_are_exact():
             build_system("kdv", alpha=bad)
 
 
-def test_system_from_config():
-    sys_ = system_from_config({"system": "t-form", "beta": "1/2", "s": "1"})
-    assert sys_.rhs["T"] == build_system("harry-dym").rhs["T"]
-    with pytest.raises(ValueError):
-        system_from_config({"beta": "1"})
+@pytest.mark.parametrize("name, params, named", [
+    ("t-form", {"beta": "T", "s": 1}, "'T', a field"),
+    ("t-form", {"beta": "c", "s": 1}, "'c', a field"),
+    ("t-form", {"beta": parameter("T") + 1, "s": 1}, "'T', a field"),
+    ("kdv", {"s": "u"}, "'u', a field"),
+    ("t-form", {"beta": "b_1", "s": 1}, "'b_1', not a name the grammar reads"),
+    ("t-form", {"beta": 1, "s": parameter("s_t")}, "'s_t', not a name"),
+])
+def test_family_parameter_must_be_a_readable_non_field_name(name, params, named):
+    with pytest.raises(ValueError) as ei:
+        build_system(name, **params)
+    key = next(k for k, v in params.items() if not isinstance(v, int))
+    assert f"family parameter {key} is named {named}" in str(ei.value)
+
+
+def test_catalog_shares_one_ghost_law_and_one_slice_t_law():
+    laws = upsilon_rules().base
+    for name in ("kdv", "harry-dym", "mkdv", "ckdv", "upsilon"):
+        assert build_system(name).brst.base["c"] == laws["c"] == P("c*c_x")
+    assert build_system("t-form", beta=1, s=2).brst.base["T"] == laws["T"]
 
 
 def test_catalog_manifest_headers():
@@ -313,11 +327,29 @@ def test_constant_data_is_stationary_for_corrected_flow_only():
     assert drift > 1e-5  # ~ dt * w^3/2
 
 
+# the hand-written grid maps that the exact maps replaced, kept as oracles
+def _miura_oracle(R, length):
+    return 2.0 * (spectral_derivative(R, 1, length) - R * R)
+
+
+def _ckdv_oracle(w, length):
+    return (spectral_derivative(w, 1, length) - w * w) / (2.0 * w)
+
+
+def _map_data(n=512, length=40.0):
+    """A sech pulse and 1 + 0.3 cos on the grid."""
+    x = length * np.arange(n) / n
+    return 0.9 / np.cosh(0.8 * (x - length / 2)), 1.0 + 0.3 * np.cos(2 * np.pi * x / length)
+
+
 def test_miura_map_grid():
     n = 128
     assert np.allclose(miura_map(np.zeros(n), 10.0), 0.0)
     r = 0.3
     assert np.allclose(miura_map(r * np.ones(n), 10.0), -2 * r * r)
+    sech, wave = _map_data()
+    for R in (sech, wave):
+        assert np.max(np.abs(miura_map(R, 40.0) - _miura_oracle(R, 40.0))) < 1e-14
 
 
 def test_ckdv_to_mkdv_grid():
@@ -328,6 +360,16 @@ def test_ckdv_to_mkdv_grid():
     x = 10.0 * np.arange(n) / n
     with pytest.raises(SingularityError):
         ckdv_to_mkdv(np.cos(2 * np.pi * x / 10.0), 10.0)
+    sech, wave = _map_data()
+    for w in (1.0 + sech, wave):
+        assert np.max(np.abs(ckdv_to_mkdv(w, 40.0) - _ckdv_oracle(w, 40.0))) < 1e-14
+
+
+def test_ckdv_to_mkdv_floor():
+    w = np.full(16, 1e-8)
+    with pytest.raises(SingularityError, match="floor 1.0e-08"):
+        ckdv_to_mkdv(w, 10.0)
+    assert np.allclose(ckdv_to_mkdv(2 * w, 10.0), -w, rtol=1e-12, atol=0.0)
 
 
 # --- zero curvature and reconstruction -------------------------------------------
