@@ -36,9 +36,9 @@ for nm in ("H0", "H1"):
     note = "(below one rounding ulp)" if drift == 0.0 else ""
     print(f"  {nm}: initial {vals[0]:.8f}, max drift {drift:.2e} {note}")
 
-# Data dipping toward zero trips the positivity guard instead of feeding
-# NaNs into the spectral transforms; the oversized inverse powers also
-# draw a step-size advisory first.
+# Data dipping toward zero trips the positivity guard before any step, and
+# before the step-size advisory, which would raise the field to negative
+# powers; so no advisory is issued for such data.
 bad = FieldState(0.0, length, n,
                  {"T": 0.05 + 0.1 * np.cos(2 * np.pi * x / length),
                   "c": np.zeros(n)})
@@ -48,5 +48,4 @@ with warnings.catch_warnings(record=True) as caught:
         evolve(bad, hd, t_end=0.5, dt=2e-3)
     except SolverError as exc:
         print("\nguard tripped as expected:", exc)
-for w in caught[:1]:
-    print("advisory issued first:    ", w.message)
+print("warnings issued first:", len(caught))

@@ -361,13 +361,13 @@ class _Stepper:
     def _check_guards(self, grids, t):
         for sym in self.positive:
             m = float(np.min(grids[sym, 0]))
-            if m <= _FLOOR:
+            if not m > _FLOOR:  # NaN fails this test too
                 raise SingularityError(
                     f"field {sym!r} reached {m:.3e} <= positivity floor "
                     f"{_FLOOR:.1e} at t = {t:.6g}")
         for sym in self.nonzero:
             m = float(np.min(np.abs(grids[sym, 0])))
-            if m <= _FLOOR:
+            if not m > _FLOOR:  # NaN fails this test too
                 raise SingularityError(
                     f"|{sym}| reached {m:.3e} <= nonvanishing floor "
                     f"{_FLOOR:.1e} at t = {t:.6g}")
@@ -443,6 +443,8 @@ def evolve(state, system, t_end, dt, record_every=1, diagnostics=()):
         raise ValueError(f"diagnostic {twice[0]!r} is given more than once")
     compiled = [_density_terms(d) for d in diagnostics]
     stepper = _Stepper(system, state.L, state.N, dt)
+    # the advisory raises |field| to negative powers, so the guards go first
+    stepper._check_guards({(f, 0): state.fields[f] for f in stepper.fields}, state.t)
     stepper.cfl_advisory(state)
 
     states = [state]

@@ -21,8 +21,12 @@ from brstkdv.graded import (
     odd_gradient,
     parameter,
     reduce_on_shell,
+    s_add,
+    s_div,
+    s_mul,
     substitute_family,
     t_prolong,
+    to_string,
     total_x_derivative,
 )
 from brstkdv.reductions import (
@@ -126,6 +130,87 @@ def test_upsilon_entries():
     sys_ = build_system("upsilon")
     assert sys_.rhs["u"] is None
     assert sys_.evolving_fields() == ("T",)
+
+
+# --- the derived families against the formulas they replaced ---------------
+# Before the catalog gauge-fixed both families from the slice equation, each
+# flow, ghost flow and delta u was typed in; those formulas are the oracle.
+
+_T_LAW = P("1/2*c_xxx + T_x*c + 2*T*c_x")
+_C_LAW = P("c*c_x")
+
+
+def _t_family_oracle(beta, s):
+    odd = frozenset({"c"})
+    Tb = GradedPoly.gen("T", 0, beta, odd_syms=odd)
+    half_s = s_div(s, 2)
+    big = s_mul(s, s_add(s_mul(2, beta), 1))  # (2 beta + 1) s
+    d3 = total_x_derivative(total_x_derivative(total_x_derivative(Tb)))
+    Tbm1 = GradedPoly.gen("T", 0, s_add(beta, -1), odd_syms=odd)
+    rhs = {
+        "T": half_s * d3 + big * (Tb * GradedPoly.gen("T", 1)),
+        "c": s_mul(half_s, beta) * (Tbm1 * GradedPoly.gen("c", 3, odd_syms=odd))
+        + big * (Tb * GradedPoly.gen("c", 1, odd_syms=odd)),
+    }
+    return rhs, {"T": _T_LAW, "c": _C_LAW}
+
+
+def _u_family_oracle(alpha, s):
+    odd = frozenset({"c"})
+    u, ux, u3 = (GradedPoly.gen("u", k) for k in (0, 1, 3))
+    c, cx, c3 = (GradedPoly.gen("c", k, odd_syms=odd) for k in (0, 1, 3))
+    adv = s_div(s_add(alpha, 2), alpha)
+    disp = s_div(s, s_mul(2, alpha))
+    two_over = s_div(2, alpha)
+    upow = GradedPoly.gen("u", 0, s_add(1, -alpha), odd_syms=odd)
+    rhs = {
+        "u": adv * (u * ux) + disp * (upow * u3),
+        "c": disp * (upow * c3) + s_add(two_over, 1) * (u * cx),
+    }
+    delta_u = disp * (upow * c3) + c * ux + two_over * (u * cx)
+    return rhs, {"u": delta_u, "c": _C_LAW}
+
+
+def _upsilon_oracle():
+    rhs = {"u": None, "T": parse("1/2*u_xxx + 2*u_x*T + u*T_x"), "c": None}
+    return rhs, {"u": P("c_t - u*c_x + u_x*c"), "T": _T_LAW, "c": _C_LAW}
+
+
+_S, _BETA = parameter("s"), parameter("beta")
+_DERIVED = [
+    ("kdv", {"alpha": 1, "s": 2}, "kdv-1-2"),
+    ("kdv", {"alpha": -2, "s": 1}, "kdv-(-2)-1"),
+    ("kdv", {"alpha": Fraction(3, 2), "s": 2}, "kdv-3/2-2"),
+    ("kdv", {"alpha": 3, "s": _S}, "kdv-3-s"),
+    ("kdv", {"alpha": 1, "s": _S}, "kdv-1-s"),
+    ("t-form", {"beta": 1, "s": 2}, "t-form-1-2"),
+    ("t-form", {"beta": Fraction(1, 2), "s": 1}, "t-form-1/2-1"),
+    ("t-form", {"beta": _BETA, "s": _S}, "t-form-beta-s"),
+    ("t-form", {"beta": Fraction(-3, 2), "s": _S}, "t-form-(-3/2)-s"),
+    ("harry-dym", {}, "harry-dym"),
+    ("upsilon", {}, "upsilon"),
+]
+_ORACLES = {
+    "kdv": _u_family_oracle,
+    "t-form": _t_family_oracle,
+    "harry-dym": lambda: _t_family_oracle(Fraction(1, 2), 1),
+    "upsilon": _upsilon_oracle,
+}
+
+
+@pytest.mark.parametrize("name, params", [d[:2] for d in _DERIVED],
+                         ids=[d[2] for d in _DERIVED])
+def test_derived_family_matches_the_typed_formulas(name, params):
+    sys_ = build_system(name, **params)
+    rhs, base = _ORACLES[name](**params)
+    for got, want in ((sys_.rhs, rhs), (sys_.brst.base, base)):
+        assert set(got) == set(want)
+        for f, w in want.items():
+            if w is None:
+                assert got[f] is None
+            else:
+                assert got[f] == w
+                assert to_string(got[f]) == to_string(w)
 
 
 def test_build_system_validation():
@@ -370,6 +455,13 @@ def test_ckdv_to_mkdv_floor():
     with pytest.raises(SingularityError, match="floor 1.0e-08"):
         ckdv_to_mkdv(w, 10.0)
     assert np.allclose(ckdv_to_mkdv(2 * w, 10.0), -w, rtol=1e-12, atol=0.0)
+
+
+def test_ckdv_to_mkdv_floor_catches_nan():
+    w = np.ones(16)
+    w[3] = np.nan
+    with pytest.raises(SingularityError, match="nan"):
+        ckdv_to_mkdv(w, 10.0)
 
 
 # --- zero curvature and reconstruction -------------------------------------------

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brstkdv import parse
 from brstkdv.graded import GradedPoly
@@ -431,6 +433,56 @@ def test_cfl_advisory_for_variable_dispersion():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         evolve(st, hd, 0.01, 2e-3)  # inside the stability region: no advisory
+
+
+def test_guard_violation_raises_before_the_advisory():
+    # the advisory raises |T| to negative powers: T = 0 would divide by zero
+    # and sign-changing T would draw a huge step-size warning first
+    hd = build_system("harry-dym")
+    n = 64
+    x = grid(20.0, n)
+    for T in (np.zeros(n), 0.1 * np.cos(2 * np.pi * x / 20.0)):
+        state = FieldState(0.0, 20.0, n, {"T": T, "c": np.zeros(n)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularityError, match="at t = 0"):
+                evolve(state, hd, 0.01, 1e-3)
+
+
+@pytest.mark.parametrize("name, sym", [("harry-dym", "T"), ("ckdv", "w")])
+def test_guards_trip_on_nan(name, sym):
+    stepper = _Stepper(build_system(name), 10.0, 16, 1e-3)
+    g = np.ones(16)
+    g[3] = np.nan
+    with pytest.raises(SingularityError, match="nan"):
+        stepper._check_guards({(sym, 0): g}, 0.0)
+
+
+_RUNNABLE = {name: build_system(name) for name in ("kdv", "mkdv", "ckdv", "harry-dym")}
+_AMPLITUDE = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(sorted(_RUNNABLE)), st.sampled_from([16, 32, 64]),
+       _AMPLITUDE, _AMPLITUDE, _AMPLITUDE, st.floats(1e-4, 0.05), st.integers(1, 20))
+def test_evolve_records_to_t_end_or_raises_a_library_error(name, n, a, b, c, dt, steps):
+    system = _RUNNABLE[name]
+    x = grid(20.0, n)
+    kx = 2 * np.pi * x / 20.0
+    even, ghost = system.even_fields[0], system.odd_fields[0]
+    state = FieldState(0.0, 20.0, n, {even: a + b * np.cos(kx) + c * np.sin(kx),
+                                      ghost: np.sin(kx)})
+    t_end = steps * dt
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", message=".*stability bound", category=UserWarning)
+        try:
+            traj = evolve(state, system, t_end, dt, record_every=3)
+        except (solver.SolverError, ValueError):
+            return
+    times = traj.times
+    assert all(t1 > t0 for t0, t1 in zip(times, times[1:]))
+    assert times[-1] == t_end
 
 
 def test_harry_dym_run_conserves_fractional_density():
