@@ -5,30 +5,25 @@ domain [0, L)); derivatives are the multipliers (ik)^order, with the
 unpaired Nyquist mode dropped for odd orders.  The stepper holds the
 spectra of all evolving fields as the rows of one (F, N/2+1) array, so each
 RK stage is one array expression.  The right-hand sides are compiled once
-into an evaluation plan that reads all (field, order) grids in one irfft,
-filters all powers in one rfft/irfft round trip, filters each product by
-the 2/3 rule as it is formed, and sums the terms in spectral space.
-Quadrature of conserved densities, the step-size advisory and
-:func:`evaluate` share one unfiltered pointwise evaluator on physical
-grids; :func:`evaluate` is what the CLI's initial data and the modified-flow
-residual of ``verify.check_miura_chain`` call.
-Time stepping is classical RK4 composed with an exact
-integrating factor for the constant-coefficient dispersive part of each
-field (a term a*f_xxx with constant a is detected in the right-hand side
-and propagated exactly per mode), which removes the k^3 stiffness; systems
-whose dispersion has a variable coefficient (e.g. the T^(-1/2) T_xxx term
-of the Harry Dym flow) fall back to plain RK4 on the full right-hand side
-and are subject to the usual third-order CFL restriction, for which a
-warning is emitted when dt looks too large.
+into a plan that runs each stage as stacked passes: one irfft for all
+grids, one 2/3-rule filter round trip for all powers and one per product
+level, and one rfft for all terms; a kdv/mkdv/ckdv/Harry Dym step makes
+8/16/24/24 FFT calls.  Every stage checks the positivity guards.
+Quadrature, the step-size advisory and :func:`evaluate` share one
+unfiltered pointwise evaluator on physical grids.
+Time stepping is RK4 with an exact integrating factor for each field's
+constant-coefficient a*f_xxx term, which removes the k^3 stiffness; a
+variable-coefficient dispersion (Harry Dym's T^(-1/2) T_xxx) stays in the
+right-hand side, and a warning is emitted when dt breaks its CFL limit.
 
-The ghost field is odd, but every ghost evolution equation in scope is
-linear in the ghost and every density is at most linear in it, so a single
-real coefficient array per odd field is a faithful representation: the
-odd generator is factored out and the coefficient function is evolved.
+Every ghost evolution equation and density in scope is at most linear in
+the odd ghost, so the odd generator is factored out and one real
+coefficient array per odd field is evolved.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import warnings
@@ -45,7 +40,6 @@ __all__ = [
     "FieldState",
     "Trajectory",
     "spectral_derivative",
-    "dealias",
     "step",
     "evolve",
     "evaluate",
@@ -102,13 +96,6 @@ def _dealias_mask(n):
     return np.arange(n // 2 + 1) <= n // 3
 
 
-def dealias(f):
-    """Project onto the lowest third of the spectrum (2/3 rule)."""
-    f = np.asarray(f, dtype=float)
-    n = f.shape[-1]
-    return np.fft.irfft(np.fft.rfft(f) * _dealias_mask(n), n)
-
-
 @dataclass(frozen=True)
 class FieldState:
     """Grid samples of all fields at one time."""
@@ -134,13 +121,8 @@ class FieldState:
     def x(self):
         return self.L * np.arange(self.N) / self.N
 
-    def replace(self, t=None, fields=None):
-        return FieldState(
-            t=self.t if t is None else t,
-            L=self.L,
-            N=self.N,
-            fields=self.fields if fields is None else fields,
-        )
+    def replace(self, **changes):
+        return dataclasses.replace(self, **changes)
 
 
 @dataclass
@@ -250,67 +232,90 @@ def _pointwise(terms, grids, n):
     for coeff, fs in terms:
         acc = 1.0
         for s, o, e in fs:
-            acc = acc * (grids[s, o] if e == 1.0 else np.power(grids[s, o], e))
+            acc = acc * _raise(grids[s, o], e)
         out += coeff * acc
     return out
 
 
-def _is_lone(factors):
-    return len(factors) == 1 and factors[0][2] == 1.0
+def _raise(g, e):
+    """g**e, a small nonzero integer e by products (libm's pow is slow on g < 0)."""
+    if e != int(e) or not 0 < abs(e) <= 8:
+        return np.power(g, e)
+    p = g
+    for _ in range(abs(int(e)) - 1):
+        p = p * g
+    return 1.0 / p if e < 0 else p
 
 
 class _Plan:
     """Compiled right-hand sides, evaluated from rfft data with the 2/3 rule.
 
-    The spectral state is one (F, N/2+1) array with a row per field.  Each
-    evaluation reads every (field, order) grid in one irfft and filters
-    every power other than 1 in one rfft/irfft round trip.  Products are
-    filtered as they are formed, and each right-hand side's terms are summed
-    in spectral space into its output row; a lone linear factor adds
-    hat * (ik)^order with no FFT.
+    An evaluation is a fixed sequence of stacked passes over index tables
+    built here: one irfft reads every (field, order) grid; one round trip
+    filters every power other than 1; product level j multiplies each term
+    with more than j factors by its factor j, and one round trip filters
+    those that go on past level j; one rfft takes all terms to spectral
+    space to be masked, scaled and added to their rows.  A lone linear
+    factor adds coeff * hat * (ik)^order and a constant adds to the mean
+    mode, with no FFT.
     """
 
     def __init__(self, fields, terms, n, length):
         self.terms = terms
         self.n = n
         self.mask = _dealias_mask(n)
-        self.row = {f: i for i, f in enumerate(fields)}
-        formed = [fs for ts in terms for _, fs in ts if not _is_lone(fs)]
-        self.reads = sorted({(s, o) for fs in formed for s, o, _ in fs})
+        every = [(r, c, fs) for r, ts in enumerate(terms) for c, fs in ts]
+        lone = [k for k, (_, _, fs) in enumerate(every) if len(fs) == 1 and fs[0][2] == 1.0]
+        # the products, longest first, so the terms that reach a level are a prefix
+        order = sorted((k for k, t in enumerate(every) if t[2] and k not in lone),
+                       key=lambda k: -len(every[k][2]))
+        formed = [every[k][2] for k in order]
+        self.reads = sorted({x[:2] for fs in formed for x in fs})
         self.powers = sorted({x for fs in formed for x in fs if x[2] != 1.0})
-        orders = {o for ts in terms for _, fs in ts for _, o, _ in fs}
-        self.mult = {o: _multiplier(n, length, o) for o in orders if o}
+        mult = {o: _multiplier(n, length, o) for _, _, fs in every for _, o, _ in fs}
+        self.read_rows = np.array([fields.index(s) for s, _ in self.reads], dtype=int)
+        self.read_mult = np.array([mult[o] for _, o in self.reads]).reshape(-1, n // 2 + 1)
+        slot = {x: i for i, x in enumerate(self.reads + self.powers)}
+        self.raise_from = [(slot[x[:2]], x[2]) for x in self.powers]
+        index = [[slot[x[:2] if x[2] == 1.0 else x] for x in fs] for fs in formed]
+        self.first = np.array([ix[0] for ix in index], dtype=int)
+        # per level j: factor j of the terms that reach it, how many go on past
+        self.levels = [(np.array([ix[j] for ix in index if len(ix) > j]),
+                        sum(len(ix) > j + 1 for ix in index))
+                       for j in range(1, max(map(len, index), default=1))]
+        self.scale = np.array([every[k][1] for k in order])[:, None] * self.mask
+        # (row, term) pairs, so each row adds its terms in the order given
+        self.adds = [(every[k][0], order.index(k)) for k in sorted(order)]
+        self.lone = [(r, c, fields.index(fs[0][0]), mult[fs[0][1]])
+                     for r, c, fs in map(every.__getitem__, lone)]
+        self.const = [(r, c) for r, c, fs in every if not fs]
 
     def _filter(self, a):
         return np.fft.irfft(np.fft.rfft(a) * self.mask, self.n)
 
-    def _spectrum(self, hats, s, o):
-        return hats[self.row[s]] * self.mult[o] if o else hats[self.row[s]]
-
     def grids(self, hats):
-        """Physical values of the (field, order) grids the plan reads."""
-        spectra = [self._spectrum(hats, s, o) for s, o in self.reads]
-        return dict(zip(self.reads, np.fft.irfft(np.stack(spectra), self.n))) if spectra else {}
+        """The (field, order) grids the plan reads, one row each in reads order."""
+        return np.fft.irfft(hats[self.read_rows] * self.read_mult, self.n)
 
     def __call__(self, hats, grids):
         """The rfft of every compiled right-hand side, one row per field."""
-        vals = dict(grids)
+        vals = grids
         if self.powers:
-            raised = np.stack([np.power(grids[s, o], e) for s, o, e in self.powers])
-            vals.update(zip(self.powers, self._filter(raised)))
+            raised = np.stack([_raise(grids[i], e) for i, e in self.raise_from])
+            vals = np.concatenate((grids, self._filter(raised)))
+        acc = vals[self.first]
+        for idx, keep in self.levels:
+            acc[:len(idx)] *= vals[idx]
+            if keep:
+                acc[:keep] = self._filter(acc[:keep])
+        spec = np.fft.rfft(acc) * self.scale
         out = np.zeros((len(self.terms), self.n // 2 + 1), dtype=complex)
-        for spec, terms in zip(out, self.terms):
-            for coeff, fs in terms:
-                if _is_lone(fs):
-                    spec += coeff * self._spectrum(hats, *fs[0][:2])
-                    continue
-                factors = [vals[x[:2] if x[2] == 1.0 else x] for x in fs] or [np.ones(self.n)]
-                acc = factors[0]
-                for f in factors[1:-1]:
-                    acc = self._filter(acc * f)
-                if len(factors) > 1:
-                    acc = acc * factors[-1]
-                spec += coeff * (np.fft.rfft(acc) * self.mask)
+        for r, i in self.adds:
+            out[r] += spec[i]
+        for r, c, i, m in self.lone:
+            out[r] += c * hats[i] * m
+        for r, c in self.const:
+            out[r, 0] += c * self.n
         return out
 
 
@@ -343,10 +348,11 @@ class _Stepper:
             linear.append(sum(c for c, fs in compiled if fs == disp))
             terms.append(tuple(t for t in compiled if t[1] != disp))
         self.plan = _Plan(self.fields, terms, n, length)
-        # preconditions implied by the exponents of undifferentiated powers
-        powers = [(s, e) for s, o, e in self.plan.powers if not o]
-        self.positive = {s for s, e in powers if e != int(e)}
-        self.nonzero = {s for s, e in powers if e == int(e) and e < 0}
+        # an undifferentiated fractional power needs a positive base and a
+        # negative one a nonzero base: field -> (grid row, must be positive)
+        frac = {s for s, o, e in self.plan.powers if not o and e != int(e)}
+        self.guarded = {s: (self.plan.reads.index((s, 0)), s in frac)
+                        for s, o, e in self.plan.powers if not o and (e < 0 or s in frac)}
 
         lam = np.outer(linear, _multiplier(n, length, 3))
         self.E, self.E2 = np.exp(dt * lam), np.exp(0.5 * dt * lam)
@@ -359,35 +365,31 @@ class _Stepper:
         return {**state.fields, **dict(zip(self.fields, np.fft.irfft(hats, self.n)))}
 
     def _check_guards(self, grids, t):
-        for sym in self.positive:
-            m = float(np.min(grids[sym, 0]))
+        """Raise SingularityError if a guarded field in ``grids`` (keyed by
+        symbol) is not above the floor at time t."""
+        for sym, (_, positive) in self.guarded.items():
+            m = float(np.min(grids[sym] if positive else np.abs(grids[sym])))
             if not m > _FLOOR:  # NaN fails this test too
+                what, kind = ((f"field {sym!r}", "positivity") if positive
+                              else (f"|{sym}|", "nonvanishing"))
                 raise SingularityError(
-                    f"field {sym!r} reached {m:.3e} <= positivity floor "
-                    f"{_FLOOR:.1e} at t = {t:.6g}")
-        for sym in self.nonzero:
-            m = float(np.min(np.abs(grids[sym, 0])))
-            if not m > _FLOOR:  # NaN fails this test too
-                raise SingularityError(
-                    f"|{sym}| reached {m:.3e} <= nonvanishing floor "
-                    f"{_FLOOR:.1e} at t = {t:.6g}")
+                    f"{what} reached {m:.3e} <= {kind} floor {_FLOOR:.1e} at t = {t:.6g}")
 
-    def nonlinear_hat(self, hats, t, check=False):
+    def nonlinear_hat(self, hats, t):
         grids = self.plan.grids(hats)
-        if check:
-            self._check_guards(grids, t)
+        self._check_guards({s: grids[i] for s, (i, _) in self.guarded.items()}, t)
         return self.plan(hats, grids)
 
     def advance(self, hats, t):
         """One integrating-factor RK4 step in spectral space.
 
-        Guards run on the first stage only; if the state degenerates inside
-        a step the resulting non-finite values are caught by the caller, so
-        numpy's intermediate invalid-value warnings are suppressed here.
+        Every stage checks the guards on its own grids and raises
+        SingularityError at its own time; other non-finite values are caught
+        by the caller, so numpy's invalid-value warnings are suppressed.
         """
         dt, E, E2 = self.dt, self.E, self.E2
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            a = self.nonlinear_hat(hats, t, check=True)
+            a = self.nonlinear_hat(hats, t)
             b = self.nonlinear_hat(E2 * (hats + 0.5 * dt * a), t + 0.5 * dt)
             c = self.nonlinear_hat(E2 * hats + 0.5 * dt * b, t + 0.5 * dt)
             d = self.nonlinear_hat(E * hats + dt * E2 * c, t + dt)
@@ -444,7 +446,7 @@ def evolve(state, system, t_end, dt, record_every=1, diagnostics=()):
     compiled = [_density_terms(d) for d in diagnostics]
     stepper = _Stepper(system, state.L, state.N, dt)
     # the advisory raises |field| to negative powers, so the guards go first
-    stepper._check_guards({(f, 0): state.fields[f] for f in stepper.fields}, state.t)
+    stepper._check_guards(state.fields, state.t)
     stepper.cfl_advisory(state)
 
     states = [state]
@@ -518,15 +520,10 @@ def soliton_initial(k, x0, system, length=40.0, n=512, ghost="gradient"):
     name = system if isinstance(system, str) else system.name
     if name not in ("kdv", "mkdv"):
         raise ValueError(f"soliton data is defined for kdv/mkdv, not {name!r}")
-    x = length * np.arange(n) / n
-    z = x - x0
+    z = length * np.arange(n) / n - x0
     if name == "kdv":
-        sym = "u"
-        f = 4.0 * k * k / np.cosh(k * z) ** 2 if k else np.zeros(n)
-    else:
-        sym = "R"
-        f = k / np.cosh(k * z) if k else np.zeros(n)
-    return initial_state(sym, f, length, ghost)
+        return initial_state("u", 4.0 * k * k / np.cosh(k * z) ** 2, length, ghost)
+    return initial_state("R", k / np.cosh(k * z), length, ghost)
 
 
 def initial_state(sym, f, length, ghost="gradient"):

@@ -4,6 +4,7 @@ guards, and trajectory export."""
 import json
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from brstkdv.solver import (
     FieldState,
     SingularityError,
     Trajectory,
-    dealias,
     evaluate,
     evaluate_functional,
     evolve,
@@ -94,7 +94,9 @@ def test_derivative_validation():
 
 
 def test_dealias_projects_high_modes():
+    # the 2/3-rule filter every plan applies to powers and products
     length, n = 10.0, 128
+    dealias = solver._Plan(("u",), ((),), n, length)._filter
     x = grid(length, n)
     low = np.cos(2 * np.pi * 5 * x / length)
     high = np.cos(2 * np.pi * (n // 3 + 4) * x / length)
@@ -411,6 +413,21 @@ def test_positivity_guard_fires():
         step(st, hd, 1e-4)
 
 
+def test_guards_run_on_every_rk_stage():
+    # min T = 1e-3 clears the floor at t = 0, but the half-step stages take T
+    # below zero; guarded on the first stage only, T^(1/2) went NaN there and
+    # the step was reported as a blow-up
+    hd = build_system("harry-dym")
+    n = 128
+    x = grid(20.0, n)
+    T = 1.0 + 0.999 * np.cos(2 * np.pi * x / 20.0)
+    st = FieldState(0.0, 20.0, n, {"T": T, "c": np.zeros(n)})
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*stability bound", category=UserWarning)
+        with pytest.raises(SingularityError, match=r"positivity floor .* at t = 0\.0005"):
+            evolve(st, hd, 1e-3, 1e-3)
+
+
 def test_nonvanishing_guard_fires():
     ck = build_system("ckdv")
     n = 128
@@ -428,7 +445,8 @@ def test_cfl_advisory_for_variable_dispersion():
     T = 1.0 + 0.1 * np.cos(2 * np.pi * x / 20.0)
     st = FieldState(0.0, 20.0, n, {"T": T, "c": np.zeros(n)})
     with pytest.warns(UserWarning, match="stability"):
-        with pytest.raises(BlowUpError):
+        # the unstable modes drive a stage's T below zero
+        with pytest.raises(SingularityError, match="positivity floor"):
             evolve(st, hd, 0.5, 0.05)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -455,7 +473,7 @@ def test_guards_trip_on_nan(name, sym):
     g = np.ones(16)
     g[3] = np.nan
     with pytest.raises(SingularityError, match="nan"):
-        stepper._check_guards({(sym, 0): g}, 0.0)
+        stepper._check_guards({sym: g}, 0.0)
 
 
 _RUNNABLE = {name: build_system(name) for name in ("kdv", "mkdv", "ckdv", "harry-dym")}
@@ -538,27 +556,44 @@ def _reference_nonlinear_hat(system, state):
             factors += [(sym, order, 1.0) for sym, order in odd]
             if factors == [(f, 3, 1.0)]:
                 continue
-            acc = None
-            for sym, order, e in factors:
+            acc = 1.0
+            for i, (sym, order, e) in enumerate(factors):
                 g = grid(sym, order) if e == 1.0 else filt(grid(sym, order) ** e)
-                acc = g if acc is None else filt(acc * g)
+                acc = g if i == 0 else filt(acc * g)
             val += float(coeff) * acc
         out[f] = np.fft.rfft(val)
     return out
 
 
-@pytest.mark.parametrize("name", ["kdv", "mkdv", "ckdv", "harry-dym"])
-def test_plan_matches_physical_space_evaluator(name):
+# no catalog plan has a lone linear term, a constant or more than three
+# factors: a lone c_x, a constant 1/3, four-factor products (two filtered
+# levels) and rows that mix one, two and four factors
+_STUB = SimpleNamespace(
+    name="stub", even_fields=["u"], odd_fields=["c"],
+    rhs={"u": P("1/3 + 2*u*u_x - u^2*u_x*u_xx*u_xxx + 1/2*u_x^3*u_xx - u_xxx"),
+         "c": P("c_x - u^2*u_x*u_xx*c_x + 3*u*c_xx")},
+    evolving_fields=lambda: ("u", "c"))
+
+
+@pytest.mark.parametrize("system", [
+    pytest.param(build_system("kdv"), id="kdv"),
+    pytest.param(build_system("mkdv"), id="mkdv"),
+    pytest.param(build_system("ckdv"), id="ckdv"),
+    pytest.param(build_system("harry-dym"), id="harry-dym"),
+    pytest.param(build_system("kdv", alpha=2), id="kdv-alpha=2"),
+    pytest.param(build_system("kdv", alpha=-2), id="kdv-alpha=-2"),
+    pytest.param(_STUB, id="stub"),
+])
+def test_plan_matches_physical_space_evaluator(system):
     # band-limited data whose mode 25 puts products above the N/3 cutoff,
     # so the filtering order matters
-    system = build_system(name)
     n, length = 128, 20.0
     z = 2 * np.pi * grid(length, n) / length
     f = 1.0 + 0.3 * np.cos(z) + 0.2 * np.sin(2 * z) + 0.05 * np.cos(25 * z)
     c = 0.5 * np.sin(z) + 0.1 * np.cos(3 * z) + 0.05 * np.sin(25 * z)
     st = FieldState(0.0, length, n, {system.even_fields[0]: f, "c": c})
     stepper = _Stepper(system, length, n, 1e-3)
-    got = dict(zip(stepper.fields, stepper.nonlinear_hat(stepper.to_hats(st), 0.0, check=True)))
+    got = dict(zip(stepper.fields, stepper.nonlinear_hat(stepper.to_hats(st), 0.0)))
     want = _reference_nonlinear_hat(system, st)
     assert set(got) == set(want)
     for sym in want:
@@ -584,21 +619,25 @@ def _ffts_per_step(monkeypatch, system, state):
     return len(calls)
 
 
-def test_kdv_step_fft_count(monkeypatch):
-    # per RK stage: one irfft for the grids u, u_x and c_x, and one rfft for
-    # each of the products u*u_x and u*c_x; the dispersion never reaches the
-    # grid and kdv has no powers to filter
-    st = soliton_initial(0.5, 20.0, "kdv", 40.0, 128)
-    assert 0 < _ffts_per_step(monkeypatch, build_system("kdv"), st) <= 12
-
-
-def test_ckdv_step_fft_count(monkeypatch):
-    # per RK stage: one irfft for the grids, one rfft/irfft round trip for
-    # all five powers, then the product filters and one rfft per product term
+# per RK stage: one irfft reads every (field, order) grid, one rfft/irfft
+# round trip filters all powers, one round trip per product level filters
+# the terms that go on past it, and one rfft takes every term to spectral
+# space; the constant-coefficient dispersion never reaches the grid
+#   kdv:       grids | no powers | u*u_x, u*c_x end at level 1 | rfft = 2
+#   mkdv:      grids | R^2 | three two-factor terms | rfft = 4
+#   ckdv:      grids | w^-2, w^-1, w^2, w_x^2, w_x^3 | three three-factor
+#              terms filtered at level 1 | rfft = 6
+#   harry-dym: grids | T^-2.5, T^-1.5, T^-0.5, T^0.5, T_x^3 | T^-1.5*T_x
+#              filtered at level 1 | rfft = 6
+@pytest.mark.parametrize("name, ceiling", [
+    pytest.param(name, ceiling, id=name)
+    for name, ceiling in [("kdv", 8), ("mkdv", 16), ("ckdv", 24), ("harry-dym", 24)]])
+def test_step_fft_count(monkeypatch, name, ceiling):
+    system = build_system(name)
     n = 128
-    w = 1.0 + 0.3 * np.cos(2 * np.pi * grid(40.0, n) / 40.0)
-    st = FieldState(0.0, 40.0, n, {"w": w, "c": np.zeros(n)})
-    assert 0 < _ffts_per_step(monkeypatch, build_system("ckdv"), st) <= 60
+    f = 1.0 + 0.3 * np.cos(2 * np.pi * grid(40.0, n) / 40.0)
+    st = FieldState(0.0, 40.0, n, {system.even_fields[0]: f, "c": np.zeros(n)})
+    assert 0 < _ffts_per_step(monkeypatch, system, st) <= ceiling
 
 
 def test_symbolic_family_parameter_fails_loudly():
