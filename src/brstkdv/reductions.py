@@ -1,44 +1,46 @@
 """Catalog of gauge-fixed integrable systems with their odd symmetries.
 
-Partially gauge-fixing the sl(2,R) zero-curvature equation on the slice
-R = 0, S = 1 (in the component variables P, Q, R, S, T, u of the
-connection) leaves one residual equation
+Every system comes from the sl(2,R) zero-curvature equation
+F = d_t A1 - d_x A0 + [A0, A1] = 0 and its odd symmetry delta A = Dc =
+dc + [A, c], delta c = -1/2 [c, c].  Each gauge slice is stated once
+(``slice_connection``) as component triples in the basis E0 = T0,
+E+- = sqrt2 T+-, where the structure constants are integers; slice A is
 
-    Upsilon = T_t - 1/2 u_xxx - 2 u_x T - u T_x = 0,
+    A1 = (0, 1, -T),  A0 = (u_x, u, -1/2 u_xx - u T),
+    ghost triple C = (c_x, c, -1/2 c_xx - T c).
 
-and the residual odd symmetry acts through a single ghost c, with the laws
-of ``upsilon_rules()``.  Both parameter families are gauge-fixed from this
-one equation rather than typed in:
+The rest is computed with the sl(2) bracket, not typed in.  F^0 and F^+
+vanish and Upsilon = -F^- = T_t - 1/2 u_xxx - 2 u_x T - u T_x is the
+residual equation (``upsilon_poly``).  The laws of ``upsilon_rules()``
+are components of the symmetry: the T law -(d_x C + [A1, C])^-, the u law
+(d_t C + [A0, C])^+ = c_t - u c_x + u_x c, and the ghost law
+delta c = c c_x = -1/2 [C, C]^+, which every catalog system shares.  Both
+parameter families are gauge-fixed from Upsilon, each ghost flow solved
+from the u law:
 
-- the t-form gauge u = s T^beta substitutes into Upsilon and gives
-  T_t = (s/2) d^3/dx^3 (T^beta) + (2 beta + 1) s T^beta T_x, with beta=1,
-  s=2 the KdV equation and beta=1/2, s=1 a Harry Dym-type equation;
+- the t-form gauge u = s T^beta gives T_t = (s/2) d^3/dx^3 (T^beta) +
+  (2 beta + 1) s T^beta T_x: KdV at beta=1, s=2 and a Harry Dym-type
+  equation at beta=1/2, s=1;
 - the u-form gauge s T = u^alpha gives u_t = ((alpha+2)/alpha) u u_x +
   (s/(2 alpha)) u^(1-alpha) u_xxx, and delta u from the T law likewise.
 
-In both, the ghost flow is solved from the u law delta u = c_t - u c_x +
-u_x c.  A second gauge slice (A1+ = sqrt(2), A1- = 0) yields mKdV in R;
-the Miura map u = 2(R_x - R^2) sends its solutions to KdV solutions, and
-composing with R = v + w, w_x - 2vw - w^2 = 0 yields the CKdV equation in
-w.  The mkdv and ckdv flows and ghost flows are stated here, not derived,
-so that the tests can check them against the maps independently.
+Slice B, A1 = (2R, 1, 0) and A0 = (u_x + 2uR, u, 0) at the Miura map
+u = 2(R_x - R^2), is flat on the mKdV flow in R; composing with R = v + w,
+w_x - 2vw - w^2 = 0 yields the CKdV equation in w.  The mkdv and ckdv flows
+and ghost flows are stated, not derived, so that the tests can check them
+against the maps independently.  Eliminating v = (w_x - w^2)/(2w) gives
 
-Note on the CKdV right-hand side: eliminating v = (w_x - w^2)/(2w) from
-the mKdV flow gives
+    w_t = w_xxx - 1/2 d/dx (w^3 + 3 w_x^2 / w),
 
-    w_t = w_xxx - 1/2 d/dx (w^3 + 3 w_x^2 / w)
-        = w_xxx - 3/2 w^2 w_x - 3 w_x w_xx / w + 3/2 w_x^3 / w^2,
-
-i.e. the cubic terms enter under an overall x-derivative.  (Dropping that
-derivative would make constant data non-stationary and break the map back
-to mKdV; the identity 2 v_t = 2(v_xxx - 6 v^2 v_x) under this flow is an
-exact polynomial consequence, which the test suite checks.)
+with the cubic terms under an overall x-derivative: without it constant
+data would not be stationary and the map back to mKdV would break.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -52,12 +54,19 @@ from .graded import (
     parameter,
     s_is_zero,
     substitute_family,
+    t_prolong,
     to_string,
     total_x_derivative,
 )
 from .grammar import is_name, parse
-from .sl2 import ConnectionGrid
-from .solver import SingularityError, evaluate, spectral_derivative
+from .sl2 import (
+    E_WEIGHTS,
+    ConnectionGrid,
+    commutator_components,
+    curvature_residual,
+    rescaled_table,
+)
+from .solver import SingularityError, evaluate, evaluate_many, spectral_derivative
 
 __all__ = [
     "EvolutionSystem",
@@ -67,6 +76,8 @@ __all__ = [
     "SLICE_B",
     "build_system",
     "catalog_manifest",
+    "slice_connection",
+    "slice_curvature",
     "upsilon_poly",
     "upsilon_rules",
     "miura_substitution",
@@ -75,15 +86,18 @@ __all__ = [
     "ckdv_to_mkdv",
     "zero_curvature_components",
     "reconstruct_connection",
-    "ghost_multiplet",
-    # re-exported: bench/test_bench.py checks the tracer's rebinding of it here
-    "total_x_derivative",
 ]
 
 SYSTEM_NAMES = ("kdv", "harry-dym", "t-form", "mkdv", "ckdv", "upsilon")
 
-SLICE_A = "slice-A"  # R = 0, S = 1; state carries u and T
-SLICE_B = "slice-B"  # A1+ = sqrt(2), A1- = 0; state carries R
+SLICE_A = "slice-A"  # A1 = (0, 1, -T); state carries u and T
+SLICE_B = "slice-B"  # A1 = (2R, 1, 0); state carries R
+
+_ODD = frozenset({"c"})
+
+
+def _gen(sym, order=0, exp=1):
+    return GradedPoly.gen(sym, order, exp, odd_syms=_ODD)
 
 
 @dataclass(frozen=True)
@@ -157,34 +171,32 @@ def _coerce_param(v):
 
 def _slice_flow():
     """The T flow that the slice equation Upsilon = 0 states."""
-    return GradedPoly.gen(marker("T"), odd_syms=frozenset({"c"})) - upsilon_poly()
+    return _gen(marker("T")) - upsilon_poly()
 
 
 def _ghost_flow(u_law, u, delta_u):
     """c_t solved from the u law delta u = c_t + rest(u, c) at the gauge u."""
-    rest = u_law - GradedPoly.gen(marker("c"), odd_syms=u_law.odd_syms)
+    rest = u_law - _gen(marker("c"))
     return delta_u - substitute_family(rest, "u", u)
 
 
 def _t_family(beta, s, name="t-form"):
     """The gauge u = s T^beta, which leaves T and the ghost c."""
-    odd = frozenset({"c"})
     laws = upsilon_rules().base
-    Tb = GradedPoly.gen("T", 0, beta, odd_syms=odd)
+    Tb = _gen("T", 0, beta)
     u = s * Tb
     rules = DerivationRuleSet(name + "-brst", parity=1, base={"T": laws["T"], "c": laws["c"]})
     delta_u = apply_derivation(u, rules)
     densities = {
-        "H0": ConservedDensity("H0", GradedPoly.gen("T", odd_syms=odd), "classical"),
-        "H1": ConservedDensity("H1", GradedPoly.gen("T", 0, beta + 1, odd_syms=odd), "classical"),
+        "H0": ConservedDensity("H0", _gen("T"), "classical"),
+        "H1": ConservedDensity("H1", _gen("T", 0, beta + 1), "classical"),
         "Ht0": ConservedDensity("Ht0", parse("T*c_x", odd=("c",)), "brst-invariant"),
         "Ht1": ConservedDensity("Ht1", (beta + 1) * (Tb * laws["T"]), "brst-invariant"),
     }
     return EvolutionSystem(
         name=name,
         parameters={"beta": beta, "s": s},
-        even_fields=("T",),
-        odd_fields=("c",),
+        even_fields=("T",), odd_fields=("c",),
         rhs={"T": substitute_family(_slice_flow(), "u", u),
              "c": _ghost_flow(laws["u"], u, delta_u)},
         brst=rules,
@@ -196,17 +208,15 @@ def _u_family(alpha, s, name="kdv"):
     """The gauge s T = u^alpha, which leaves u and the ghost c."""
     if s_is_zero(alpha) or isinstance(alpha, ParamPoly):
         raise ValueError("alpha must be a nonzero number: the flow divides by alpha")
-    odd = frozenset({"c"})
     laws = upsilon_rules().base
-    u = GradedPoly.gen("u", odd_syms=odd)
-    ua = GradedPoly.gen("u", 0, alpha, odd_syms=odd)
-    lift = Fraction(1) / alpha * GradedPoly.gen("u", 0, 1 - alpha, odd_syms=odd)
+    u, ua = _gen("u"), _gen("u", 0, alpha)
+    lift = Fraction(1) / alpha * _gen("u", 0, 1 - alpha)
 
     def pull_back(p):
         # on the gauge, alpha u^(alpha-1) u_t = s T_t (and alike for delta),
         # with s p at T = u^alpha / s taken term by term: p is affine in the
         # T family, so no step divides by s
-        at_zero = substitute_family(p, "T", GradedPoly.zero(odd))
+        at_zero = substitute_family(p, "T", GradedPoly.zero(_ODD))
         return lift * (s * at_zero + substitute_family(p - at_zero, "T", ua))
 
     delta_u = pull_back(laws["T"])
@@ -224,15 +234,12 @@ def _u_family(alpha, s, name="kdv"):
             "H5": ("2/3*u_xx*c_xxx + 5/3*u^3*c_x + u^2*c_xxx"
                    " + 1/3*u_x^2*c_x - 4/3*u*u_xxx*c", "brst-invariant"),
         }
-        densities = {
-            k: ConservedDensity(k, parse(t, odd=("c",)), kind)
-            for k, (t, kind) in dens.items()
-        }
+        densities = {k: ConservedDensity(k, parse(t, odd=("c",)), kind)
+                     for k, (t, kind) in dens.items()}
     return EvolutionSystem(
         name=name,
         parameters={"alpha": alpha, "s": s},
-        even_fields=("u",),
-        odd_fields=("c",),
+        even_fields=("u",), odd_fields=("c",),
         rhs={"u": pull_back(_slice_flow()), "c": _ghost_flow(laws["u"], u, delta_u)},
         brst=rules,
         densities=densities,
@@ -251,10 +258,8 @@ def _mkdv():
         "H1": ConservedDensity("H1", parse("R^2"), "classical"),
     }
     return EvolutionSystem(
-        name="mkdv",
-        parameters={},
-        even_fields=("R",),
-        odd_fields=("c",),
+        name="mkdv", parameters={},
+        even_fields=("R",), odd_fields=("c",),
         rhs={
             "R": parse("R_xxx - 6*R^2*R_x"),
             "c": parse("c_xxx + 6*R_x*c_x - 6*R^2*c_x", odd=("c",)),
@@ -271,10 +276,8 @@ def _ckdv():
         "c": upsilon_rules().base["c"],
     })
     return EvolutionSystem(
-        name="ckdv",
-        parameters={},
-        even_fields=("w",),
-        odd_fields=("c",),
+        name="ckdv", parameters={},
+        even_fields=("w",), odd_fields=("c",),
         rhs={
             # w_xxx - 1/2 d/dx (w^3 + 3 w_x^2 w^-1), expanded
             "w": parse("w_xxx - 3/2*w^2*w_x - 3*w^-1*w_x*w_xx + 3/2*w^-2*w_x^3"),
@@ -283,41 +286,70 @@ def _ckdv():
                        " - 3/2*w^2*c_x", odd=("c",)),
         },
         brst=rules,
-        densities={},
         symbolic_invariance=False,
     )
 
 
+# ---------------------------------------------------------------------------
+# the gauge slices of the zero-curvature equation
+
+@cache
+def slice_connection(gauge_slice):
+    """The component triples (A1, A0, ghost) of a gauge slice in the basis
+    E0 = T0, E+- = sqrt2 T+-; slice B states no ghost triple (None)."""
+    one, zero = GradedPoly.number(1, _ODD), GradedPoly.zero(_ODD)
+    half = Fraction(1, 2)
+    if gauge_slice == SLICE_A:
+        T, u, c = _gen("T"), _gen("u"), _gen("c")
+        return ((zero, one, -T),
+                (_gen("u", 1), u, -half * _gen("u", 2) - u * T),
+                (_gen("c", 1), c, -half * _gen("c", 2) - T * c))
+    if gauge_slice == SLICE_B:
+        R, u = _gen("R"), miura_substitution()
+        return (2 * R, one, zero), (total_x_derivative(u) + 2 * (u * R), u, zero), None
+    raise ValueError(f"unknown gauge slice {gauge_slice!r}")
+
+
+def slice_curvature(gauge_slice, structure=None):
+    """The E-basis components of F = d_t A1 - d_x A0 + [A0, A1] on a slice,
+    with time derivatives as markers; ``structure`` is a T-basis table
+    (default the shipped one), rescaled by ``sl2.rescaled_table``."""
+    a1, a0, _ = slice_connection(gauge_slice)
+    return curvature_residual([t_prolong(a) for a in a1], [total_x_derivative(a) for a in a0],
+                              a0, a1, f=rescaled_table(structure))
+
+
+@cache
+def _slice_a_laws():
+    """Upsilon = -F^- and, from delta A = Dc and delta c = -1/2 [c, c],
+    the u, T and ghost laws, all on slice A."""
+    g = rescaled_table()
+    a1, a0, c = slice_connection(SLICE_A)
+    laws = {
+        "u": t_prolong(c[1]) + commutator_components(a0, c, g)[1],
+        "T": -(total_x_derivative(c[2]) + commutator_components(a1, c, g)[2]),
+        "c": Fraction(-1, 2) * commutator_components(c, c, g)[1],
+    }
+    return -slice_curvature(SLICE_A)[2], laws
+
+
 def upsilon_poly():
     """The residual slice equation as a polynomial with time markers."""
-    return parse("T_t - 1/2*u_xxx - 2*u_x*T - u*T_x", odd=("c",))
+    return _slice_a_laws()[0]
 
 
 def upsilon_rules():
-    """Odd symmetry of the partially gauge-fixed slice, and the one
-    statement of its laws: the ghost law delta c = c c_x, which every
-    catalog system shares, the T law, which the t-form family reuses, and
-    the u law, which keeps the ghost's time derivative as a marker."""
-    return DerivationRuleSet("slice-brst", parity=1, base={
-        "u": parse("c_t - u*c_x + u_x*c", odd=("c",)),
-        "T": parse("1/2*c_xxx + T_x*c + 2*T*c_x", odd=("c",)),
-        "c": parse("c*c_x", odd=("c",)),
-    })
+    """Odd symmetry of slice A: the ghost law, the T law and the u law,
+    which keeps the ghost's time derivative as a marker."""
+    return DerivationRuleSet("slice-brst", parity=1, base=dict(_slice_a_laws()[1]))
 
 
 def _upsilon_system():
     return EvolutionSystem(
-        name="upsilon",
-        parameters={},
-        even_fields=("u", "T"),
-        odd_fields=("c",),
-        rhs={
-            "u": None,  # u is unconstrained on this slice
-            "T": _slice_flow(),
-            "c": None,
-        },
+        name="upsilon", parameters={},
+        even_fields=("u", "T"), odd_fields=("c",),
+        rhs={"u": None, "T": _slice_flow(), "c": None},  # u is unconstrained here
         brst=upsilon_rules(),
-        densities={},
         symbolic_invariance=False,
     )
 
@@ -371,14 +403,8 @@ def build_system(name, **params):
 def catalog_manifest():
     """Human-readable catalog: systems, parameters, equations, densities."""
     lines = []
-    shown = [
-        build_system("kdv"),
-        build_system("harry-dym"),
-        build_system("t-form", beta=1, s=2),
-        build_system("mkdv"),
-        build_system("ckdv"),
-        build_system("upsilon"),
-    ]
+    shown = [build_system(nm, **({"beta": 1, "s": 2} if nm == "t-form" else {}))
+             for nm in SYSTEM_NAMES]
     for sys_ in shown:
         pars = ", ".join(f"{k}={v}" for k, v in sorted(sys_.parameters.items()))
         lines.append(f"{sys_.name}" + (f"  ({pars})" if pars else ""))
@@ -389,10 +415,9 @@ def catalog_manifest():
             lines.append(f"  delta {f} = {to_string(sys_.brst.base[f])}")
         for xf in sorted(sys_.brst.xrules):
             lines.append(f"  d/dx {xf} = {to_string(sys_.brst.xrules[xf])}")
-        if sys_.densities:
-            for nm in sorted(sys_.densities):
-                d = sys_.densities[nm]
-                lines.append(f"  density {nm} [{d.kind}] = {to_string(d.density)}")
+        for nm in sorted(sys_.densities):
+            d = sys_.densities[nm]
+            lines.append(f"  density {nm} [{d.kind}] = {to_string(d.density)}")
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
 
@@ -437,12 +462,6 @@ def ckdv_to_mkdv(w, length):
 # ---------------------------------------------------------------------------
 # zero curvature and reconstruction
 
-def _check_same_shape(named):
-    shapes = {k: np.shape(v) for k, v in named.items()}
-    if len(set(shapes.values())) != 1:
-        raise ValueError(f"grid size mismatch: {shapes}")
-
-
 def zero_curvature_components(P, Q, R, S, T, u, R_t, S_t, T_t, length):
     """The three component residuals of the flat-connection condition in
     the (P,Q,R,S,T,u) variables, with spectral x-derivatives:
@@ -451,11 +470,10 @@ def zero_curvature_components(P, Q, R, S, T, u, R_t, S_t, T_t, length):
         S_t - u_x + 2 P S - 2 u R
         T_t + Q_x - 2 P T - 2 Q R
     """
-    grids = dict(P=P, Q=Q, R=R, S=S, T=T, u=u, R_t=R_t, S_t=S_t, T_t=T_t)
-    grids = {k: np.asarray(v, dtype=float) for k, v in grids.items()}
-    _check_same_shape(grids)
-    P, Q, R, S, T, u = (grids[k] for k in "PQRSTu")
-    R_t, S_t, T_t = grids["R_t"], grids["S_t"], grids["T_t"]
+    grids = [np.asarray(v, dtype=float) for v in (P, Q, R, S, T, u, R_t, S_t, T_t)]
+    if len({g.shape for g in grids}) != 1:
+        raise ValueError(f"grid size mismatch: {[g.shape for g in grids]}")
+    P, Q, R, S, T, u, R_t, S_t, T_t = grids
     r1 = R_t - spectral_derivative(P, 1, length) - u * T - Q * S
     r2 = S_t - spectral_derivative(u, 1, length) + 2 * P * S - 2 * u * R
     r3 = T_t + spectral_derivative(Q, 1, length) - 2 * P * T - 2 * Q * R
@@ -463,49 +481,11 @@ def zero_curvature_components(P, Q, R, S, T, u, R_t, S_t, T_t, length):
 
 
 def reconstruct_connection(state, gauge_slice):
-    """Lift reduced data back to the sl(2,R) connection components.
-
-    slice-A (state carries u and T):
-        A1 = (0, sqrt2, -sqrt2 T),
-        A0 = (u_x, sqrt2 u, sqrt2 (-u_xx/2 - u T)).
-    slice-B (state carries R):
-        A1 = (2R, sqrt2, 0), A0^0 = u_x + 2 u R and A0^+ = sqrt2 u with
-        u = 2(R_x - R^2); the remaining lower component is not determined
-        by this slice and is filled with zeros.
-    """
-    n = state.N
-    length = state.L
-    rt2 = np.sqrt(2.0)
-    if gauge_slice == SLICE_A:
-        for needed in ("u", "T"):
-            if needed not in state.fields:
-                raise KeyError(f"slice-A reconstruction needs field {needed!r}")
-        u = state.fields["u"]
-        T = state.fields["T"]
-        ux = spectral_derivative(u, 1, length)
-        uxx = spectral_derivative(u, 2, length)
-        a1 = np.stack([np.zeros(n), rt2 * np.ones(n), -rt2 * T])
-        a0 = np.stack([ux, rt2 * u, rt2 * (-0.5 * uxx - u * T)])
-        return ConnectionGrid(a0=a0, a1=a1)
-    if gauge_slice == SLICE_B:
-        if "R" not in state.fields:
-            raise KeyError("slice-B reconstruction needs field 'R'")
-        R = state.fields["R"]
-        u = miura_map(R, length)
-        ux = spectral_derivative(u, 1, length)
-        a1 = np.stack([2.0 * R, rt2 * np.ones(n), np.zeros(n)])
-        a0 = np.stack([ux + 2.0 * u * R, rt2 * u, np.zeros(n)])
-        return ConnectionGrid(a0=a0, a1=a1)
-    raise ValueError(f"unknown gauge slice {gauge_slice!r}")
-
-
-def ghost_multiplet(ghost, T, length):
-    """Recover the dependent ghost components from the surviving one:
-    returns (middle, lower) = (d/dx ghost, -sqrt2 T ghost - sqrt2/2 d2/dx2 ghost)."""
-    ghost = np.asarray(ghost, dtype=float)
-    T = np.asarray(T, dtype=float)
-    _check_same_shape({"ghost": ghost, "T": T})
-    rt2 = np.sqrt(2.0)
-    mid = spectral_derivative(ghost, 1, length)
-    low = -rt2 * T * ghost - (rt2 / 2.0) * spectral_derivative(ghost, 2, length)
-    return mid, low
+    """Lift reduced data back to the sl(2,R) connection: the slice's A0 and
+    A1 triples (``slice_connection``) evaluated on the state's grids, in
+    the basis T_a of ``sl2`` (the E-basis rows scaled by 1, sqrt2, sqrt2).
+    On slice B, A0^- is not determined by the slice and is zero."""
+    a1, a0, _ = slice_connection(gauge_slice)
+    scale = np.sqrt(2.0) ** np.array(E_WEIGHTS * 2)[:, None]  # E_a = 2^(n_a/2) T_a
+    rows = evaluate_many(a0 + a1, state.fields, state.L) * scale
+    return ConnectionGrid(a0=rows[:3], a1=rows[3:])

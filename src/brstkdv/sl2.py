@@ -1,12 +1,15 @@
 """sl(2,R) structure data and the canonical graded symmetry of the
 first-order gauge multiplet.
 
-Basis labels are "0", "+", "-".  The generator matrices are normalised so
-that tr(T_a T_b) = eta_ab / 2 with eta_00 = 1, eta_+- = eta_-+ = 1; the
+Basis labels are "0", "+", "-".  The generators T0 = diag(1/2, -1/2),
+T+ = E12/sqrt2, T- = E21/sqrt2 are normalised so that
+tr(T_a T_b) = eta_ab / 2 with eta_00 = 1, eta_+- = eta_-+ = 1; the
 structure constants are then f_{0+}^+ = 1, f_{0-}^- = -1, f_{+-}^0 = 1
 (antisymmetric in the lower pair), and the fully lowered constants
 f_abc = f_ab^d eta_dc coincide with the antisymmetric symbol normalised by
-f_{0+-} = +1.
+f_{0+-} = +1.  In the rescaled basis E0 = T0, E+- = sqrt2 T+- every
+constant is an integer (``rescaled_table``), so connections whose
+components are polynomials stay exact there.
 
 Field-name convention for the canonical multiplet (suffix 0/p/m for the
 basis label): a* for the spatial connection, p* for its conjugate momenta,
@@ -21,6 +24,7 @@ f_ab^d x^b y^d (the constraints, momentum and multiplier rules).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,8 +42,8 @@ __all__ = [
     "structure_table",
     "killing_form",
     "epsilon_lower",
-    "generator_matrices",
-    "matrix_structure_constants",
+    "E_WEIGHTS",
+    "rescaled_table",
     "commutator_components",
     "curvature_residual",
     "constraint_polynomials",
@@ -55,6 +59,9 @@ CANONICAL_ODD = ("c0", "cp", "cm", "m0", "mp", "mm")
 CANONICAL_FIELDS = CANONICAL_EVEN + CANONICAL_ODD
 
 _IDX = {"0": 0, "+": 1, "-": 2}
+
+# n_a of the rescaled basis E_a = 2^(n_a/2) T_a: E0 = T0, E+- = sqrt2 T+-
+E_WEIGHTS = (0, 1, 1)
 
 # eta_ab = 2 tr(T_a T_b); self-inverse, so it raises and lowers alike
 _ETA = ((1, 0, 0), (0, 0, 1), (0, 1, 0))
@@ -87,44 +94,22 @@ def epsilon_lower(a, b, c):
     return sum(_F[_IDX[a]][_IDX[b]][d] * _ETA[d][_IDX[c]] for d in range(3))
 
 
-def generator_matrices(exact=False):
-    """The 2x2 generators {label: matrix}; sympy matrices when exact."""
-    if exact:
-        import sympy as sp
-        s = 1 / sp.sqrt(2)
-        return {
-            "0": sp.Matrix([[sp.Rational(1, 2), 0], [0, -sp.Rational(1, 2)]]),
-            "+": sp.Matrix([[0, s], [0, 0]]),
-            "-": sp.Matrix([[0, 0], [s, 0]]),
-        }
-    s = 1.0 / np.sqrt(2.0)
-    return {
-        "0": np.array([[0.5, 0.0], [0.0, -0.5]]),
-        "+": np.array([[0.0, s], [0.0, 0.0]]),
-        "-": np.array([[0.0, 0.0], [s, 0.0]]),
-    }
-
-
-def matrix_structure_constants():
-    """Recompute f_ab^c from the exact matrices via
-    f_ab^c = 2 tr([T_a, T_b] T_d) eta^dc; ground truth for the tables."""
-    import sympy as sp
-    T = generator_matrices(exact=True)
+def rescaled_table(f=None):
+    """g[a][b][c] = g_ab^c, a structure table ``f`` (default the shipped
+    one) in the rescaled basis E_a = 2^(n_a/2) T_a, n = E_WEIGHTS, where
+    [E_a, E_b] = g_ab^c E_c with g_ab^c = f_ab^c 2^((n_a + n_b - n_c)/2).
+    The shipped table becomes g_{0+}^+ = 1, g_{0-}^- = -1, g_{+-}^0 = 2,
+    all rational; an entry whose rescaling would be irrational raises."""
+    f = _F if f is None else f
     out = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    for a in BASIS:
-        for b in BASIS:
-            comm = T[a] * T[b] - T[b] * T[a]
-            for c in BASIS:
-                val = 0
-                for d in BASIS:
-                    val += 2 * (comm * T[d]).trace() * _ETA[_IDX[d]][_IDX[c]]
-                val = sp.nsimplify(sp.simplify(val))
-                out[_IDX[a]][_IDX[b]][_IDX[c]] = int(val)
+    for a, b, c in itertools.product(range(3), repeat=3):
+        if f[a][b][c]:
+            k, odd = divmod(E_WEIGHTS[a] + E_WEIGHTS[b] - E_WEIGHTS[c], 2)
+            if odd:
+                raise ValueError(f"f_{BASIS[a]}{BASIS[b]}^{BASIS[c]} has no rational "
+                                 "image in the rescaled basis")
+            out[a][b][c] = f[a][b][c] * 2 ** k
     return tuple(tuple(tuple(r) for r in m) for m in out)
-
-
-def _acc(acc, term):
-    return term if acc is None else acc + term
 
 
 def _contract(x, y, f, lower):
@@ -138,7 +123,8 @@ def _contract(x, y, f, lower):
             for d in range(3):
                 v = f[a][b][d] if lower else f[b][d][a]
                 if v:
-                    acc = _acc(acc, v * (x[b] * y[d]))
+                    term = v * (x[b] * y[d])
+                    acc = term if acc is None else acc + term
         out.append(acc if acc is not None else 0 * (x[0] * y[0]))
     return out
 

@@ -43,6 +43,7 @@ __all__ = [
     "step",
     "evolve",
     "evaluate",
+    "evaluate_many",
     "evaluate_functional",
     "initial_state",
     "soliton_initial",
@@ -73,8 +74,14 @@ def _require_power_of_two(n):
         raise ValueError(f"grid size must be a power of two >= 4, got {n}")
 
 
+def _require_length(length):
+    if not (math.isfinite(length) and length > 0):
+        raise ValueError(f"domain length must be finite and positive, got {length!r}")
+
+
 def _multiplier(n, length, order):
     """(ik)^order on the rfft modes; odd orders drop the unpaired Nyquist mode."""
+    _require_length(length)
     k = 2.0 * np.pi / length * np.fft.rfftfreq(n, d=1.0 / n)
     mult = (1j * k) ** order
     if order % 2:
@@ -107,8 +114,7 @@ class FieldState:
 
     def __post_init__(self):
         _require_power_of_two(self.N)
-        if not (math.isfinite(self.L) and self.L > 0):
-            raise ValueError(f"domain length must be finite and positive, got {self.L!r}")
+        _require_length(self.L)
         fields = {}
         for sym, arr in self.fields.items():
             a = np.asarray(arr, dtype=float)
@@ -427,6 +433,8 @@ def evolve(state, system, t_end, dt, record_every=1, diagnostics=()):
     on each recorded snapshot."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
     if not isinstance(record_every, (int, np.integer)) or record_every < 1:
         raise ValueError(f"record_every must be an int >= 1, got {record_every!r}")
     if t_end <= state.t:
@@ -492,9 +500,16 @@ def evaluate(poly, fields, length):
     """Values of ``poly`` on the grids ``fields`` (equal-length periodic
     samples on [0, length), keyed by symbol), pointwise and unfiltered.
     Odd generators read the coefficient arrays of their ghost fields."""
-    terms = _density_terms(poly)
+    return evaluate_many([poly], fields, length)[0]
+
+
+def evaluate_many(polys, fields, length):
+    """:func:`evaluate` of each of ``polys``, one row each, all read from
+    one set of grids."""
+    compiled = [_density_terms(p) for p in polys]
+    grids = _grids([t for terms in compiled for t in terms], fields, length)
     n = len(next(iter(fields.values())))
-    return _pointwise(terms, _grids(terms, fields, length), n)
+    return np.array([_pointwise(terms, grids, n) for terms in compiled])
 
 
 def evaluate_functional(density, state):

@@ -194,6 +194,56 @@ def test_simulate_usage_errors(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--system", "kdv", "--soliton", "k=0.7", "--L", "0"],
+    ["simulate", "--system", "kdv", "--soliton", "k=0.7", "--L", "-5",
+     "--ghost-initial", "none"],
+    ["simulate", "--system", "kdv", "--soliton", "k=0.7", "--L", "nan"],
+    ["miura", "--initial", "sx", "--L", "-5"],
+], ids=["simulate-zero", "simulate-negative", "simulate-nan", "miura-negative"])
+def test_domain_length_must_be_finite_and_positive(capsys, tmp_path, argv):
+    code, stdout, err = invoke(capsys, *argv, "--n", "16", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith(f"{argv[0]}: domain length must be finite and positive")
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("t_end", ["inf", "nan"])
+def test_simulate_t_end_must_be_finite(capsys, tmp_path, t_end):
+    code, _, err = invoke(capsys, "simulate", "--system", "kdv", "--soliton", "k=0.7",
+                          "--n", "16", "--t-end", t_end, "--out", str(tmp_path))
+    assert code == 2
+    assert err == f"simulate: t_end must be finite, got {t_end}\n"
+
+
+# Numeric flags: valid values, and 0, negative, nan and inf for each.  The
+# valid ones keep every run at 50 steps or fewer on 32 points or fewer; a
+# huge finite t_end such as 1e300 is left out, as it is a valid run that
+# would take forever.
+_BAD = ["0", "-1", "nan", "inf", "-inf"]
+_NUMERIC_FLAGS = st.fixed_dictionaries({}, optional={
+    "--L": st.sampled_from(["20", "40", "1e-3"] + _BAD),
+    "--dt": st.sampled_from(["1e-3", "5e-3", "0.01"] + _BAD),
+    "--record-every": st.sampled_from(["1", "3", "2.5", "x"] + _BAD),
+})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+@settings(max_examples=50, deadline=None)
+@given(_NUMERIC_FLAGS, st.sampled_from(["16", "32", "12"] + _BAD),
+       st.sampled_from(["0.01", "0.05", "0.0125"] + _BAD))
+def test_numeric_simulate_flags_never_escape_run(flags, n, t_end):
+    argv = ["simulate", "--system", "kdv", "--soliton", "k=0.7", f"--n={n}", f"--t-end={t_end}"]
+    argv += [f"{k}={v}" for k, v in flags.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(argv + ["--out", tmp])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or err.getvalue().startswith("simulate:")
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_simulate_decimal_family_parameter(capsys, tmp_path):
     # alpha = 3/2 puts u^(-1/2) in the flow; the soliton's tail is below the

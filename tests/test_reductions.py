@@ -38,16 +38,23 @@ from brstkdv.reductions import (
     catalog_manifest,
     ckdv_substitution,
     ckdv_to_mkdv,
-    ghost_multiplet,
     miura_map,
     miura_substitution,
     reconstruct_connection,
+    slice_connection,
+    slice_curvature,
     upsilon_poly,
     upsilon_rules,
     zero_curvature_components,
 )
-from brstkdv.sl2 import curvature_residual
-from brstkdv.solver import FieldState, SingularityError, spectral_derivative, step
+from brstkdv.sl2 import commutator_components, curvature_residual, rescaled_table
+from brstkdv.solver import (
+    FieldState,
+    SingularityError,
+    evaluate_many,
+    spectral_derivative,
+    step,
+)
 
 
 def P(text):
@@ -121,23 +128,59 @@ def test_ckdv_equations():
         "c_xxx + 3*w^-1*w_xx*c_x - 9/2*w^-2*w_x^2*c_x - 3/2*w^2*c_x")
 
 
+# The slice equation and its three laws as they were typed in before the
+# catalog derived them from the zero-curvature equation: the oracle.
+_UPSILON = P("T_t - 1/2*u_xxx - 2*u_x*T - u*T_x")
+_U_LAW = P("c_t - u*c_x + u_x*c")
+_T_LAW = P("1/2*c_xxx + T_x*c + 2*T*c_x")
+_C_LAW = P("c*c_x")
+
+
 def test_upsilon_entries():
-    ups = upsilon_poly()
-    assert ups == parse("T_t - 1/2*u_xxx - 2*u_x*T - u*T_x")
+    assert upsilon_poly() == _UPSILON
     rules = upsilon_rules()
-    assert set(rules.base) == {"u", "T", "c"}
-    assert rules.base["u"] == P("c_t - u*c_x + u_x*c")
+    assert rules.base == {"u": _U_LAW, "T": _T_LAW, "c": _C_LAW}
+    assert rules.base is not upsilon_rules().base  # a fresh rule set per call
     sys_ = build_system("upsilon")
     assert sys_.rhs["u"] is None
     assert sys_.evolving_fields() == ("T",)
 
 
+# --- the slices of the zero-curvature equation ----------------------------------
+
+def test_slice_a_curvature_is_the_residual_equation():
+    f0, fp, fm = slice_curvature(SLICE_A)
+    assert f0.is_zero and fp.is_zero
+    assert fm == -_UPSILON
+
+
+def test_slice_a_symmetry_keeps_the_gauge():
+    # delta A1 = d/dx C + [A1, C] leaves A1^0 = 0 and A1^+ = 1 alone, and
+    # moves A1^- = -T by minus the T law
+    a1, _, ghost = slice_connection(SLICE_A)
+    bracket = commutator_components(a1, ghost, rescaled_table())
+    d0, dp, dm = (total_x_derivative(g) + b for g, b in zip(ghost, bracket))
+    assert d0.is_zero and dp.is_zero
+    assert dm == -_T_LAW
+
+
+def test_slice_b_is_flat_on_the_mkdv_flow():
+    f0, fp, fm = slice_curvature(SLICE_B)
+    assert f0 == 2 * parse("R_t - R_xxx + 6*R^2*R_x")
+    assert fp.is_zero and fm.is_zero
+    assert reduce_on_shell(f0, build_system("mkdv")).is_zero
+
+
+def test_slice_statement_is_cached_and_checked():
+    assert slice_connection(SLICE_A) is slice_connection(SLICE_A)
+    assert slice_connection(SLICE_B)[2] is None
+    with pytest.raises(ValueError, match="unknown gauge slice"):
+        slice_connection("slice-C")
+
+
 # --- the derived families against the formulas they replaced ---------------
 # Before the catalog gauge-fixed both families from the slice equation, each
 # flow, ghost flow and delta u was typed in; those formulas are the oracle.
-
-_T_LAW = P("1/2*c_xxx + T_x*c + 2*T*c_x")
-_C_LAW = P("c*c_x")
 
 
 def _t_family_oracle(beta, s):
@@ -173,7 +216,7 @@ def _u_family_oracle(alpha, s):
 
 def _upsilon_oracle():
     rhs = {"u": None, "T": parse("1/2*u_xxx + 2*u_x*T + u*T_x"), "c": None}
-    return rhs, {"u": P("c_t - u*c_x + u_x*c"), "T": _T_LAW, "c": _C_LAW}
+    return rhs, {"u": _U_LAW, "T": _T_LAW, "c": _C_LAW}
 
 
 _S, _BETA = parameter("s"), parameter("beta")
@@ -541,6 +584,42 @@ def test_reconstruction_slice_b():
     assert np.allclose(conn.a1[2], 0)
 
 
+# The two lifts as numpy code, as they were typed in before the lift
+# evaluated the slice statement: the oracle.
+
+def _lift_a_oracle(u, T, length):
+    rt2, n = np.sqrt(2.0), len(u)
+    ux = spectral_derivative(u, 1, length)
+    uxx = spectral_derivative(u, 2, length)
+    a1 = np.stack([np.zeros(n), rt2 * np.ones(n), -rt2 * T])
+    a0 = np.stack([ux, rt2 * u, rt2 * (-0.5 * uxx - u * T)])
+    return a0, a1
+
+
+def _lift_b_oracle(R, length):
+    rt2, n = np.sqrt(2.0), len(R)
+    u = 2.0 * (spectral_derivative(R, 1, length) - R * R)
+    ux = spectral_derivative(u, 1, length)
+    a1 = np.stack([2.0 * R, rt2 * np.ones(n), np.zeros(n)])
+    a0 = np.stack([ux + 2.0 * u * R, rt2 * u, np.zeros(n)])
+    return a0, a1
+
+
+def test_reconstruction_matches_the_typed_lifts():
+    length, n = 20.0, 256
+    x = length * np.arange(n) / n
+    u, T, R = (_smooth(x, length, seed) for seed in (7, 8, 9))
+    R = 0.3 * R
+    cases = [(reconstruct_connection(FieldState(0.0, length, n, {"u": u, "T": T}), SLICE_A),
+              _lift_a_oracle(u, T, length)),
+             (reconstruct_connection(FieldState(0.0, length, n, {"R": R}), SLICE_B),
+              _lift_b_oracle(R, length))]
+    for conn, (a0, a1) in cases:
+        assert conn.a0.shape == conn.a1.shape == (3, n)
+        assert np.max(np.abs(conn.a0 - a0)) <= 1e-12
+        assert np.max(np.abs(conn.a1 - a1)) <= 1e-12
+
+
 def test_reconstruction_errors():
     state = FieldState(0.0, 10.0, 64, {"u": np.zeros(64)})
     with pytest.raises(KeyError):
@@ -551,18 +630,35 @@ def test_reconstruction_errors():
         reconstruct_connection(state, "slice-C")
 
 
+def _ghost_multiplet_oracle(ghost, T, length):
+    """The dependent ghost components from the surviving one, as typed in
+    before the ghost triple was stated: (d/dx ghost, -sqrt2 T ghost -
+    sqrt2/2 d2/dx2 ghost), in the T basis."""
+    rt2 = np.sqrt(2.0)
+    mid = spectral_derivative(ghost, 1, length)
+    low = -rt2 * T * ghost - (rt2 / 2.0) * spectral_derivative(ghost, 2, length)
+    return mid, low
+
+
+def _ghost_triple(ghost, T, length):
+    """The slice-A ghost triple on grids, in the T basis."""
+    rows = evaluate_many(slice_connection(SLICE_A)[2], {"c": ghost, "T": T}, length)
+    return rows * np.array([[1.0], [np.sqrt(2.0)], [np.sqrt(2.0)]])
+
+
 def test_ghost_multiplet():
     length, n = 10.0, 128
     x = length * np.arange(n) / n
     k = 2 * np.pi / length
     g = np.sin(k * x)
-    T = 0.5 * np.ones(n)
-    mid, low = ghost_multiplet(g, T, length)
-    assert np.max(np.abs(mid - k * np.cos(k * x))) < 1e-10
     rt2 = np.sqrt(2.0)
-    want = -rt2 * T * g + (rt2 / 2.0) * k * k * np.sin(k * x)
-    assert np.max(np.abs(low - want)) < 1e-10
-    mid0, low0 = ghost_multiplet(np.zeros(n), T, length)
-    assert np.allclose(mid0, 0) and np.allclose(low0, 0)
-    with pytest.raises(ValueError):
-        ghost_multiplet(np.zeros(n), np.zeros(2 * n), length)
+    for T in (0.5 * np.ones(n), _smooth(x, length, 10)):
+        mid, plus, low = _ghost_triple(g, T, length)
+        mid0, low0 = _ghost_multiplet_oracle(g, T, length)
+        assert np.max(np.abs(mid - mid0)) <= 1e-12
+        assert np.max(np.abs(low - low0)) <= 1e-12
+        assert np.array_equal(plus, rt2 * g)
+        assert np.max(np.abs(mid - k * np.cos(k * x))) < 1e-10
+        want = -rt2 * T * g + (rt2 / 2.0) * k * k * np.sin(k * x)
+        assert np.max(np.abs(low - want)) < 1e-10
+        assert not _ghost_triple(np.zeros(n), T, length).any()

@@ -1,9 +1,11 @@
 """Structure constants, generator matrices, and the canonical odd symmetry.
 
-The structure table is checked against an oracle that decomposes matrix
-commutators directly in the chosen basis (independent of the trace formula
-used by the library), and the twelve transformation rules are frozen here
-in hand-expanded form.
+The generator matrices live here, as exact sympy matrices, and are the
+ground truth: the structure table is checked against an oracle that
+decomposes matrix commutators directly in the chosen basis and against the
+trace formula, the rescaled table against the brackets of the rescaled
+matrices, and the twelve transformation rules are frozen here in
+hand-expanded form.
 """
 
 import itertools
@@ -21,20 +23,42 @@ from brstkdv.sl2 import (
     CANONICAL_EVEN,
     CANONICAL_FIELDS,
     CANONICAL_ODD,
+    E_WEIGHTS,
     SUFFIX,
     canonical_brst_rules,
     commutator_components,
     constraint_polynomials,
     curvature_residual,
     epsilon_lower,
-    generator_matrices,
     killing_form,
-    matrix_structure_constants,
+    rescaled_table,
     structure_constant,
     structure_table,
 )
 
 IDX = {"0": 0, "+": 1, "-": 2}
+ETA = ((1, 0, 0), (0, 0, 1), (0, 1, 0))
+
+
+def generator_matrices():
+    """The exact 2x2 generators {label: matrix}."""
+    s = 1 / sp.sqrt(2)
+    return {
+        "0": sp.Matrix([[sp.Rational(1, 2), 0], [0, -sp.Rational(1, 2)]]),
+        "+": sp.Matrix([[0, s], [0, 0]]),
+        "-": sp.Matrix([[0, 0], [s, 0]]),
+    }
+
+
+def matrix_structure_constants():
+    """f_ab^c from the exact matrices via f_ab^c = 2 tr([T_a, T_b] T_d) eta^dc."""
+    T = generator_matrices()
+    out = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for a, b, c in itertools.product(BASIS, repeat=3):
+        comm = T[a] * T[b] - T[b] * T[a]
+        val = sum(2 * (comm * T[d]).trace() * ETA[IDX[d]][IDX[c]] for d in BASIS)
+        out[IDX[a]][IDX[b]][IDX[c]] = int(sp.nsimplify(sp.simplify(val)))
+    return tuple(tuple(tuple(r) for r in m) for m in out)
 
 
 def decompose(M):
@@ -46,7 +70,7 @@ def decompose(M):
 
 
 def test_structure_table_against_matrix_commutators():
-    T = generator_matrices(exact=True)
+    T = generator_matrices()
     for a, b in itertools.product(BASIS, repeat=2):
         comps = decompose(sp.expand(T[a] * T[b] - T[b] * T[a]))
         for c in BASIS:
@@ -68,8 +92,30 @@ def test_library_matrix_derivation_agrees():
     assert matrix_structure_constants() == structure_table()
 
 
+def test_rescaled_table_against_rescaled_matrix_brackets():
+    # E0 = T0 = diag(1/2, -1/2), E+ = sqrt2 T+ = E12, E- = sqrt2 T- = E21
+    T = generator_matrices()
+    E = {a: sp.sqrt(2) ** E_WEIGHTS[IDX[a]] * T[a] for a in BASIS}
+    g = rescaled_table()
+    for a, b in itertools.product(BASIS, repeat=2):
+        M = sp.expand(E[a] * E[b] - E[b] * E[a])
+        comps = (2 * M[0, 0], M[0, 1], M[1, 0])
+        for c in BASIS:
+            assert sp.simplify(comps[IDX[c]] - g[IDX[a]][IDX[b]][IDX[c]]) == 0
+    assert (g[0][1][1], g[0][2][2], g[1][2][0]) == (1, -1, 2)
+
+
+def test_rescaled_table_rescales_an_injected_table():
+    f = [list(map(list, m)) for m in structure_table()]
+    f[IDX["+"]][IDX["-"]][IDX["0"]] = 3
+    assert rescaled_table(f)[IDX["+"]][IDX["-"]][IDX["0"]] == 6
+    f[IDX["0"]][IDX["+"]][IDX["0"]] = 1  # [E0, E+] ~ sqrt2 E0/2: not rational
+    with pytest.raises(ValueError, match="no rational image"):
+        rescaled_table(f)
+
+
 def test_killing_form_from_traces():
-    T = generator_matrices(exact=True)
+    T = generator_matrices()
     for a, b in itertools.product(BASIS, repeat=2):
         assert sp.simplify(2 * (T[a] * T[b]).trace()) == killing_form(a, b)
     eta = np.array([[killing_form(a, b) for b in BASIS] for a in BASIS])
@@ -90,7 +136,7 @@ def test_lowered_constants_are_totally_antisymmetric():
 @given(st.lists(st.integers(-3, 3), min_size=6, max_size=6))
 def test_commutator_components_match_matrices(vals):
     x, y = vals[:3], vals[3:]
-    T = generator_matrices(exact=True)
+    T = generator_matrices()
     X = sum((sp.Rational(x[IDX[a]]) * T[a] for a in BASIS), sp.zeros(2))
     Y = sum((sp.Rational(y[IDX[a]]) * T[a] for a in BASIS), sp.zeros(2))
     want = decompose(sp.expand(X * Y - Y * X))

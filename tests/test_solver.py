@@ -23,6 +23,7 @@ from brstkdv.solver import (
     Trajectory,
     evaluate,
     evaluate_functional,
+    evaluate_many,
     evolve,
     soliton_initial,
     spectral_derivative,
@@ -91,6 +92,13 @@ def test_derivative_validation():
         spectral_derivative(np.zeros(64), 0, 1.0)
     with pytest.raises(ValueError):
         spectral_derivative(np.zeros(48), 1, 1.0)  # not a power of two
+
+
+@pytest.mark.parametrize("length", [-5.0, 0.0, float("inf"), float("nan")])
+def test_derivative_rejects_bad_length(length):
+    # the (ik)^order table divides by the length
+    with pytest.raises(ValueError, match="domain length must be finite and positive"):
+        spectral_derivative(np.zeros(64), 1, length)
 
 
 def test_dealias_projects_high_modes():
@@ -343,6 +351,13 @@ def test_evolve_rejects_zero_dt():
         step(st, build_system("kdv"), 0.0)
 
 
+@pytest.mark.parametrize("t_end", [float("inf"), float("nan"), float("-inf")])
+def test_evolve_rejects_non_finite_t_end(t_end):
+    st = soliton_initial(0.5, 20.0, "kdv", 40.0, 128)
+    with pytest.raises(ValueError, match="t_end must be finite"):
+        evolve(st, build_system("kdv"), t_end, 1e-3)
+
+
 def test_evolve_rejects_zero_record_stride():
     st = soliton_initial(0.5, 20.0, "kdv", 40.0, 128)
     with pytest.raises(ValueError, match="record_every"):
@@ -401,6 +416,22 @@ def test_evaluate_matches_the_hand_typed_modified_flow():
     assert np.max(np.abs(evaluate(rhs, {"R": v}, length) - want)) < 1e-12
     with pytest.raises(KeyError, match="'R'"):
         evaluate(rhs, {"u": v}, length)
+
+
+def test_evaluate_many_reads_each_grid_once(monkeypatch):
+    n, length = 64, 10.0
+    x = grid(length, n)
+    fields = {"u": np.sin(2 * np.pi * x / length), "T": np.cos(2 * np.pi * x / length)}
+    polys = [parse("u_x*T"), parse("u_x + T_xx"), GradedPoly.number(3), GradedPoly.zero()]
+    calls = []
+    real = solver.spectral_derivative
+    monkeypatch.setattr(solver, "spectral_derivative",
+                        lambda f, o, ln: calls.append(o) or real(f, o, ln))
+    rows = evaluate_many(polys, fields, length)
+    assert sorted(calls) == [1, 2]  # u_x once for both rows that read it
+    assert rows.shape == (4, n)
+    for row, p in zip(rows, polys):
+        assert np.array_equal(row, evaluate(p, fields, length))
 
 
 def test_positivity_guard_fires():

@@ -18,6 +18,7 @@ from brstkdv.verify import (
     CHECKS,
     CheckReport,
     check_conservation,
+    check_gauge_slices,
     check_gradient_ghost,
     check_miura_chain,
     check_nilpotency,
@@ -36,6 +37,7 @@ def test_registry_is_complete():
         "check_upsilon_covariance",
         "check_system_invariance",
         "check_gradient_ghost",
+        "check_gauge_slices",
         "check_conservation",
         "check_miura_chain",
         "check_zero_curvature",
@@ -70,6 +72,12 @@ def test_gradient_ghost_battery_passes():
         assert rep.metrics[label + "_premise"] == 0.0
 
 
+def test_gauge_slices_pass_exactly():
+    rep = check_gauge_slices()
+    assert rep.status == "pass" and rep.tolerance == 0.0
+    assert rep.metrics == {f"slice_{s}_{c}": 0.0 for s in "ab" for c in ("0", "plus", "minus")}
+
+
 def test_gradient_ghost_argument_validation():
     with pytest.raises(ValueError):
         check_gradient_ghost(density=parse("u"))
@@ -89,6 +97,21 @@ def test_nilpotency_fails_for_jacobi_violating_table():
     rep = check_nilpotency(structure=f)
     assert rep.status == "fail"
     assert any(v > 0 for v in rep.metrics.values())
+
+
+@pytest.mark.parametrize("a, b, c, failing", [
+    ("+", "-", "0", {"slice_a_0"}),
+    ("0", "+", "+", {"slice_a_plus", "slice_b_plus"}),
+])
+def test_gauge_slices_fail_for_a_corrupted_constant(a, b, c, failing):
+    # f_{+-}^0 = 2 is still a Lie algebra (see test_sl2), but not the one
+    # whose slices give these flows; f_{0+}^+ = 2 reaches slice B too
+    f = [list(map(list, m)) for m in structure_table()]
+    f[IDX[a]][IDX[b]][IDX[c]] = 2
+    f[IDX[b]][IDX[a]][IDX[c]] = -2
+    rep = check_gauge_slices(structure=f)
+    assert rep.status == "fail"
+    assert {k for k, v in rep.metrics.items() if v} == failing
 
 
 def test_covariance_fails_for_wrong_advection_weight():
