@@ -28,12 +28,18 @@ Slice B, A1 = (2R, 1, 0) and A0 = (u_x + 2uR, u, 0) at the Miura map
 u = 2(R_x - R^2), is flat on the mKdV flow in R; composing with R = v + w,
 w_x - 2vw - w^2 = 0 yields the CKdV equation in w.  The mkdv and ckdv flows
 and ghost flows are stated, not derived, so that the tests can check them
-against the maps independently.  Eliminating v = (w_x - w^2)/(2w) gives
+against the maps independently.
 
-    w_t = w_xxx - 1/2 d/dx (w^3 + 3 w_x^2 / w),
+Note on the CKdV right-hand side: eliminating v = (w_x - w^2)/(2w) from
+the mKdV flow gives
 
-with the cubic terms under an overall x-derivative: without it constant
-data would not be stationary and the map back to mKdV would break.
+    w_t = w_xxx - 1/2 d/dx (w^3 + 3 w_x^2 / w)
+        = w_xxx - 3/2 w^2 w_x - 3 w_x w_xx / w + 3/2 w_x^3 / w^2,
+
+i.e. the cubic terms enter under an overall x-derivative.  (Dropping that
+derivative would make constant data non-stationary and break the map back
+to mKdV; the identity 2 v_t = 2(v_xxx - 6 v^2 v_x) under this flow is an
+exact polynomial consequence, which the test suite checks.)
 """
 
 from __future__ import annotations
@@ -171,32 +177,34 @@ def _coerce_param(v):
 
 def _slice_flow():
     """The T flow that the slice equation Upsilon = 0 states."""
-    return _gen(marker("T")) - upsilon_poly()
+    return GradedPoly.gen(marker("T"), odd_syms=frozenset({"c"})) - upsilon_poly()
 
 
 def _ghost_flow(u_law, u, delta_u):
     """c_t solved from the u law delta u = c_t + rest(u, c) at the gauge u."""
-    rest = u_law - _gen(marker("c"))
+    rest = u_law - GradedPoly.gen(marker("c"), odd_syms=u_law.odd_syms)
     return delta_u - substitute_family(rest, "u", u)
 
 
 def _t_family(beta, s, name="t-form"):
     """The gauge u = s T^beta, which leaves T and the ghost c."""
+    odd = frozenset({"c"})
     laws = upsilon_rules().base
-    Tb = _gen("T", 0, beta)
+    Tb = GradedPoly.gen("T", 0, beta, odd_syms=odd)
     u = s * Tb
     rules = DerivationRuleSet(name + "-brst", parity=1, base={"T": laws["T"], "c": laws["c"]})
     delta_u = apply_derivation(u, rules)
     densities = {
-        "H0": ConservedDensity("H0", _gen("T"), "classical"),
-        "H1": ConservedDensity("H1", _gen("T", 0, beta + 1), "classical"),
+        "H0": ConservedDensity("H0", GradedPoly.gen("T", odd_syms=odd), "classical"),
+        "H1": ConservedDensity("H1", GradedPoly.gen("T", 0, beta + 1, odd_syms=odd), "classical"),
         "Ht0": ConservedDensity("Ht0", parse("T*c_x", odd=("c",)), "brst-invariant"),
         "Ht1": ConservedDensity("Ht1", (beta + 1) * (Tb * laws["T"]), "brst-invariant"),
     }
     return EvolutionSystem(
         name=name,
         parameters={"beta": beta, "s": s},
-        even_fields=("T",), odd_fields=("c",),
+        even_fields=("T",),
+        odd_fields=("c",),
         rhs={"T": substitute_family(_slice_flow(), "u", u),
              "c": _ghost_flow(laws["u"], u, delta_u)},
         brst=rules,
@@ -208,15 +216,17 @@ def _u_family(alpha, s, name="kdv"):
     """The gauge s T = u^alpha, which leaves u and the ghost c."""
     if s_is_zero(alpha) or isinstance(alpha, ParamPoly):
         raise ValueError("alpha must be a nonzero number: the flow divides by alpha")
+    odd = frozenset({"c"})
     laws = upsilon_rules().base
-    u, ua = _gen("u"), _gen("u", 0, alpha)
-    lift = Fraction(1) / alpha * _gen("u", 0, 1 - alpha)
+    u = GradedPoly.gen("u", odd_syms=odd)
+    ua = GradedPoly.gen("u", 0, alpha, odd_syms=odd)
+    lift = Fraction(1) / alpha * GradedPoly.gen("u", 0, 1 - alpha, odd_syms=odd)
 
     def pull_back(p):
         # on the gauge, alpha u^(alpha-1) u_t = s T_t (and alike for delta),
         # with s p at T = u^alpha / s taken term by term: p is affine in the
         # T family, so no step divides by s
-        at_zero = substitute_family(p, "T", GradedPoly.zero(_ODD))
+        at_zero = substitute_family(p, "T", GradedPoly.zero(odd))
         return lift * (s * at_zero + substitute_family(p - at_zero, "T", ua))
 
     delta_u = pull_back(laws["T"])
@@ -234,12 +244,15 @@ def _u_family(alpha, s, name="kdv"):
             "H5": ("2/3*u_xx*c_xxx + 5/3*u^3*c_x + u^2*c_xxx"
                    " + 1/3*u_x^2*c_x - 4/3*u*u_xxx*c", "brst-invariant"),
         }
-        densities = {k: ConservedDensity(k, parse(t, odd=("c",)), kind)
-                     for k, (t, kind) in dens.items()}
+        densities = {
+            k: ConservedDensity(k, parse(t, odd=("c",)), kind)
+            for k, (t, kind) in dens.items()
+        }
     return EvolutionSystem(
         name=name,
         parameters={"alpha": alpha, "s": s},
-        even_fields=("u",), odd_fields=("c",),
+        even_fields=("u",),
+        odd_fields=("c",),
         rhs={"u": pull_back(_slice_flow()), "c": _ghost_flow(laws["u"], u, delta_u)},
         brst=rules,
         densities=densities,
@@ -258,8 +271,10 @@ def _mkdv():
         "H1": ConservedDensity("H1", parse("R^2"), "classical"),
     }
     return EvolutionSystem(
-        name="mkdv", parameters={},
-        even_fields=("R",), odd_fields=("c",),
+        name="mkdv",
+        parameters={},
+        even_fields=("R",),
+        odd_fields=("c",),
         rhs={
             "R": parse("R_xxx - 6*R^2*R_x"),
             "c": parse("c_xxx + 6*R_x*c_x - 6*R^2*c_x", odd=("c",)),
@@ -276,8 +291,10 @@ def _ckdv():
         "c": upsilon_rules().base["c"],
     })
     return EvolutionSystem(
-        name="ckdv", parameters={},
-        even_fields=("w",), odd_fields=("c",),
+        name="ckdv",
+        parameters={},
+        even_fields=("w",),
+        odd_fields=("c",),
         rhs={
             # w_xxx - 1/2 d/dx (w^3 + 3 w_x^2 w^-1), expanded
             "w": parse("w_xxx - 3/2*w^2*w_x - 3*w^-1*w_x*w_xx + 3/2*w^-2*w_x^3"),
@@ -286,6 +303,7 @@ def _ckdv():
                        " - 3/2*w^2*c_x", odd=("c",)),
         },
         brst=rules,
+        densities={},
         symbolic_invariance=False,
     )
 
@@ -346,10 +364,17 @@ def upsilon_rules():
 
 def _upsilon_system():
     return EvolutionSystem(
-        name="upsilon", parameters={},
-        even_fields=("u", "T"), odd_fields=("c",),
-        rhs={"u": None, "T": _slice_flow(), "c": None},  # u is unconstrained here
+        name="upsilon",
+        parameters={},
+        even_fields=("u", "T"),
+        odd_fields=("c",),
+        rhs={
+            "u": None,  # u is unconstrained on this slice
+            "T": _slice_flow(),
+            "c": None,
+        },
         brst=upsilon_rules(),
+        densities={},
         symbolic_invariance=False,
     )
 
@@ -403,8 +428,14 @@ def build_system(name, **params):
 def catalog_manifest():
     """Human-readable catalog: systems, parameters, equations, densities."""
     lines = []
-    shown = [build_system(nm, **({"beta": 1, "s": 2} if nm == "t-form" else {}))
-             for nm in SYSTEM_NAMES]
+    shown = [
+        build_system("kdv"),
+        build_system("harry-dym"),
+        build_system("t-form", beta=1, s=2),
+        build_system("mkdv"),
+        build_system("ckdv"),
+        build_system("upsilon"),
+    ]
     for sys_ in shown:
         pars = ", ".join(f"{k}={v}" for k, v in sorted(sys_.parameters.items()))
         lines.append(f"{sys_.name}" + (f"  ({pars})" if pars else ""))
@@ -415,9 +446,10 @@ def catalog_manifest():
             lines.append(f"  delta {f} = {to_string(sys_.brst.base[f])}")
         for xf in sorted(sys_.brst.xrules):
             lines.append(f"  d/dx {xf} = {to_string(sys_.brst.xrules[xf])}")
-        for nm in sorted(sys_.densities):
-            d = sys_.densities[nm]
-            lines.append(f"  density {nm} [{d.kind}] = {to_string(d.density)}")
+        if sys_.densities:
+            for nm in sorted(sys_.densities):
+                d = sys_.densities[nm]
+                lines.append(f"  density {nm} [{d.kind}] = {to_string(d.density)}")
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
 
@@ -462,6 +494,12 @@ def ckdv_to_mkdv(w, length):
 # ---------------------------------------------------------------------------
 # zero curvature and reconstruction
 
+def _check_same_shape(named):
+    shapes = {k: np.shape(v) for k, v in named.items()}
+    if len(set(shapes.values())) != 1:
+        raise ValueError(f"grid size mismatch: {shapes}")
+
+
 def zero_curvature_components(P, Q, R, S, T, u, R_t, S_t, T_t, length):
     """The three component residuals of the flat-connection condition in
     the (P,Q,R,S,T,u) variables, with spectral x-derivatives:
@@ -470,10 +508,11 @@ def zero_curvature_components(P, Q, R, S, T, u, R_t, S_t, T_t, length):
         S_t - u_x + 2 P S - 2 u R
         T_t + Q_x - 2 P T - 2 Q R
     """
-    grids = [np.asarray(v, dtype=float) for v in (P, Q, R, S, T, u, R_t, S_t, T_t)]
-    if len({g.shape for g in grids}) != 1:
-        raise ValueError(f"grid size mismatch: {[g.shape for g in grids]}")
-    P, Q, R, S, T, u, R_t, S_t, T_t = grids
+    grids = dict(P=P, Q=Q, R=R, S=S, T=T, u=u, R_t=R_t, S_t=S_t, T_t=T_t)
+    grids = {k: np.asarray(v, dtype=float) for k, v in grids.items()}
+    _check_same_shape(grids)
+    P, Q, R, S, T, u = (grids[k] for k in "PQRSTu")
+    R_t, S_t, T_t = grids["R_t"], grids["S_t"], grids["T_t"]
     r1 = R_t - spectral_derivative(P, 1, length) - u * T - Q * S
     r2 = S_t - spectral_derivative(u, 1, length) + 2 * P * S - 2 * u * R
     r3 = T_t + spectral_derivative(Q, 1, length) - 2 * P * T - 2 * Q * R
@@ -484,7 +523,10 @@ def reconstruct_connection(state, gauge_slice):
     """Lift reduced data back to the sl(2,R) connection: the slice's A0 and
     A1 triples (``slice_connection``) evaluated on the state's grids, in
     the basis T_a of ``sl2`` (the E-basis rows scaled by 1, sqrt2, sqrt2).
-    On slice B, A0^- is not determined by the slice and is zero."""
+    On slice B, A0^- is not determined by the slice and is zero, and
+    A0^0 = 2 R_xx - 4 R R_x + 2 u R is formed pointwise from spectral
+    derivatives of R: exact at the grid points for R below Nyquist, where
+    a spectral derivative of the grid u would carry the aliasing of R^2."""
     a1, a0, _ = slice_connection(gauge_slice)
     scale = np.sqrt(2.0) ** np.array(E_WEIGHTS * 2)[:, None]  # E_a = 2^(n_a/2) T_a
     rows = evaluate_many(a0 + a1, state.fields, state.L) * scale

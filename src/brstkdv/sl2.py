@@ -112,6 +112,10 @@ def rescaled_table(f=None):
     return tuple(tuple(tuple(r) for r in m) for m in out)
 
 
+def _acc(acc, term):
+    return term if acc is None else acc + term
+
+
 def _contract(x, y, f, lower):
     """For each basis position a, the sum of f_bd^a x^b y^d, or of
     f_ab^d x^b y^d when ``lower`` is set (component triples of polys or
@@ -123,8 +127,7 @@ def _contract(x, y, f, lower):
             for d in range(3):
                 v = f[a][b][d] if lower else f[b][d][a]
                 if v:
-                    term = v * (x[b] * y[d])
-                    acc = term if acc is None else acc + term
+                    acc = _acc(acc, v * (x[b] * y[d]))
         out.append(acc if acc is not None else 0 * (x[0] * y[0]))
     return out
 

@@ -620,6 +620,32 @@ def test_reconstruction_matches_the_typed_lifts():
         assert np.max(np.abs(conn.a1 - a1)) <= 1e-12
 
 
+def test_slice_b_lift_where_the_square_aliases():
+    # R with every mode below Nyquist on 16 points: R^2 aliases.  The
+    # derived A0^0 = 2 R_xx - 4 R R_x + 2 u R is then the exact value at the
+    # grid points, and it differs from the typed lift, which differentiates
+    # the aliased grid u, by exactly the aliasing error of the product rule,
+    # 2 (D(R^2) - 2 R D R); every other row still agrees to 1e-12.
+    length, n = 20.0, 16
+    x = length * np.arange(n) / n
+    rng = np.random.default_rng(3)
+    R = R_x = R_xx = np.zeros(n)
+    for m in range(1, n // 2):
+        a, b = 0.3 * rng.normal(size=2)
+        k = 2 * np.pi * m / length
+        c, s = np.cos(k * x), np.sin(k * x)
+        R, R_x, R_xx = R + a * c + b * s, R_x + k * (b * c - a * s), R_xx - k * k * (a * c + b * s)
+    u = 2 * (R_x - R * R)
+    conn = reconstruct_connection(FieldState(0.0, length, n, {"R": R}), SLICE_B)
+    a0, a1 = _lift_b_oracle(R, length)
+    assert np.max(np.abs(conn.a0[0] - (2 * R_xx - 4 * R * R_x + 2 * u * R))) <= 1e-12
+    alias = 2 * (spectral_derivative(R * R, 1, length) - 2 * R * spectral_derivative(R, 1, length))
+    assert np.max(np.abs(alias)) > 1.0
+    assert np.max(np.abs(conn.a0[0] - a0[0] - alias)) <= 1e-12
+    assert np.max(np.abs(conn.a0[1:] - a0[1:])) <= 1e-12
+    assert np.max(np.abs(conn.a1 - a1)) <= 1e-12
+
+
 def test_reconstruction_errors():
     state = FieldState(0.0, 10.0, 64, {"u": np.zeros(64)})
     with pytest.raises(KeyError):
