@@ -37,7 +37,7 @@ h = parse("1/2*u_x^2 - u^3")
 print("\ngradient of", h, " ->", euler_operator(h, "u"))
 print("gradient of an exact term ->", euler_operator(parse("3*u^2*u_x"), "u"))
 
-# Densities linear in an odd field have an odd gradient as well.
+# The same operator differentiates odd fields, from the left.
 g = parse("u*c_x", odd=("c",))
 print("odd gradient of", g, "   ->", odd_gradient(g, "c"))
 

@@ -25,7 +25,14 @@ from .reductions import (
     ckdv_to_mkdv,
     miura_map,
 )
-from .solver import SolverError, evaluate, evolve, initial_state, soliton_initial
+from .solver import (
+    SolverError,
+    _require_length,
+    evaluate,
+    evolve,
+    initial_state,
+    soliton_initial,
+)
 from .verify import CHECKS, run_all
 
 _FAMILY_KEYS = ("alpha", "beta", "s")
@@ -71,6 +78,7 @@ def _family_params(eff):
 
 def _grid(eff):
     length = float(eff["L"])
+    _require_length(length)
     n = int(eff["n"])
     return length, n, length * np.arange(n) / n
 

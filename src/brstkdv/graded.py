@@ -16,7 +16,8 @@ Two extensions beyond plain rationals are supported exactly:
 * coefficients and exponents become expanded polynomials in named
   parameters (:class:`ParamPoly`, from :func:`parameter`) when one such as
   ``beta`` enters, so identities are verified for a symbolic parameter
-  exactly and without floating point; sympy is imported only to print them.
+  exactly and without floating point.  The module needs nothing beyond the
+  standard library; a parameter polynomial prints in sympy's string form.
 
 Time derivatives are not part of the jet structure.  They appear as marker
 fields named ``u_t`` (which may themselves carry x-derivative orders, e.g.
@@ -26,7 +27,6 @@ fields named ``u_t`` (which may themselves carry x-derivative orders, e.g.
 from __future__ import annotations
 
 import functools
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -57,8 +57,8 @@ class ParamPoly:
     coefficients: a map from monomials, sorted ((name, power), ...) tuples,
     to nonzero ints and Fractions.  Arithmetic returns a plain int or
     Fraction whenever the result is constant, so a ParamPoly is never
-    constant and its zero test is exact.  ``str`` is sympy's printed form of
-    the expanded polynomial; sympy is imported on first use.
+    constant and its zero test is exact.  ``str`` writes the expanded
+    polynomial exactly as sympy prints it, without importing sympy.
     """
 
     __slots__ = ("_terms", "_hash", "_str")
@@ -122,13 +122,26 @@ class ParamPoly:
         return self._hash
 
     def __str__(self):
+        """Sympy's printed form of the expanded polynomial."""
         if self._str is None:
-            import sympy as sp
-
-            self._str = str(sp.Add(*(
-                sp.Rational(c.numerator, c.denominator)
-                * sp.Mul(*(sp.Symbol(v) ** k for v, k in mono))
-                for mono, c in self._terms.items())))
+            names = sorted(self.names)
+            # descending lex order of the exponent vectors, so the constant is last
+            terms = sorted(self._terms.items(), reverse=True,
+                           key=lambda t: [dict(t[0]).get(v, 0) for v in names])
+            (m0, c0), (m1, c1) = terms[0], terms[-1]
+            if len(terms) == 2 and m1 == () and c1 > 0 and c0 < 0 and len(m0) == 1:
+                terms.reverse()  # sympy's one exception: 1 - beta, not -beta + 1
+            out = ""
+            for mono, c in terms:
+                factors = [v if k == 1 else f"{v}**{k}" for v, k in mono]
+                if abs(c.numerator) != 1 or not mono:
+                    factors.insert(0, str(abs(c.numerator)))
+                body = "*".join(factors)
+                if c.denominator != 1:
+                    body += f"/{c.denominator}"
+                sign = "-" if c < 0 else "+"
+                out = f"{out} {sign} {body}" if out else "-" * (c < 0) + body
+            self._str = out
         return self._str
 
     __repr__ = __str__
@@ -158,27 +171,9 @@ def parameter(name):
     return ParamPoly({((name, 1),): 1})
 
 
-def _sympy_basic(x):
-    """Whether ``x`` is a sympy expression, without importing sympy."""
-    return "sympy" in sys.modules and isinstance(x, sys.modules["sympy"].Basic)
-
-
-def _from_sympy(x):
-    """The scalar of a sympy polynomial with rational coefficients."""
-    if x.is_Symbol:
-        return parameter(x.name)
-    if x.is_Rational:
-        return _normalize_fraction(Fraction(int(x.p), int(x.q)))
-    if x.is_Add or x.is_Mul:
-        return functools.reduce(s_add if x.is_Add else s_mul, map(_from_sympy, x.args))
-    if x.is_Pow and x.exp.is_Integer and x.exp >= 0:
-        return _from_sympy(x.base) ** int(x.exp)
-    raise TypeError(f"not an exact scalar: {x!r}")
-
-
 def as_scalar(x):
-    """Coerce to an exact scalar.  Floats are rejected to preserve exactness;
-    a sympy expression must be a polynomial with rational coefficients."""
+    """Coerce to an exact scalar: an int, a Fraction (or its string) or a
+    ParamPoly.  Floats and every other type are rejected to keep exactness."""
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(x, Fraction):
@@ -187,8 +182,6 @@ def as_scalar(x):
         return x
     if isinstance(x, str):
         return _normalize_fraction(Fraction(x))
-    if _sympy_basic(x):
-        return _from_sympy(x)
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
@@ -216,11 +209,7 @@ def s_div(a, b):
 
 
 def s_is_zero(a):
-    """Exact zero test; a ParamPoly is canonical, so never zero.  A caller's
-    sympy expression is converted when it has free symbols, and a
-    symbol-free one is decided by sympy's own zero test."""
-    if not isinstance(a, _SCALARS) and _sympy_basic(a):
-        return a.is_zero is True if not a.free_symbols else as_scalar(a) == 0
+    """Exact zero test; a ParamPoly is canonical, so never zero."""
     return a == 0
 
 
@@ -807,22 +796,19 @@ def substitute_family(p, sym, replacement):
 # ---------------------------------------------------------------------------
 # variational operators
 
-def _formal_partial(p, g):
-    one, zero = GradedPoly.number(1, p.odd_syms), GradedPoly.zero(p.odd_syms)
-    return _derive(p, lambda h: one if h == g else zero, parity=0)
-
-
 def euler_operator(p, sym):
-    """Variational derivative of a density with respect to an even field:
-    sum_i (-d/dx)^i of the formal partial with respect to the i-th jet.
+    """Variational derivative of a density with respect to a field of either
+    parity: E = sum_i (-d/dx)^i of the left partial derivative with respect
+    to the i-th jet.  It annihilates every total x-derivative, so densities
+    that differ by exact terms have the same gradient.
     """
-    if _sym_is_odd(sym, p.odd_syms):
-        raise ValueError(f"euler_operator differentiates even fields only, '{sym}' is odd")
     if p.max_order(marker(sym)) >= 0:
         raise ValueError(f"density contains time markers of '{sym}'; reduce on shell first")
+    one, zero = GradedPoly.number(1, p.odd_syms), GradedPoly.zero(p.odd_syms)
+    parity = int(_sym_is_odd(sym, p.odd_syms))
     acc = {}
     for i in range(p.max_order(sym) + 1):
-        part = _formal_partial(p, (sym, i))
+        part = _derive(p, lambda g: one if g == (sym, i) else zero, parity)
         if not part.is_zero:
             for key, c in _dx_power(part, i, None)._terms.items():
                 _acc(acc, key, s_neg(c) if i % 2 else c)
@@ -830,23 +816,7 @@ def euler_operator(p, sym):
 
 
 def odd_gradient(p, sym):
-    """Variational derivative with respect to an odd field, for densities
-    that are linear in that field's jet family.  Two densities that are
-    linear in ``sym`` agree modulo total x-derivatives iff their gradients
-    coincide.
-    """
+    """:func:`euler_operator` with respect to a field that must be odd."""
     if not _sym_is_odd(sym, p.odd_syms):
         raise ValueError(f"'{sym}' is not an odd symbol here")
-    buckets = {}
-    for (even, odd), coeff in p._terms.items():
-        fam = [g for g in odd if base_symbol(g[0]) == base_symbol(sym)]
-        if len(fam) != 1 or len(odd) != 1 or fam[0][0] != sym:
-            raise ValueError(f"density is not linear in the '{sym}' family")
-        order = fam[0][1]
-        key = (even, ())
-        buckets.setdefault(order, {})[key] = coeff
-    acc = {}
-    for order, terms in buckets.items():
-        for key, c in _dx_power(GradedPoly._of(terms, p.odd_syms), order, None)._terms.items():
-            _acc(acc, key, s_neg(c) if order % 2 else c)
-    return GradedPoly._of(acc, p.odd_syms)
+    return euler_operator(p, sym)

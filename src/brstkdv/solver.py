@@ -82,6 +82,10 @@ def _require_length(length):
 def _multiplier(n, length, order):
     """(ik)^order on the rfft modes; odd orders drop the unpaired Nyquist mode."""
     _require_length(length)
+    # a float product overflows to inf where numpy's power would warn
+    if not math.isfinite(math.prod([2.0 * np.pi / length * (n // 2)] * order)):
+        raise ValueError(f"domain length {length!r} is too small for {n} points: "
+                         f"(ik)^{order} overflows")
     k = 2.0 * np.pi / length * np.fft.rfftfreq(n, d=1.0 / n)
     mult = (1j * k) ** order
     if order % 2:
@@ -415,10 +419,12 @@ class _Stepper:
         for f, amps in stiff.items():
             worst = max((float(np.max(_pointwise([t], grids, self.n))) for t in amps),
                         default=0.0)
-            if self.dt * worst * kmax ** 3 > _RK4_IMAG_LIMIT:
+            # a product overflows to inf where a float ** raises
+            bound = self.dt * worst * math.prod([kmax] * 3)
+            if bound > _RK4_IMAG_LIMIT:
                 warnings.warn(
                     f"field {f!r}: variable-coefficient dispersion with "
-                    f"dt*|a|*kmax^3 ~ {self.dt * worst * kmax**3:.2f} exceeds the "
+                    f"dt*|a|*kmax^3 ~ {bound:.2f} exceeds the "
                     "RK4 stability bound ~2.83; reduce dt or N", stacklevel=3)
 
 

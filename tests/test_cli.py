@@ -38,6 +38,13 @@ def test_euler_with_odd_symbols(capsys):
     assert out.strip() == "c_x"
 
 
+def test_euler_with_respect_to_an_odd_field(capsys):
+    # the left derivative: d/dc of c*c_x is c_x, d/dc_x is -c
+    code, out, _ = invoke(capsys, "euler", "--density", "c*c_x", "--field", "c", "--odd", "c")
+    assert code == 0
+    assert out == "2*c_x\n"
+
+
 def test_euler_total_derivative_gives_zero(capsys):
     code, out, _ = invoke(capsys, "euler", "--density", "3*u^2*u_x", "--field", "u")
     assert code == 0
@@ -200,11 +207,28 @@ def test_simulate_usage_errors(capsys, tmp_path):
      "--ghost-initial", "none"],
     ["simulate", "--system", "kdv", "--soliton", "k=0.7", "--L", "nan"],
     ["miura", "--initial", "sx", "--L", "-5"],
-], ids=["simulate-zero", "simulate-negative", "simulate-nan", "miura-negative"])
+    # the length is checked before the expression is evaluated on the grid
+    ["miura", "--initial", "sx", "--L", "nan"],
+    ["miura", "--initial", "sx", "--L", "inf"],
+    ["simulate", "--system", "kdv", "--initial", "sx", "--L", "nan"],
+    ["simulate", "--system", "kdv", "--initial", "sx", "--L", "inf"],
+], ids=["simulate-zero", "simulate-negative", "simulate-nan", "miura-negative",
+        "miura-nan", "miura-inf", "simulate-initial-nan", "simulate-initial-inf"])
 def test_domain_length_must_be_finite_and_positive(capsys, tmp_path, argv):
     code, stdout, err = invoke(capsys, *argv, "--n", "16", "--out", str(tmp_path / "out"))
     assert code == 2
     assert err.startswith(f"{argv[0]}: domain length must be finite and positive")
+    assert stdout == ""
+
+
+def test_domain_too_small_for_the_grid(capsys, tmp_path):
+    # (ik)^3 overflows a float on this grid; the run stops with one line
+    code, stdout, err = invoke(capsys, "simulate", "--system", "kdv", "--soliton", "k=0.7",
+                               "--n", "16", "--t-end", "0.01", "--L", "1e-300",
+                               "--out", str(tmp_path))
+    assert code in (1, 2)
+    assert err.startswith("simulate: domain length 1e-300 is too small")
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert stdout == ""
 
 
