@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -42,6 +43,7 @@ __all__ = [
     "spectral_derivative",
     "step",
     "evolve",
+    "evolve_many",
     "evaluate",
     "evaluate_many",
     "evaluate_functional",
@@ -260,8 +262,10 @@ def _raise(g, e):
 class _Plan:
     """Compiled right-hand sides, evaluated from rfft data with the 2/3 rule.
 
-    An evaluation is a fixed sequence of stacked passes over index tables
-    built here: one irfft reads every (field, order) grid; one round trip
+    ``terms`` holds one tuple of (coeff, factors) pairs per row of the
+    stacked state, with each factor keyed (row, order, exponent) by the row
+    it reads.  An evaluation is a fixed sequence of stacked passes over index
+    tables built here: one irfft reads every (row, order) grid; one round trip
     filters every power other than 1; product level j multiplies each term
     with more than j factors by its factor j, and one round trip filters
     those that go on past level j; one rfft takes all terms to spectral
@@ -270,7 +274,7 @@ class _Plan:
     mode, with no FFT.
     """
 
-    def __init__(self, fields, terms, n, length):
+    def __init__(self, terms, n, length):
         self.terms = terms
         self.n = n
         self.mask = _dealias_mask(n)
@@ -283,7 +287,7 @@ class _Plan:
         self.reads = sorted({x[:2] for fs in formed for x in fs})
         self.powers = sorted({x for fs in formed for x in fs if x[2] != 1.0})
         mult = {o: _multiplier(n, length, o) for _, _, fs in every for _, o, _ in fs}
-        self.read_rows = np.array([fields.index(s) for s, _ in self.reads], dtype=int)
+        self.read_rows = np.array([r for r, _ in self.reads], dtype=int)
         self.read_mult = np.array([mult[o] for _, o in self.reads]).reshape(-1, n // 2 + 1)
         slot = {x: i for i, x in enumerate(self.reads + self.powers)}
         self.raise_from = [(slot[x[:2]], x[2]) for x in self.powers]
@@ -296,7 +300,7 @@ class _Plan:
         self.scale = np.array([every[k][1] for k in order])[:, None] * self.mask
         # (row, term) pairs, so each row adds its terms in the order given
         self.adds = [(every[k][0], order.index(k)) for k in sorted(order)]
-        self.lone = [(r, c, fields.index(fs[0][0]), mult[fs[0][1]])
+        self.lone = [(r, c, fs[0][0], mult[fs[0][1]])
                      for r, c, fs in map(every.__getitem__, lone)]
         self.const = [(r, c) for r, c, fs in every if not fs]
 
@@ -304,11 +308,11 @@ class _Plan:
         return np.fft.irfft(np.fft.rfft(a) * self.mask, self.n)
 
     def grids(self, hats):
-        """The (field, order) grids the plan reads, one row each in reads order."""
+        """The (row, order) grids the plan reads, one row each in reads order."""
         return np.fft.irfft(hats[self.read_rows] * self.read_mult, self.n)
 
     def __call__(self, hats, grids):
-        """The rfft of every compiled right-hand side, one row per field."""
+        """The rfft of every compiled right-hand side, one row each."""
         vals = grids
         if self.powers:
             raised = np.stack([_raise(grids[i], e) for i, e in self.raise_from])
@@ -333,61 +337,67 @@ class _Plan:
 # the stepper
 
 class _Stepper:
-    def __init__(self, system, length, n, dt):
+    """IF-RK4 for the evolving fields of one or more systems, whose spectra
+    are the rows of one stacked array: each system's fields in turn, in
+    ``evolving_fields()`` order, all read by one plan."""
+
+    def __init__(self, systems, length, n, dt):
         _require_power_of_two(n)
         self.length = length
         self.n = n
         self.dt = dt
-        self.fields = system.evolving_fields()
-        if not self.fields:
-            raise ValueError(f"system {system.name!r} has no evolution equations")
-        missing = [f for f in system.even_fields + system.odd_fields
-                   if system.rhs.get(f) is None]
-        if missing:
-            raise ValueError(
-                f"system {system.name!r} leaves {missing} without an evolution "
-                "law and cannot be integrated")
-        self.odd = set(system.odd_fields)
-
-        # a constant-coefficient a*f_xxx is propagated exactly by the
-        # integrating factor and kept out of the plan
-        linear, terms = [], []
-        for f in self.fields:
-            disp = ((f, 3, 1.0),)
-            compiled = _compile_terms(system.rhs[f], self.odd)
-            linear.append(sum(c for c, fs in compiled if fs == disp))
-            terms.append(tuple(t for t in compiled if t[1] != disp))
-        self.plan = _Plan(self.fields, terms, n, length)
+        self.fields, self.where, self.terms, self.spans, self.odd = (), [], [], [], []
+        rows, linear = [], []
+        for i, system in enumerate(systems):
+            fields = system.evolving_fields()
+            if not fields:
+                raise ValueError(f"system {system.name!r} has no evolution equations")
+            missing = [f for f in system.even_fields + system.odd_fields
+                       if system.rhs.get(f) is None]
+            if missing:
+                raise ValueError(
+                    f"system {system.name!r} leaves {missing} without an evolution "
+                    "law and cannot be integrated")
+            odd = set(system.odd_fields)
+            row = {f: len(self.fields) + j for j, f in enumerate(fields)}
+            for f in fields:
+                # a constant-coefficient a*f_xxx is propagated exactly by the
+                # integrating factor and kept out of the plan
+                disp = ((f, 3, 1.0),)
+                compiled = _compile_terms(system.rhs[f], odd)
+                linear.append(sum(c for c, fs in compiled if fs == disp))
+                self.terms.append(tuple(t for t in compiled if t[1] != disp))
+                rows.append(tuple((c, tuple((row[s], o, e) for s, o, e in fs))
+                                  for c, fs in self.terms[-1]))
+            self.spans.append(slice(len(self.fields), len(self.fields) + len(fields)))
+            self.fields += fields
+            self.where += [f" of run {i} ({system.name})" if len(systems) > 1 else ""] * len(fields)
+            self.odd.append(odd)
+        self.plan = _Plan(rows, n, length)
         # an undifferentiated fractional power needs a positive base and a
-        # negative one a nonzero base: field -> (grid row, must be positive)
-        frac = {s for s, o, e in self.plan.powers if not o and e != int(e)}
-        self.guarded = {s: (self.plan.reads.index((s, 0)), s in frac)
-                        for s, o, e in self.plan.powers if not o and (e < 0 or s in frac)}
+        # negative one a nonzero base: row -> (grid index, must be positive)
+        frac = {r for r, o, e in self.plan.powers if not o and e != int(e)}
+        self.guarded = {r: (self.plan.reads.index((r, 0)), r in frac)
+                        for r, o, e in self.plan.powers if not o and (e < 0 or r in frac)}
 
         lam = np.outer(linear, _multiplier(n, length, 3))
         self.E, self.E2 = np.exp(dt * lam), np.exp(0.5 * dt * lam)
 
-    def to_hats(self, state):
-        """The spectral state: one rfft row per field, in self.fields order."""
-        return np.fft.rfft(np.stack([state.fields[f] for f in self.fields]))
-
-    def to_fields(self, hats, state):
-        return {**state.fields, **dict(zip(self.fields, np.fft.irfft(hats, self.n)))}
-
     def _check_guards(self, grids, t):
-        """Raise SingularityError if a guarded field in ``grids`` (keyed by
-        symbol) is not above the floor at time t."""
-        for sym, (_, positive) in self.guarded.items():
-            m = float(np.min(grids[sym] if positive else np.abs(grids[sym])))
+        """Raise SingularityError if a guarded row of ``grids`` (indexed by
+        row) is not above the floor at time t."""
+        for r, (_, positive) in self.guarded.items():
+            m = float(np.min(grids[r] if positive else np.abs(grids[r])))
             if not m > _FLOOR:  # NaN fails this test too
+                sym = self.fields[r]
                 what, kind = ((f"field {sym!r}", "positivity") if positive
                               else (f"|{sym}|", "nonvanishing"))
-                raise SingularityError(
-                    f"{what} reached {m:.3e} <= {kind} floor {_FLOOR:.1e} at t = {t:.6g}")
+                raise SingularityError(f"{what}{self.where[r]} reached {m:.3e} <= {kind} "
+                                       f"floor {_FLOOR:.1e} at t = {t:.6g}")
 
     def nonlinear_hat(self, hats, t):
         grids = self.plan.grids(hats)
-        self._check_guards({s: grids[i] for s, (i, _) in self.guarded.items()}, t)
+        self._check_guards({r: grids[i] for r, (i, _) in self.guarded.items()}, t)
         return self.plan(hats, grids)
 
     def advance(self, hats, t):
@@ -405,14 +415,16 @@ class _Stepper:
             d = self.nonlinear_hat(E * hats + dt * E2 * c, t + dt)
             return E * hats + dt / 6.0 * (E * a + 2.0 * E2 * (b + c) + d)
 
-    def cfl_advisory(self, state):
-        """Warn when an unextracted third-derivative term looks unstable."""
+    def cfl_advisory(self, run, state):
+        """Warn when an unextracted third-derivative term of a run looks
+        unstable; the warning points at the caller of evolve/evolve_many."""
+        rows, odd = self.spans[run], self.odd[run]
         kmax = 2.0 * np.pi / self.length * (self.n // 3)
         # |coeff| and the even factors other than the third derivative, for
         # each term that carries one
-        stiff = {f: [(abs(c), [x for x in fs if x[1] != 3 and x[0] not in self.odd])
+        stiff = {f: [(abs(c), [x for x in fs if x[1] != 3 and x[0] not in odd])
                      for c, fs in terms if any(x[1] == 3 for x in fs)]
-                 for f, terms in zip(self.fields, self.plan.terms)}
+                 for f, terms in zip(self.fields[rows], self.terms[rows])}
         grids = _grids([t for amps in stiff.values() for t in amps], state.fields, self.length)
         # |x^e| via |x|^e: fractional e on negative data would NaN
         grids = {k: np.abs(g) for k, g in grids.items()}
@@ -422,10 +434,13 @@ class _Stepper:
             # a product overflows to inf where a float ** raises
             bound = self.dt * worst * math.prod([kmax] * 3)
             if bound > _RK4_IMAG_LIMIT:
+                frame, level = sys._getframe(1), 2  # the first frame outside this module
+                while frame.f_globals is globals():
+                    frame, level = frame.f_back, level + 1
                 warnings.warn(
-                    f"field {f!r}: variable-coefficient dispersion with "
-                    f"dt*|a|*kmax^3 ~ {bound:.2f} exceeds the "
-                    "RK4 stability bound ~2.83; reduce dt or N", stacklevel=3)
+                    f"field {f!r}{self.where[rows.start]}: variable-coefficient "
+                    f"dispersion with dt*|a|*kmax^3 ~ {bound:.2f} exceeds the "
+                    "RK4 stability bound ~2.83; reduce dt or N", stacklevel=level)
 
 
 def step(state, system, dt):
@@ -437,57 +452,84 @@ def evolve(state, system, t_end, dt, record_every=1, diagnostics=()):
     """Integrate to t_end, recording every record_every-th step (plus the
     initial and final states) and evaluating the given conserved densities
     on each recorded snapshot."""
+    return evolve_many([(state, system, record_every, diagnostics)], t_end, dt)[0]
+
+
+def evolve_many(runs, t_end, dt):
+    """:func:`evolve` of several runs in lockstep, one trajectory each.
+
+    Each run is ``(state, system, record_every, diagnostics)``; all share
+    L, N and the start time.  Their fields are the rows of one stacked
+    spectral state, so a step of k runs costs about the FFT calls of the
+    costliest one; each run records its own snapshots and diagnostics from
+    its own rows, exactly as its own :func:`evolve` would.  Errors name the
+    run by its index in ``runs`` when there is more than one.
+    """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
-    if not isinstance(record_every, (int, np.integer)) or record_every < 1:
-        raise ValueError(f"record_every must be an int >= 1, got {record_every!r}")
-    if t_end <= state.t:
+    runs = [(state, system, every, list(diags)) for state, system, every, diags in runs]
+    if not runs:
+        raise ValueError("evolve_many needs at least one run")
+    t0, length, n = runs[0][0].t, runs[0][0].L, runs[0][0].N
+    if any((state.t, state.L, state.N) != (t0, length, n) for state, *_ in runs):
+        raise ValueError("every run must start at the same t on the same L and N")
+    for _, _, every, _ in runs:
+        if not isinstance(every, (int, np.integer)) or every < 1:
+            raise ValueError(f"record_every must be an int >= 1, got {every!r}")
+    if t_end <= t0:
         raise ValueError("t_end must exceed the initial time")
-    bad = [f for f in sorted(state.fields) if not np.isfinite(state.fields[f]).all()]
-    if bad:
-        raise ValueError(f"initial field {bad[0]!r} is not finite")
-    span = t_end - state.t
+    for state, *_ in runs:
+        bad = [f for f in sorted(state.fields) if not np.isfinite(state.fields[f]).all()]
+        if bad:
+            raise ValueError(f"initial field {bad[0]!r} is not finite")
+    span = t_end - t0
     n_steps = int(round(span / dt))
     if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError("t_end - t must be an integer number of steps")
-    diagnostics = list(diagnostics)
-    names = [d.name if hasattr(d, "name") else str(d) for d in diagnostics]
-    twice = sorted({nm for nm in names if names.count(nm) > 1})
-    if twice:
-        raise ValueError(f"diagnostic {twice[0]!r} is given more than once")
-    compiled = [_density_terms(d) for d in diagnostics]
-    stepper = _Stepper(system, state.L, state.N, dt)
+    names = []
+    for *_, diagnostics in runs:
+        names.append([d.name if hasattr(d, "name") else str(d) for d in diagnostics])
+        twice = sorted({nm for nm in names[-1] if names[-1].count(nm) > 1})
+        if twice:
+            raise ValueError(f"diagnostic {twice[0]!r} is given more than once")
+    compiled = [[_density_terms(d) for d in diagnostics] for *_, diagnostics in runs]
+    stepper = _Stepper([system for _, system, _, _ in runs], length, n, dt)
+    grids = [state.fields[f] for (state, *_), rows in zip(runs, stepper.spans)
+             for f in stepper.fields[rows]]
     # the advisory raises |field| to negative powers, so the guards go first
-    stepper._check_guards(state.fields, state.t)
-    stepper.cfl_advisory(state)
+    stepper._check_guards(grids, t0)
+    for i, (state, *_) in enumerate(runs):
+        stepper.cfl_advisory(i, state)
 
-    states = [state]
-    records = [_quadrature(compiled, state)]
-    hats = stepper.to_hats(state)
-    t0 = state.t
+    states = [[state] for state, *_ in runs]
+    records = [[_quadrature(c, state)] for c, (state, *_) in zip(compiled, runs)]
+    hats = np.fft.rfft(grids)
     for i in range(1, n_steps + 1):
         hats = stepper.advance(hats, t0 + (i - 1) * dt)
         bad = ~np.isfinite(hats).all(axis=1)
         if bad.any():
-            raise BlowUpError(f"non-finite values in field {stepper.fields[bad.argmax()]!r}",
-                              t0 + i * dt)
-        if i % record_every == 0 or i == n_steps:
-            snap = state.replace(t=t0 + i * dt, fields=stepper.to_fields(hats, state))
-            states.append(snap)
-            records.append(_quadrature(compiled, snap))
-    return Trajectory(
-        states=states,
-        diagnostics={nm: list(vs) for nm, vs in zip(names, zip(*records))},
+            r = bad.argmax()
+            raise BlowUpError(f"non-finite values in field {stepper.fields[r]!r}"
+                              f"{stepper.where[r]}", t0 + i * dt)
+        for (state, _, every, _), rows, c, snaps, recs in zip(
+                runs, stepper.spans, compiled, states, records):
+            if i % every == 0 or i == n_steps:
+                fields = dict(zip(stepper.fields[rows], np.fft.irfft(hats[rows], n)))
+                snaps.append(state.replace(t=t0 + i * dt, fields={**state.fields, **fields}))
+                recs.append(_quadrature(c, snaps[-1]))
+    return [Trajectory(
+        states=snaps,
+        diagnostics={nm: list(vs) for nm, vs in zip(nms, zip(*recs))},
         meta={
             "system": system.name,
             "parameters": {k: str(v) for k, v in system.parameters.items()},
             "dt": dt,
-            "record_every": record_every,
+            "record_every": every,
             "t_end": t_end,
         },
-    )
+    ) for (_, system, every, _), snaps, recs, nms in zip(runs, states, records, names)]
 
 
 def _density_terms(density):

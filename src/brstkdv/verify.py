@@ -41,7 +41,14 @@ from .reductions import (
     upsilon_rules,
 )
 from .sl2 import CANONICAL_FIELDS, canonical_brst_rules, curvature_residual
-from .solver import FieldState, evaluate, evolve, soliton_initial, spectral_derivative
+from .solver import (
+    FieldState,
+    evaluate,
+    evolve,
+    evolve_many,
+    soliton_initial,
+    spectral_derivative,
+)
 
 __all__ = [
     "CheckReport",
@@ -271,13 +278,30 @@ _CKDV_T_END = 0.2  # the ckdv leg of the substitution chain
 _ZERO_FLOOR = 1e-8  # conservation drift is absolute below this initial value
 
 
-def _standard_soliton_run(densities=()):
-    """The kdv soliton run (k = 0.7, centred, on the checks' grid and step,
-    recorded every 10 steps) with the given densities as diagnostics."""
+def _soliton_run(densities=()):
+    """The kdv soliton run (k = 0.7, centred, on the checks' grid, recorded
+    every 10 steps) with the given densities as diagnostics, as an
+    ``evolve_many`` run."""
     kdv = build_system("kdv")
     state = soliton_initial(0.7, _LENGTH / 2, "kdv", _LENGTH, _N)
-    diagnostics = [kdv.density(d) if isinstance(d, str) else d for d in densities]
-    return evolve(state, kdv, _T_END, _DT, record_every=10, diagnostics=diagnostics)
+    return state, kdv, 10, [kdv.density(d) if isinstance(d, str) else d for d in densities]
+
+
+def _standard_soliton_run(densities=()):
+    """The kdv soliton run, integrated to the checks' end time."""
+    return evolve_many([_soliton_run(densities)], _T_END, _DT)[0]
+
+
+def _miura_runs():
+    """The two legs of the Miura check, recording their endpoints only:
+    R0 under the modified flow and its Miura image under the target flow."""
+    x = _LENGTH * np.arange(_N) / _N
+    R0 = 0.9 / np.cosh(0.8 * (x - _LENGTH / 2))
+    zeros = np.zeros(_N)
+    return [(FieldState(0.0, _LENGTH, _N, {"R": R0, "c": zeros}),
+             build_system("mkdv"), 10 ** 9, ()),
+            (FieldState(0.0, _LENGTH, _N, {"u": miura_map(R0, _LENGTH), "c": zeros}),
+             build_system("kdv"), 10 ** 9, ())]
 
 
 def _snapshot_rates(states, values):
@@ -332,23 +356,23 @@ def check_conservation(trajectory=None, densities=None, tolerance=1e-6):
     )
 
 
-def check_miura_chain():
+def check_miura_chain(legs=None):
     """Numeric consistency of the substitution chain: evolving under the
     modified flow and mapping agrees with mapping first and evolving under
-    the target flow; mapped ckdv data satisfies the modified-flow residual."""
-    x = _LENGTH * np.arange(_N) / _N
-    mk = build_system("mkdv")
-    kdv = build_system("kdv")
-    R0 = 0.9 / np.cosh(0.8 * (x - _LENGTH / 2))
-    zeros = np.zeros(_N)
-    trajR = evolve(FieldState(0.0, _LENGTH, _N, {"R": R0, "c": zeros}),
-                   mk, _T_END, _DT, record_every=10 ** 9)
-    trajU = evolve(FieldState(0.0, _LENGTH, _N, {"u": miura_map(R0, _LENGTH), "c": zeros}),
-                   kdv, _T_END, _DT, record_every=10 ** 9)
+    the target flow; mapped ckdv data satisfies the modified-flow residual.
+
+    ``legs`` are the (mkdv, kdv) trajectories of ``_miura_runs``; without
+    them, the two legs are integrated here in lockstep."""
+    if legs is None:
+        legs = evolve_many(_miura_runs(), _T_END, _DT)
+    trajR, trajU = legs
     mapped = miura_map(trajR.states[-1].fields["R"], _LENGTH)
     linf = float(np.max(np.abs(mapped - trajU.states[-1].fields["u"])))
 
+    mk = build_system("mkdv")
     ck = build_system("ckdv")
+    x = _LENGTH * np.arange(_N) / _N
+    zeros = np.zeros(_N)
     w0 = 1.0 + 0.3 * np.cos(2 * np.pi * x / _LENGTH)
     trajW = evolve(FieldState(0.0, _LENGTH, _N, {"w": w0, "c": zeros}),
                    ck, _CKDV_T_END, _DT, record_every=10)
@@ -405,10 +429,14 @@ CHECKS = {
 
 def run_all():
     """Run every check serially in registry order, plus the even-sector
-    conservation variant at its tighter tolerance; both conservation reports
-    and the zero-curvature check read one standard soliton run."""
-    trajectory = _standard_soliton_run(_EVEN_DENSITIES + _ODD_DENSITIES)
+    conservation variant at its tighter tolerance.  One ``evolve_many`` pass
+    integrates the standard soliton run, which both conservation reports and
+    the zero-curvature check read, in lockstep with the two Miura legs; the
+    ckdv leg, with its shorter end time, is the only other integrator pass."""
+    trajectory, *legs = evolve_many(
+        [_soliton_run(_EVEN_DENSITIES + _ODD_DENSITIES), *_miura_runs()], _T_END, _DT)
     shared = {"check_conservation": (trajectory, _ODD_DENSITIES),
+              "check_miura_chain": (legs,),
               "check_zero_curvature": (trajectory,)}
     reports = [fn(*shared.get(name, ())) for name, fn in CHECKS.items()]
     classical = check_conservation(trajectory, _EVEN_DENSITIES, tolerance=1e-8)

@@ -25,6 +25,7 @@ from brstkdv.solver import (
     evaluate_functional,
     evaluate_many,
     evolve,
+    evolve_many,
     soliton_initial,
     spectral_derivative,
     step,
@@ -104,7 +105,7 @@ def test_derivative_rejects_bad_length(length):
 def test_dealias_projects_high_modes():
     # the 2/3-rule filter every plan applies to powers and products
     length, n = 10.0, 128
-    dealias = solver._Plan(("u",), ((),), n, length)._filter
+    dealias = solver._Plan(((),), n, length)._filter
     x = grid(length, n)
     low = np.cos(2 * np.pi * 5 * x / length)
     high = np.cos(2 * np.pi * (n // 3 + 4) * x / length)
@@ -484,6 +485,18 @@ def test_cfl_advisory_for_variable_dispersion():
         evolve(st, hd, 0.01, 2e-3)  # inside the stability region: no advisory
 
 
+def test_cfl_advisory_points_at_the_caller():
+    hd = build_system("harry-dym")
+    n = 128
+    T = 1.0 + 0.1 * np.cos(2 * np.pi * grid(20.0, n) / 20.0)
+    st = FieldState(0.0, 20.0, n, {"T": T, "c": np.zeros(n)})
+    for run in (lambda: evolve(st, hd, 0.05, 0.05),
+                lambda: evolve_many([(st, hd, 1, ())], 0.05, 0.05)):
+        with pytest.warns(UserWarning, match="stability") as seen:
+            run()
+        assert {w.filename for w in seen} == {__file__}
+
+
 def test_guard_violation_raises_before_the_advisory():
     # the advisory raises |T| to negative powers: T = 0 would divide by zero
     # and sign-changing T would draw a huge step-size warning first
@@ -500,11 +513,12 @@ def test_guard_violation_raises_before_the_advisory():
 
 @pytest.mark.parametrize("name, sym", [("harry-dym", "T"), ("ckdv", "w")])
 def test_guards_trip_on_nan(name, sym):
-    stepper = _Stepper(build_system(name), 10.0, 16, 1e-3)
+    stepper = _Stepper([build_system(name)], 10.0, 16, 1e-3)
+    assert stepper.fields[0] == sym
     g = np.ones(16)
     g[3] = np.nan
     with pytest.raises(SingularityError, match="nan"):
-        stepper._check_guards({sym: g}, 0.0)
+        stepper._check_guards({0: g}, 0.0)
 
 
 _RUNNABLE = {name: build_system(name) for name in ("kdv", "mkdv", "ckdv", "harry-dym")}
@@ -532,6 +546,62 @@ def test_evolve_records_to_t_end_or_raises_a_library_error(name, n, a, b, c, dt,
     times = traj.times
     assert all(t1 > t0 for t0, t1 in zip(times, times[1:]))
     assert times[-1] == t_end
+
+
+def _same_trajectory(a, b):
+    assert [s.t for s in a.states] == [s.t for s in b.states]
+    for sa, sb in zip(a.states, b.states):
+        assert sa.fields.keys() == sb.fields.keys()
+        assert all(np.array_equal(sa.fields[k], sb.fields[k]) for k in sa.fields)
+    assert a.diagnostics == b.diagnostics
+    assert a.meta == b.meta
+
+
+_RUN = st.tuples(st.sampled_from(sorted(_RUNNABLE)), st.integers(1, 4), st.booleans(),
+                 st.floats(0.0, 0.3))
+
+
+@settings(max_examples=30)
+@given(st.lists(_RUN, min_size=1, max_size=4), st.sampled_from([32, 64]), st.integers(1, 6))
+def test_evolve_many_matches_each_runs_own_evolve(specs, n, steps):
+    # every stage works row by row, so stacking runs changes no bit
+    kx = 2 * np.pi * grid(20.0, n) / 20.0
+    runs = []
+    for name, every, with_densities, a in specs:
+        system = _RUNNABLE[name]
+        state = FieldState(0.0, 20.0, n, {system.even_fields[0]: 1.0 + a * np.cos(kx),
+                                          system.odd_fields[0]: np.sin(kx)})
+        dens = ([system.densities[k] for k in sorted(system.densities)]
+                if with_densities else [])
+        runs.append((state, system, every, dens))
+    t_end = steps * 1e-3
+    for run, traj in zip(runs, evolve_many(runs, t_end, 1e-3)):
+        _same_trajectory(traj, evolve(run[0], run[1], t_end, 1e-3, run[2], run[3]))
+
+
+@pytest.mark.parametrize("length, n, t", [(30.0, 64, 0.0), (20.0, 32, 0.0), (20.0, 64, 0.5)])
+def test_evolve_many_needs_one_grid_and_start_time(length, n, t):
+    kdv = build_system("kdv")
+    st = soliton_initial(0.5, 10.0, "kdv", 20.0, 64)
+    other = soliton_initial(0.5, 10.0, "kdv", length, n).replace(t=t)
+    with pytest.raises(ValueError, match="same t on the same L and N"):
+        evolve_many([(st, kdv, 1, ()), (other, kdv, 1, ())], 1.0, 1e-3)
+
+
+def test_lockstep_errors_name_the_run():
+    n = 64
+    kx = 2 * np.pi * grid(20.0, n) / 20.0
+    kdv, mk, hd = (build_system(nm) for nm in ("kdv", "mkdv", "harry-dym"))
+    good = [(FieldState(0.0, 20.0, n, {"u": np.cos(kx), "c": np.zeros(n)}), kdv, 1, ()),
+            (FieldState(0.0, 20.0, n, {"R": np.cos(kx), "c": np.zeros(n)}), mk, 1, ())]
+    crossing = FieldState(0.0, 20.0, n, {"T": np.cos(kx), "c": np.zeros(n)})
+    with pytest.raises(SingularityError, match=r"field 'T' of run 2 \(harry-dym\)"):
+        evolve_many(good + [(crossing, hd, 1, ())], 0.01, 1e-3)
+    u = np.zeros(n)
+    u[0] = 1e308  # finite, but u*u_x overflows in the first step
+    huge = FieldState(0.0, 20.0, n, {"u": u, "c": np.zeros(n)})
+    with pytest.raises(BlowUpError, match=r"field 'u' of run 1 \(kdv\)"):
+        evolve_many([good[1], (huge, kdv, 1, ())], 0.01, 1e-3)
 
 
 def test_harry_dym_run_conserves_fractional_density():
@@ -623,8 +693,9 @@ def test_plan_matches_physical_space_evaluator(system):
     f = 1.0 + 0.3 * np.cos(z) + 0.2 * np.sin(2 * z) + 0.05 * np.cos(25 * z)
     c = 0.5 * np.sin(z) + 0.1 * np.cos(3 * z) + 0.05 * np.sin(25 * z)
     st = FieldState(0.0, length, n, {system.even_fields[0]: f, "c": c})
-    stepper = _Stepper(system, length, n, 1e-3)
-    got = dict(zip(stepper.fields, stepper.nonlinear_hat(stepper.to_hats(st), 0.0)))
+    stepper = _Stepper([system], length, n, 1e-3)
+    hats = np.fft.rfft([st.fields[f] for f in stepper.fields])
+    got = dict(zip(stepper.fields, stepper.nonlinear_hat(hats, 0.0)))
     want = _reference_nonlinear_hat(system, st)
     assert set(got) == set(want)
     for sym in want:
@@ -633,9 +704,10 @@ def test_plan_matches_physical_space_evaluator(system):
         assert np.max(np.abs(got[sym] - want[sym])) <= 1e-12 * scale
 
 
-def _ffts_per_step(monkeypatch, system, state):
-    stepper = _Stepper(system, state.L, state.N, 1e-3)
-    hats = stepper.to_hats(state)
+def _ffts_per_step(monkeypatch, systems, states):
+    stepper = _Stepper(systems, states[0].L, states[0].N, 1e-3)
+    hats = np.fft.rfft([st.fields[f] for st, rows in zip(states, stepper.spans)
+                        for f in stepper.fields[rows]])
     calls = []
 
     def counted(fn):
@@ -668,7 +740,17 @@ def test_step_fft_count(monkeypatch, name, ceiling):
     n = 128
     f = 1.0 + 0.3 * np.cos(2 * np.pi * grid(40.0, n) / 40.0)
     st = FieldState(0.0, 40.0, n, {system.even_fields[0]: f, "c": np.zeros(n)})
-    assert 0 < _ffts_per_step(monkeypatch, system, st) <= ceiling
+    assert 0 < _ffts_per_step(monkeypatch, [system], [st]) <= ceiling
+
+
+def test_stacked_runs_step_on_the_fft_calls_of_the_costliest(monkeypatch):
+    # kdv + kdv + mkdv in one stepper: mkdv's 16 calls carry the kdv rows too
+    n = 128
+    f = 1.0 + 0.3 * np.cos(2 * np.pi * grid(40.0, n) / 40.0)
+    systems = [build_system(nm) for nm in ("kdv", "kdv", "mkdv")]
+    states = [FieldState(0.0, 40.0, n, {s.even_fields[0]: f, "c": np.zeros(n)})
+              for s in systems]
+    assert _ffts_per_step(monkeypatch, systems, states) <= 16
 
 
 def test_symbolic_family_parameter_fails_loudly():
