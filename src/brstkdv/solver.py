@@ -382,6 +382,9 @@ class _Stepper:
 
         lam = np.outer(linear, _multiplier(n, length, 3))
         self.E, self.E2 = np.exp(dt * lam), np.exp(0.5 * dt * lam)
+        # the RK4 weights folded into the factors, once
+        self.half_E2, self.dt_E2 = 0.5 * dt * self.E2, dt * self.E2
+        self.sixth_E, self.third_E2 = dt / 6.0 * self.E, dt / 3.0 * self.E2
 
     def _check_guards(self, grids, t):
         """Raise SingularityError if a guarded row of ``grids`` (indexed by
@@ -407,13 +410,14 @@ class _Stepper:
         SingularityError at its own time; other non-finite values are caught
         by the caller, so numpy's invalid-value warnings are suppressed.
         """
-        dt, E, E2 = self.dt, self.E, self.E2
+        dt = self.dt
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            e2_hats, e_hats = self.E2 * hats, self.E * hats
             a = self.nonlinear_hat(hats, t)
-            b = self.nonlinear_hat(E2 * (hats + 0.5 * dt * a), t + 0.5 * dt)
-            c = self.nonlinear_hat(E2 * hats + 0.5 * dt * b, t + 0.5 * dt)
-            d = self.nonlinear_hat(E * hats + dt * E2 * c, t + dt)
-            return E * hats + dt / 6.0 * (E * a + 2.0 * E2 * (b + c) + d)
+            b = self.nonlinear_hat(e2_hats + self.half_E2 * a, t + 0.5 * dt)
+            c = self.nonlinear_hat(e2_hats + 0.5 * dt * b, t + 0.5 * dt)
+            d = self.nonlinear_hat(e_hats + self.dt_E2 * c, t + dt)
+            return e_hats + self.sixth_E * a + self.third_E2 * (b + c) + dt / 6.0 * d
 
     def cfl_advisory(self, run, state):
         """Warn when an unextracted third-derivative term of a run looks
