@@ -46,7 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -72,7 +73,7 @@ from .sl2 import (
     curvature_residual,
     rescaled_table,
 )
-from .solver import SingularityError, evaluate, evaluate_many, spectral_derivative
+from .solver import SingularityError, evaluator, spectral_derivative
 
 __all__ = [
     "EvolutionSystem",
@@ -137,7 +138,9 @@ class EvolutionSystem:
     u in the unreduced slice system).  ``brst`` is the odd symmetry;
     ``symbolic_invariance`` records whether the symmetry closes on the
     catalogued rules alone (False when the variation involves generators
-    with no transformation law in scope, as for mkdv/ckdv).
+    with no transformation law in scope, as for mkdv/ckdv).  Built systems
+    are cached and shared, so ``parameters``, ``rhs`` and ``densities`` are
+    read-only; ``dataclasses.replace`` makes a changed copy.
     """
 
     name: str
@@ -148,6 +151,10 @@ class EvolutionSystem:
     brst: DerivationRuleSet
     densities: dict = field(default_factory=dict)
     symbolic_invariance: bool = True
+
+    def __post_init__(self):
+        for name in ("parameters", "rhs", "densities"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     def evolving_fields(self):
         return tuple(f for f in self.even_fields + self.odd_fields
@@ -186,6 +193,7 @@ def _ghost_flow(u_law, u, delta_u):
     return delta_u - substitute_family(rest, "u", u)
 
 
+@lru_cache(maxsize=128)  # one system per parameter point, shared by every caller
 def _t_family(beta, s, name="t-form"):
     """The gauge u = s T^beta, which leaves T and the ghost c."""
     odd = frozenset({"c"})
@@ -212,6 +220,7 @@ def _t_family(beta, s, name="t-form"):
     )
 
 
+@lru_cache(maxsize=128)
 def _u_family(alpha, s, name="kdv"):
     """The gauge s T = u^alpha, which leaves u and the ghost c."""
     if s_is_zero(alpha) or isinstance(alpha, ParamPoly):
@@ -259,6 +268,7 @@ def _u_family(alpha, s, name="kdv"):
     )
 
 
+@cache
 def _mkdv():
     odd = ("c", "cm")
     rules = DerivationRuleSet("mkdv-brst", parity=1, base={
@@ -285,6 +295,7 @@ def _mkdv():
     )
 
 
+@cache
 def _ckdv():
     rules = DerivationRuleSet("ckdv-brst", parity=1, base={
         "w": parse("w_x*c + w*c_x + cw", odd=("c", "cw")),
@@ -362,6 +373,7 @@ def upsilon_rules():
     return DerivationRuleSet("slice-brst", parity=1, base=dict(_slice_a_laws()[1]))
 
 
+@cache
 def _upsilon_system():
     return EvolutionSystem(
         name="upsilon",
@@ -457,9 +469,6 @@ def catalog_manifest():
 # ---------------------------------------------------------------------------
 # maps between systems
 
-# The two maps are built from generators, at half the cost of parsing their
-# text, since the grid maps below rebuild them on every call.
-
 def miura_substitution():
     """u = 2 R_x - 2 R^2: the map sending mKdV solutions to KdV solutions."""
     R = GradedPoly.gen("R")
@@ -475,9 +484,15 @@ def ckdv_substitution():
 _MAP_FLOOR = 1e-8  # ckdv_to_mkdv divides by w, so |w| must stay above this
 
 
+@cache
+def _grid_map(substitution):
+    """The grid evaluator of a substitution map, compiled once."""
+    return evaluator([substitution()])
+
+
 def miura_map(R, length):
     """``miura_substitution()`` evaluated on the grid R."""
-    return evaluate(miura_substitution(), {"R": np.asarray(R, dtype=float)}, length)
+    return _grid_map(miura_substitution)({"R": np.asarray(R, dtype=float)}, length)[0]
 
 
 def ckdv_to_mkdv(w, length):
@@ -488,7 +503,7 @@ def ckdv_to_mkdv(w, length):
     if not small > _MAP_FLOOR:  # NaN fails this test too
         raise SingularityError(
             f"ckdv_to_mkdv: |w| reaches {small:.3e} (floor {_MAP_FLOOR:.1e})")
-    return evaluate(ckdv_substitution(), {"w": w}, length)
+    return _grid_map(ckdv_substitution)({"w": w}, length)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +542,13 @@ def reconstruct_connection(state, gauge_slice):
     A0^0 = 2 R_xx - 4 R R_x + 2 u R is formed pointwise from spectral
     derivatives of R: exact at the grid points for R below Nyquist, where
     a spectral derivative of the grid u would carry the aliasing of R^2."""
-    a1, a0, _ = slice_connection(gauge_slice)
     scale = np.sqrt(2.0) ** np.array(E_WEIGHTS * 2)[:, None]  # E_a = 2^(n_a/2) T_a
-    rows = evaluate_many(a0 + a1, state.fields, state.L) * scale
+    rows = _lift(gauge_slice)(state.fields, state.L) * scale
     return ConnectionGrid(a0=rows[:3], a1=rows[3:])
+
+
+@cache
+def _lift(gauge_slice):
+    """The grid evaluator of a slice's A0 and A1 triples, compiled once."""
+    a1, a0, _ = slice_connection(gauge_slice)
+    return evaluator(a0 + a1)

@@ -3,14 +3,17 @@
 Space is discretised by a Fourier collocation grid (N a power of two,
 domain [0, L)); derivatives are the multipliers (ik)^order, with the
 unpaired Nyquist mode dropped for odd orders.  The stepper holds the
-spectra of all evolving fields as the rows of one (F, N/2+1) array, so each
-RK stage is one array expression.  The right-hand sides are compiled once
+spectra of the evolving fields of one or more runs as the rows of one
+(sum F, N/2+1) array, so each RK stage is one array expression for all of
+them: :func:`evolve_many` integrates runs on a shared grid in lockstep, and
+:func:`evolve` is its one-run case.  The right-hand sides are compiled once
 into a plan that runs each stage as stacked passes: one irfft for all
 grids, one 2/3-rule filter round trip for all powers and one per product
 level, and one rfft for all terms; a kdv/mkdv/ckdv/Harry Dym step makes
-8/16/24/24 FFT calls.  Every stage checks the positivity guards.
-Quadrature, the step-size advisory and :func:`evaluate` share one
-unfiltered pointwise evaluator on physical grids.
+8/16/24/24 FFT calls, and stacked runs make those of the costliest.  Every
+stage checks the positivity guards.  Quadrature, the step-size advisory and
+:func:`evaluate` share one unfiltered pointwise evaluator on physical
+grids, which :func:`evaluator` compiles once for repeated use.
 Time stepping is RK4 with an exact integrating factor for each field's
 constant-coefficient a*f_xxx term, which removes the k^3 stiffness; a
 variable-coefficient dispersion (Harry Dym's T^(-1/2) T_xxx) stays in the
@@ -46,6 +49,7 @@ __all__ = [
     "evolve_many",
     "evaluate",
     "evaluate_many",
+    "evaluator",
     "evaluate_functional",
     "initial_state",
     "soliton_initial",
@@ -103,10 +107,6 @@ def spectral_derivative(f, order, length):
     n = f.shape[-1]
     _require_power_of_two(n)
     return np.fft.irfft(np.fft.rfft(f) * _multiplier(n, length, order), n)
-
-
-def _dealias_mask(n):
-    return np.arange(n // 2 + 1) <= n // 3
 
 
 @dataclass(frozen=True)
@@ -277,7 +277,7 @@ class _Plan:
     def __init__(self, terms, n, length):
         self.terms = terms
         self.n = n
-        self.mask = _dealias_mask(n)
+        self.mask = np.arange(n // 2 + 1) <= n // 3  # the 2/3 rule
         every = [(r, c, fs) for r, ts in enumerate(terms) for c, fs in ts]
         lone = [k for k, (_, _, fs) in enumerate(every) if len(fs) == 1 and fs[0][2] == 1.0]
         # the products, longest first, so the terms that reach a level are a prefix
@@ -337,28 +337,22 @@ class _Plan:
 # the stepper
 
 class _Stepper:
-    """IF-RK4 for the evolving fields of one or more systems, whose spectra
-    are the rows of one stacked array: each system's fields in turn, in
-    ``evolving_fields()`` order, all read by one plan."""
+    """IF-RK4 for one or more systems, the spectra of each one's evolving
+    fields in turn being the rows of one stacked array read by one plan."""
 
     def __init__(self, systems, length, n, dt):
         _require_power_of_two(n)
-        self.length = length
-        self.n = n
-        self.dt = dt
+        self.length, self.n, self.dt = length, n, dt
         self.fields, self.where, self.terms, self.spans, self.odd = (), [], [], [], []
         rows, linear = [], []
         for i, system in enumerate(systems):
-            fields = system.evolving_fields()
-            if not fields:
-                raise ValueError(f"system {system.name!r} has no evolution equations")
             missing = [f for f in system.even_fields + system.odd_fields
                        if system.rhs.get(f) is None]
             if missing:
                 raise ValueError(
                     f"system {system.name!r} leaves {missing} without an evolution "
                     "law and cannot be integrated")
-            odd = set(system.odd_fields)
+            fields, odd = system.evolving_fields(), set(system.odd_fields)
             row = {f: len(self.fields) + j for j, f in enumerate(fields)}
             for f in fields:
                 # a constant-coefficient a*f_xxx is propagated exactly by the
@@ -371,7 +365,8 @@ class _Stepper:
                                   for c, fs in self.terms[-1]))
             self.spans.append(slice(len(self.fields), len(self.fields) + len(fields)))
             self.fields += fields
-            self.where += [f" of run {i} ({system.name})" if len(systems) > 1 else ""] * len(fields)
+            where = f" of run {i} ({system.name})" if len(systems) > 1 else ""
+            self.where += [where] * len(fields)
             self.odd.append(odd)
         self.plan = _Plan(rows, n, length)
         # an undifferentiated fractional power needs a positive base and a
@@ -443,7 +438,7 @@ class _Stepper:
                     frame, level = frame.f_back, level + 1
                 warnings.warn(
                     f"field {f!r}{self.where[rows.start]}: variable-coefficient "
-                    f"dispersion with dt*|a|*kmax^3 ~ {bound:.2f} exceeds the "
+                    f"dispersion with dt*|a|*kmax^3 ~ {bound:.3g} exceeds the "
                     "RK4 stability bound ~2.83; reduce dt or N", stacklevel=level)
 
 
@@ -460,45 +455,37 @@ def evolve(state, system, t_end, dt, record_every=1, diagnostics=()):
 
 
 def evolve_many(runs, t_end, dt):
-    """:func:`evolve` of several runs in lockstep, one trajectory each.
-
-    Each run is ``(state, system, record_every, diagnostics)``; all share
-    L, N and the start time.  Their fields are the rows of one stacked
-    spectral state, so a step of k runs costs about the FFT calls of the
-    costliest one; each run records its own snapshots and diagnostics from
-    its own rows, exactly as its own :func:`evolve` would.  Errors name the
-    run by its index in ``runs`` when there is more than one.
-    """
+    """:func:`evolve` of runs ``(state, system, record_every, diagnostics)``
+    that start at the same t on the same L and N, in lockstep on one stacked
+    spectral state: a step costs about the FFT calls of the costliest run,
+    and each trajectory is bit for bit the run's own :func:`evolve`.  Errors
+    name the run by its index when there are several."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
     runs = [(state, system, every, list(diags)) for state, system, every, diags in runs]
-    if not runs:
-        raise ValueError("evolve_many needs at least one run")
-    t0, length, n = runs[0][0].t, runs[0][0].L, runs[0][0].N
-    if any((state.t, state.L, state.N) != (t0, length, n) for state, *_ in runs):
-        raise ValueError("every run must start at the same t on the same L and N")
-    for _, _, every, _ in runs:
-        if not isinstance(every, (int, np.integer)) or every < 1:
-            raise ValueError(f"record_every must be an int >= 1, got {every!r}")
+    grid = {(state.t, state.L, state.N) for state, *_ in runs}
+    if len(grid) != 1:
+        raise ValueError("evolve_many needs runs that start at the same t on the same L and N")
+    (t0, length, n), = grid
     if t_end <= t0:
         raise ValueError("t_end must exceed the initial time")
-    for state, *_ in runs:
+    n_steps = int(round((t_end - t0) / dt))
+    if abs(n_steps * dt - (t_end - t0)) > 1e-9 * max(1.0, abs(t_end)):
+        raise ValueError("t_end - t must be an integer number of steps")
+    names, values = [], []
+    for state, _, every, diagnostics in runs:
+        if not isinstance(every, (int, np.integer)) or every < 1:
+            raise ValueError(f"record_every must be an int >= 1, got {every!r}")
         bad = [f for f in sorted(state.fields) if not np.isfinite(state.fields[f]).all()]
         if bad:
             raise ValueError(f"initial field {bad[0]!r} is not finite")
-    span = t_end - t0
-    n_steps = int(round(span / dt))
-    if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError("t_end - t must be an integer number of steps")
-    names = []
-    for *_, diagnostics in runs:
         names.append([d.name if hasattr(d, "name") else str(d) for d in diagnostics])
         twice = sorted({nm for nm in names[-1] if names[-1].count(nm) > 1})
         if twice:
             raise ValueError(f"diagnostic {twice[0]!r} is given more than once")
-    compiled = [[_density_terms(d) for d in diagnostics] for *_, diagnostics in runs]
+        values.append(evaluator(diagnostics))
     stepper = _Stepper([system for _, system, _, _ in runs], length, n, dt)
     grids = [state.fields[f] for (state, *_), rows in zip(runs, stepper.spans)
              for f in stepper.fields[rows]]
@@ -508,7 +495,6 @@ def evolve_many(runs, t_end, dt):
         stepper.cfl_advisory(i, state)
 
     states = [[state] for state, *_ in runs]
-    records = [[_quadrature(c, state)] for c, (state, *_) in zip(compiled, runs)]
     hats = np.fft.rfft(grids)
     for i in range(1, n_steps + 1):
         hats = stepper.advance(hats, t0 + (i - 1) * dt)
@@ -517,58 +503,58 @@ def evolve_many(runs, t_end, dt):
             r = bad.argmax()
             raise BlowUpError(f"non-finite values in field {stepper.fields[r]!r}"
                               f"{stepper.where[r]}", t0 + i * dt)
-        for (state, _, every, _), rows, c, snaps, recs in zip(
-                runs, stepper.spans, compiled, states, records):
+        for (state, _, every, _), rows, snaps in zip(runs, stepper.spans, states):
             if i % every == 0 or i == n_steps:
                 fields = dict(zip(stepper.fields[rows], np.fft.irfft(hats[rows], n)))
                 snaps.append(state.replace(t=t0 + i * dt, fields={**state.fields, **fields}))
-                recs.append(_quadrature(c, snaps[-1]))
     return [Trajectory(
         states=snaps,
-        diagnostics={nm: list(vs) for nm, vs in zip(nms, zip(*recs))},
-        meta={
-            "system": system.name,
-            "parameters": {k: str(v) for k, v in system.parameters.items()},
-            "dt": dt,
-            "record_every": every,
-            "t_end": t_end,
-        },
-    ) for (_, system, every, _), snaps, recs, nms in zip(runs, states, records, names)]
+        diagnostics=dict(zip(nms, map(list, zip(*[_quadrature(q, s) for s in snaps])))),
+        meta={"system": system.name,
+              "parameters": {k: str(v) for k, v in system.parameters.items()},
+              "dt": dt, "record_every": every, "t_end": t_end},
+    ) for (_, system, every, _), snaps, nms, q in zip(runs, states, names, values)]
 
 
-def _density_terms(density):
-    poly = density.density if hasattr(density, "density") else density
-    return _compile_terms(poly, {base_symbol(s) for s in poly.odd_syms})
+def _quadrature(values, state):
+    """Mean * L of each row of an :func:`evaluator` on the state."""
+    return [float(np.mean(row) * state.L) for row in values(state.fields, state.L)]
 
 
-def _quadrature(compiled, state):
-    """Mean * L of each compiled density, all read from one set of grids."""
-    grids = _grids([t for terms in compiled for t in terms], state.fields, state.L)
-    return [float(np.mean(_pointwise(terms, grids, state.N)) * state.L)
-            for terms in compiled]
+def evaluator(polys):
+    """Compile ``polys`` (polynomials or densities) once.  The callable it
+    returns maps ``(fields, length)`` to the values of each on the grids
+    ``fields`` (equal-length periodic samples on [0, length), keyed by
+    symbol), one row each, pointwise and unfiltered, all read from one set
+    of grids.  Odd generators read the coefficient arrays of their ghost
+    fields."""
+    polys = [p.density if hasattr(p, "density") else p for p in polys]
+    compiled = [_compile_terms(p, {base_symbol(s) for s in p.odd_syms}) for p in polys]
+    read = [t for terms in compiled for t in terms]
+
+    def rows(fields, length):
+        grids = _grids(read, fields, length)
+        n = len(next(iter(fields.values())))
+        return np.array([_pointwise(terms, grids, n) for terms in compiled])
+    return rows
 
 
 def evaluate(poly, fields, length):
-    """Values of ``poly`` on the grids ``fields`` (equal-length periodic
-    samples on [0, length), keyed by symbol), pointwise and unfiltered.
-    Odd generators read the coefficient arrays of their ghost fields."""
-    return evaluate_many([poly], fields, length)[0]
+    """The values of ``poly`` on the grids ``fields``; see :func:`evaluator`."""
+    return evaluator([poly])(fields, length)[0]
 
 
 def evaluate_many(polys, fields, length):
     """:func:`evaluate` of each of ``polys``, one row each, all read from
     one set of grids."""
-    compiled = [_density_terms(p) for p in polys]
-    grids = _grids([t for terms in compiled for t in terms], fields, length)
-    n = len(next(iter(fields.values())))
-    return np.array([_pointwise(terms, grids, n) for terms in compiled])
+    return evaluator(polys)(fields, length)
 
 
 def evaluate_functional(density, state):
     """Trapezoid quadrature of a density over the periodic domain (exact
     mean * L on the equispaced grid).  Ghost generators are replaced by
     derivatives of the ghost coefficient array."""
-    return _quadrature([_density_terms(density)], state)[0]
+    return _quadrature(evaluator([density]), state)[0]
 
 
 def soliton_initial(k, x0, system, length=40.0, n=512, ghost="gradient"):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cache
 from fractions import Fraction
 
 import numpy as np
@@ -41,14 +42,7 @@ from .reductions import (
     upsilon_rules,
 )
 from .sl2 import CANONICAL_FIELDS, canonical_brst_rules, curvature_residual
-from .solver import (
-    FieldState,
-    evaluate,
-    evolve,
-    evolve_many,
-    soliton_initial,
-    spectral_derivative,
-)
+from .solver import FieldState, evaluator, evolve_many, soliton_initial, spectral_derivative
 
 __all__ = [
     "CheckReport",
@@ -279,22 +273,18 @@ _ZERO_FLOOR = 1e-8  # conservation drift is absolute below this initial value
 
 
 def _soliton_run(densities=()):
-    """The kdv soliton run (k = 0.7, centred, on the checks' grid, recorded
-    every 10 steps) with the given densities as diagnostics, as an
-    ``evolve_many`` run."""
+    """The standard kdv soliton run (k = 0.7, centred, on the checks' grid,
+    recorded every 10 steps) with the given densities as diagnostics, as an
+    ``evolve_many`` run to ``_T_END``."""
     kdv = build_system("kdv")
     state = soliton_initial(0.7, _LENGTH / 2, "kdv", _LENGTH, _N)
     return state, kdv, 10, [kdv.density(d) if isinstance(d, str) else d for d in densities]
 
 
-def _standard_soliton_run(densities=()):
-    """The kdv soliton run, integrated to the checks' end time."""
-    return evolve_many([_soliton_run(densities)], _T_END, _DT)[0]
-
-
 def _miura_runs():
-    """The two legs of the Miura check, recording their endpoints only:
-    R0 under the modified flow and its Miura image under the target flow."""
+    """The two legs of the Miura check, to ``_T_END`` and recording their
+    endpoints only: R0 under the modified flow and its image under the
+    target flow."""
     x = _LENGTH * np.arange(_N) / _N
     R0 = 0.9 / np.cosh(0.8 * (x - _LENGTH / 2))
     zeros = np.zeros(_N)
@@ -333,7 +323,7 @@ def check_conservation(trajectory=None, densities=None, tolerance=1e-6):
     """
     if trajectory is None:
         densities = _ODD_DENSITIES if densities is None else densities
-        trajectory = _standard_soliton_run(densities)
+        trajectory = evolve_many([_soliton_run(densities)], _T_END, _DT)[0]
     if densities is None:
         names = sorted(trajectory.diagnostics)
     else:
@@ -356,6 +346,12 @@ def check_conservation(trajectory=None, densities=None, tolerance=1e-6):
     )
 
 
+@cache
+def _modified_flow():
+    """The modified flow's right-hand side as a grid evaluator, compiled once."""
+    return evaluator([build_system("mkdv").rhs["R"]])
+
+
 def check_miura_chain(legs=None):
     """Numeric consistency of the substitution chain: evolving under the
     modified flow and mapping agrees with mapping first and evolving under
@@ -369,17 +365,15 @@ def check_miura_chain(legs=None):
     mapped = miura_map(trajR.states[-1].fields["R"], _LENGTH)
     linf = float(np.max(np.abs(mapped - trajU.states[-1].fields["u"])))
 
-    mk = build_system("mkdv")
     ck = build_system("ckdv")
     x = _LENGTH * np.arange(_N) / _N
-    zeros = np.zeros(_N)
     w0 = 1.0 + 0.3 * np.cos(2 * np.pi * x / _LENGTH)
-    trajW = evolve(FieldState(0.0, _LENGTH, _N, {"w": w0, "c": zeros}),
-                   ck, _CKDV_T_END, _DT, record_every=10)
+    w_run = (FieldState(0.0, _LENGTH, _N, {"w": w0, "c": np.zeros(_N)}), ck, 10, ())
+    trajW = evolve_many([w_run], _CKDV_T_END, _DT)[0]
     vs = (ckdv_to_mkdv(s.fields["w"], _LENGTH) for s in trajW.states)
     residual = 0.0
     for v, v_t in _snapshot_rates(trajW.states, vs):
-        rhs = evaluate(mk.rhs["R"], {"R": v}, _LENGTH)
+        rhs = _modified_flow()({"R": v}, _LENGTH)[0]
         residual = max(residual, float(np.max(np.abs(v_t - rhs))))
     metrics = {"mkdv_to_kdv_linf": linf, "ckdv_to_mkdv_residual": residual}
     return _report(
@@ -395,7 +389,7 @@ def check_zero_curvature(trajectory=None, gauge_scale=Fraction(1, 2)):
     (0, +, -) components of its curvature dt A1 - dx A0 + [A0, A1], with
     dt A1 from a 4th-order stencil in snapshot time."""
     if trajectory is None:
-        trajectory = _standard_soliton_run()
+        trajectory = evolve_many([_soliton_run()], _T_END, _DT)[0]
     states = trajectory.states
     scale = float(gauge_scale)
     conns = (reconstruct_connection(

@@ -232,6 +232,15 @@ def test_domain_too_small_for_the_grid(capsys, tmp_path):
     assert stdout == ""
 
 
+def test_step_size_advisory_prints_a_short_bound(capsys, tmp_path):
+    # the bound is ~8e300 on this domain; a fixed-point format printed all
+    # 300 digits of it
+    with pytest.warns(UserWarning, match=r"kmax\^3 ~ 8\.17e\+300 exceeds") as seen:
+        invoke(capsys, "simulate", "--system", "harry-dym", "--initial", "1+1/10*cx",
+               "--n", "16", "--t-end", "0.01", "--L", "1e-100", "--out", str(tmp_path))
+    assert all(len(str(w.message)) < 150 for w in seen)
+
+
 @pytest.mark.parametrize("t_end", ["inf", "nan"])
 def test_simulate_t_end_must_be_finite(capsys, tmp_path, t_end):
     code, _, err = invoke(capsys, "simulate", "--system", "kdv", "--soliton", "k=0.7",

@@ -7,6 +7,7 @@ total x-derivative, i.e. iff the gradient of the rate vanishes.  That
 criterion is symbolic and independent of any time integration.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -65,6 +66,21 @@ def P(text):
 
 def test_catalog_names():
     assert SYSTEM_NAMES == ("kdv", "harry-dym", "t-form", "mkdv", "ckdv", "upsilon")
+
+
+def test_built_systems_are_cached_and_read_only():
+    kdv = build_system("kdv", s="2")
+    assert build_system("kdv", s=2) is kdv  # one system per coerced parameter point
+    assert build_system("kdv", s=3) is not kdv
+    for table in (kdv.rhs, kdv.densities, kdv.parameters):
+        with pytest.raises(TypeError):
+            table["u"] = P("u")
+    # the mutation guards build changed copies, which stay read-only too
+    wrong = dataclasses.replace(kdv, rhs={"u": P("u_xxx"), "c": kdv.rhs["c"]})
+    assert wrong.rhs["u"] == P("u_xxx")
+    assert build_system("kdv", s=2).rhs["u"] == P("3*u*u_x + u_xxx")
+    with pytest.raises(TypeError):
+        wrong.rhs["c"] = P("c_xxx")
 
 
 def test_kdv_default_equations():
@@ -478,6 +494,26 @@ def test_miura_map_grid():
     sech, wave = _map_data()
     for R in (sech, wave):
         assert np.max(np.abs(miura_map(R, 40.0) - _miura_oracle(R, 40.0))) < 1e-14
+
+
+def test_grid_maps_and_the_lift_compile_once(monkeypatch):
+    from brstkdv import solver
+    calls = []
+    real = solver._compile_terms
+    monkeypatch.setattr(solver, "_compile_terms", lambda p, odd: calls.append(p) or real(p, odd))
+    sech, wave = _map_data(64, 40.0)
+    state = FieldState(0.0, 40.0, 64, {"R": sech})
+
+    def every_map():
+        miura_map(sech, 40.0)
+        ckdv_to_mkdv(wave, 40.0)
+        reconstruct_connection(state, SLICE_B)
+
+    every_map()
+    calls.clear()
+    every_map()
+    every_map()
+    assert calls == []
 
 
 def test_ckdv_to_mkdv_grid():

@@ -24,6 +24,7 @@ from brstkdv.solver import (
     evaluate,
     evaluate_functional,
     evaluate_many,
+    evaluator,
     evolve,
     evolve_many,
     soliton_initial,
@@ -433,6 +434,21 @@ def test_evaluate_many_reads_each_grid_once(monkeypatch):
     assert rows.shape == (4, n)
     for row, p in zip(rows, polys):
         assert np.array_equal(row, evaluate(p, fields, length))
+
+
+def test_evaluator_compiles_once(monkeypatch):
+    n, length = 64, 10.0
+    x = grid(length, n)
+    fields = {"u": np.sin(2 * np.pi * x / length), "c": np.cos(2 * np.pi * x / length)}
+    polys = [P("u_x*c + u^2*c_xx"), P("u_xx")]
+    calls = []
+    compile_terms = solver._compile_terms
+    monkeypatch.setattr(solver, "_compile_terms",
+                        lambda p, odd: calls.append(p) or compile_terms(p, odd))
+    values = evaluator(polys)
+    rows = [values(fields, length) for _ in range(3)]
+    assert len(calls) == 2
+    assert all(np.array_equal(r, evaluate_many(polys, fields, length)) for r in rows)
 
 
 def test_positivity_guard_fires():

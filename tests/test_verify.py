@@ -155,7 +155,7 @@ def test_zero_curvature_fails_off_the_gauge_slice():
 def test_zero_curvature_streams_its_snapshots():
     # holding a connection for each of the 101 snapshots takes ~3 MB; the
     # five-snapshot window of the time stencil needs a tenth of that
-    trajectory = brstkdv.verify._standard_soliton_run()
+    trajectory = evolve_many([brstkdv.verify._soliton_run()], 1.0, 1e-3)[0]
     tracemalloc.start()
     try:
         rep = check_zero_curvature(trajectory)
@@ -218,16 +218,11 @@ def test_status_threshold_semantics():
 def test_run_all_everything_passes(monkeypatch):
     passes = []
 
-    def many(runs, t_end, dt):
+    def counted(runs, t_end, dt):
         passes.append([run[1].name for run in runs])
         return evolve_many(runs, t_end, dt)
 
-    def one(state, system, *args, **kwargs):
-        passes.append([system.name])
-        return evolve(state, system, *args, **kwargs)
-
-    monkeypatch.setattr(brstkdv.verify, "evolve_many", many)
-    monkeypatch.setattr(brstkdv.verify, "evolve", one)
+    monkeypatch.setattr(brstkdv.verify, "evolve_many", counted)
     reports = run_all()
     names = [r.check for r in reports]
     assert names == list(CHECKS) + ["check_conservation_classical"]
