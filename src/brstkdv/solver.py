@@ -344,7 +344,7 @@ class _Stepper:
         _require_power_of_two(n)
         self.length, self.n, self.dt = length, n, dt
         self.fields, self.where, self.terms, self.spans, self.odd = (), [], [], [], []
-        rows, linear = [], []
+        by_row, linear = [], []
         for i, system in enumerate(systems):
             missing = [f for f in system.even_fields + system.odd_fields
                        if system.rhs.get(f) is None]
@@ -361,14 +361,14 @@ class _Stepper:
                 compiled = _compile_terms(system.rhs[f], odd)
                 linear.append(sum(c for c, fs in compiled if fs == disp))
                 self.terms.append(tuple(t for t in compiled if t[1] != disp))
-                rows.append(tuple((c, tuple((row[s], o, e) for s, o, e in fs))
-                                  for c, fs in self.terms[-1]))
+                by_row.append(tuple((c, tuple((row[s], o, e) for s, o, e in fs))
+                                    for c, fs in self.terms[-1]))
             self.spans.append(slice(len(self.fields), len(self.fields) + len(fields)))
             self.fields += fields
             where = f" of run {i} ({system.name})" if len(systems) > 1 else ""
             self.where += [where] * len(fields)
             self.odd.append(odd)
-        self.plan = _Plan(rows, n, length)
+        self.plan = _Plan(by_row, n, length)
         # an undifferentiated fractional power needs a positive base and a
         # negative one a nonzero base: row -> (grid index, must be positive)
         frac = {r for r, o, e in self.plan.powers if not o and e != int(e)}
@@ -468,13 +468,13 @@ def evolve_many(runs, t_end, dt):
     grid = {(state.t, state.L, state.N) for state, *_ in runs}
     if len(grid) != 1:
         raise ValueError("evolve_many needs runs that start at the same t on the same L and N")
-    (t0, length, n), = grid
+    [(t0, length, n)] = grid
     if t_end <= t0:
         raise ValueError("t_end must exceed the initial time")
     n_steps = int(round((t_end - t0) / dt))
     if abs(n_steps * dt - (t_end - t0)) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError("t_end - t must be an integer number of steps")
-    names, values = [], []
+    names, evaluators = [], []
     for state, _, every, diagnostics in runs:
         if not isinstance(every, (int, np.integer)) or every < 1:
             raise ValueError(f"record_every must be an int >= 1, got {every!r}")
@@ -485,7 +485,7 @@ def evolve_many(runs, t_end, dt):
         twice = sorted({nm for nm in names[-1] if names[-1].count(nm) > 1})
         if twice:
             raise ValueError(f"diagnostic {twice[0]!r} is given more than once")
-        values.append(evaluator(diagnostics))
+        evaluators.append(evaluator(diagnostics))
     stepper = _Stepper([system for _, system, _, _ in runs], length, n, dt)
     grids = [state.fields[f] for (state, *_), rows in zip(runs, stepper.spans)
              for f in stepper.fields[rows]]
@@ -509,11 +509,11 @@ def evolve_many(runs, t_end, dt):
                 snaps.append(state.replace(t=t0 + i * dt, fields={**state.fields, **fields}))
     return [Trajectory(
         states=snaps,
-        diagnostics=dict(zip(nms, map(list, zip(*[_quadrature(q, s) for s in snaps])))),
+        diagnostics=dict(zip(nms, map(list, zip(*[_quadrature(ev, s) for s in snaps])))),
         meta={"system": system.name,
               "parameters": {k: str(v) for k, v in system.parameters.items()},
               "dt": dt, "record_every": every, "t_end": t_end},
-    ) for (_, system, every, _), snaps, nms, q in zip(runs, states, names, values)]
+    ) for (_, system, every, _), snaps, nms, ev in zip(runs, states, names, evaluators)]
 
 
 def _quadrature(values, state):
