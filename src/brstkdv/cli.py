@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .graded import euler_operator, to_string
-from .grammar import ParseError, parse
+from .grammar import ParseError, is_name, parse
 from .reductions import (
     SYSTEM_NAMES,
     build_system,
@@ -240,6 +240,9 @@ def _cmd_conserved(args):
 
 def _cmd_euler(args):
     odd = tuple(s.strip() for s in (args.odd or "").split(",") if s.strip())
+    for flag, name in [("--field", args.field)] + [("--odd", nm) for nm in odd]:
+        if not is_name(name):
+            raise ValueError(f"{flag} {name!r} is not a name the grammar reads")
     density = parse(args.density, odd=odd)
     print(to_string(euler_operator(density, args.field)))
     return 0

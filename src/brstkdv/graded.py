@@ -305,7 +305,7 @@ def _mul_into(acc, even, head, tail, coeff, terms):
         od, sign = _sort_odd(head + od2 + tail) if od2 else (head + tail, 1)
         if od is None:
             continue
-        c = s_mul(coeff, c2)
+        c = coeff if c2 == 1 else s_mul(coeff, c2)
         _acc(acc, (_merge_even(even, ev2), od), c if sign > 0 else s_neg(c))
 
 
@@ -337,13 +337,14 @@ class GradedPoly:
 
     Internally a map from (even_factors, odd_factors) to a scalar
     coefficient, where even_factors is a sorted tuple of ((sym, order), exp)
-    and odd_factors a sorted tuple of (sym, order).
+    and odd_factors a sorted tuple of (sym, order); ``_jets`` holds the plain
+    total derivatives (D p, D^2 p, ...) that :func:`_dx_power` was asked for.
     """
 
-    __slots__ = ("_terms", "odd_syms")
+    __slots__ = ("_terms", "odd_syms", "_jets")
 
     def __init__(self, terms=None, odd_syms=frozenset()):
-        self.odd_syms = frozenset(odd_syms)
+        self.odd_syms, self._jets = frozenset(odd_syms), ()
         coeffs = ((key, as_scalar(c)) for key, c in (terms or {}).items())
         self._terms = {key: c for key, c in coeffs if not s_is_zero(c)}
 
@@ -351,7 +352,7 @@ class GradedPoly:
     def _of(cls, terms, odd_syms):
         """Wrap a dict that holds no zero coefficient, without copying it."""
         p = cls.__new__(cls)
-        p._terms, p.odd_syms = terms, odd_syms
+        p._terms, p.odd_syms, p._jets = terms, odd_syms, ()
         return p
 
     # -- constructors -------------------------------------------------------
@@ -644,6 +645,11 @@ def _structural_x_image(g, xrules, odd_syms):
                 "derivative generators of it must not appear"
             )
         return xrules[sym]
+    return _next_jet(sym, order, odd_syms)
+
+
+@functools.cache
+def _next_jet(sym, order, odd_syms):
     return GradedPoly.gen(sym, order + 1, odd_syms=odd_syms)
 
 
@@ -661,7 +667,7 @@ def _derive(p, image_of, parity):
                 continue
             e1 = s_add(e, -1)
             rest = even[:idx] + (() if s_is_zero(e1) else ((g, e1),)) + even[idx + 1:]
-            _mul_into(acc, rest, (), odd, s_mul(coeff, e), img._terms)
+            _mul_into(acc, rest, (), odd, coeff if e == 1 else s_mul(coeff, e), img._terms)
         for i, g in enumerate(odd):
             img = images[g] if g in images else images.setdefault(g, image_of(g))
             if img.is_zero:
@@ -682,9 +688,16 @@ def total_x_derivative(p, rules=None):
 
 
 def _dx_power(p, k, xrules):
-    for _ in range(k):
-        p = total_x_derivative(p, xrules)
-    return p
+    """D^k p.  Plain jets are memoized in ``p._jets``, replaced whole and never
+    extended in place, so a concurrent caller can at worst recompute one."""
+    if xrules:
+        for _ in range(k):
+            p = total_x_derivative(p, xrules)
+        return p
+    jets = p._jets
+    while len(jets) < k:
+        jets = p._jets = jets + (total_x_derivative(jets[-1] if jets else p),)
+    return jets[k - 1] if k else p
 
 
 def apply_derivation(p, d):
@@ -778,17 +791,15 @@ def substitute_family(p, sym, replacement):
     Generators (sym, k) map to d^k/dx^k of the replacement; markers
     (sym_t, k) map to d^k/dx^k of its formal time derivative.
     """
-    mk = marker(sym)
+    seeds = {sym: replacement, marker(sym): None}  # the marker's seed on first use
 
     def image_of(g):
         s, order = g
-        if s == sym:
-            seed = replacement
-        elif s == mk:
-            seed = t_prolong(replacement)
-        else:
+        if s not in seeds:
             return None
-        return _dx_power(seed, order, None)
+        if seeds[s] is None:
+            seeds[s] = t_prolong(replacement)
+        return _dx_power(seeds[s], order, None)
 
     return _substitute(p, image_of)
 
@@ -797,22 +808,20 @@ def substitute_family(p, sym, replacement):
 # variational operators
 
 def euler_operator(p, sym):
-    """Variational derivative of a density with respect to a field of either
-    parity: E = sum_i (-d/dx)^i of the left partial derivative with respect
-    to the i-th jet.  It annihilates every total x-derivative, so densities
-    that differ by exact terms have the same gradient.
+    """Variational derivative with respect to a field of either parity:
+    E = sum_i (-D)^i of the left partial by the i-th jet, by Horner's rule
+    d_0 p - D(d_1 p - D(...)).  It annihilates every total x-derivative, so
+    densities that differ by exact terms have the same gradient.
     """
     if p.max_order(marker(sym)) >= 0:
         raise ValueError(f"density contains time markers of '{sym}'; reduce on shell first")
     one, zero = GradedPoly.number(1, p.odd_syms), GradedPoly.zero(p.odd_syms)
     parity = int(_sym_is_odd(sym, p.odd_syms))
-    acc = {}
-    for i in range(p.max_order(sym) + 1):
+    out = zero
+    for i in range(p.max_order(sym), -1, -1):
         part = _derive(p, lambda g: one if g == (sym, i) else zero, parity)
-        if not part.is_zero:
-            for key, c in _dx_power(part, i, None)._terms.items():
-                _acc(acc, key, s_neg(c) if i % 2 else c)
-    return GradedPoly._of(acc, p.odd_syms)
+        out = part - total_x_derivative(out)
+    return out
 
 
 def odd_gradient(p, sym):

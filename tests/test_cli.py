@@ -57,6 +57,21 @@ def test_euler_rejects_bad_input(capsys):
     assert "euler:" in err
 
 
+@pytest.mark.parametrize("argv, flag, name", [
+    (("--density", "u^3", "--field", "u_x"), "--field", "u_x"),
+    (("--density", "u^3", "--field", ""), "--field", ""),
+    (("--density", "u^3", "--field", "u_t"), "--field", "u_t"),
+    (("--density", "c*c_x", "--field", "c", "--odd", "c_x"), "--odd", "c_x"),
+    (("--density", "u*c_x", "--field", "u", "--odd", "c, 1c"), "--odd", "1c"),
+])
+def test_euler_rejects_names_the_grammar_cannot_read(capsys, argv, flag, name):
+    # each used to print an answer (0, or c_x with 1c ignored) or blame a
+    # second time derivative
+    code, out, err = invoke(capsys, "euler", *argv)
+    assert (code, out) == (2, "")
+    assert f"euler: {flag} {name!r} is not a name the grammar reads" in err
+
+
 # --- catalog ------------------------------------------------------------------
 
 def test_list_systems(capsys):

@@ -5,7 +5,10 @@ integration by parts, permutation signs) before being compared against the
 engine; the hypothesis tests check the algebraic laws themselves.
 """
 
+import hashlib
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -34,7 +37,8 @@ from brstkdv.graded import (
     to_string,
     total_x_derivative,
 )
-from brstkdv.reductions import build_system
+from brstkdv.reductions import SYSTEM_NAMES, build_system, catalog_manifest
+from brstkdv.sl2 import canonical_brst_rules
 
 ODD = frozenset({"c"})
 
@@ -831,3 +835,148 @@ def test_dx_zero_test_count(monkeypatch):
     d = total_x_derivative(p)
     assert (len(p), len(d)) == (20, 55)
     assert 0 < len(calls) <= 400
+
+
+def loop_euler_operator(p, sym):
+    """E = sum_i (-D)^i d_i p with every power of D applied to its own partial:
+    the m(m+1)/2-derivative form that the kernel's Horner chain replaced."""
+    one, zero = GradedPoly.number(1, p.odd_syms), GradedPoly.zero(p.odd_syms)
+    parity = int(base_symbol(sym) in p.odd_syms)
+    acc = {}
+    for i in range(p.max_order(sym) + 1):
+        part = graded._derive(p, lambda g: one if g == (sym, i) else zero, parity)
+        for _ in range(i):
+            part = total_x_derivative(part)
+        for key, c in part._terms.items():
+            graded._acc(acc, key, -c if i % 2 else c)
+    return GradedPoly(acc, p.odd_syms)
+
+
+@settings(max_examples=80)
+@given(polys | even_polys, st.sampled_from((1, 2) + WILD_EXPONENTS),
+       st.sampled_from(["u", "T", "c"]))
+def test_horner_euler_matches_the_jet_sum(p, e, sym):
+    # T^e * p puts fractional and symbolic exponents on T beside p's own terms
+    p = p + gen("T", 0, e) * p
+    got, want = euler_operator(p, sym), loop_euler_operator(p, sym)
+    assert got == want
+    assert to_string(got) == to_string(want)
+    assert exact(got) == exact(want)
+
+
+# --- jet memo -----------------------------------------------------------------
+
+def fresh(p):
+    """An equal polynomial that shares no memoized jets with ``p``."""
+    return GradedPoly._of(dict(p._terms), p.odd_syms)
+
+
+def count_dx_calls(monkeypatch):
+    calls = []
+    real = graded.total_x_derivative
+
+    def counted(p, rules=None):
+        calls.append(p)
+        return real(p, rules)
+
+    monkeypatch.setattr(graded, "total_x_derivative", counted)
+    return calls
+
+
+def test_rule_images_are_prolonged_once(monkeypatch):
+    p = P("u*u_xxx*c_xx + u_xx^2*c")
+    q = t_prolong(p)
+    brst = DerivationRuleSet("fresh", 1, {s: fresh(img) for s, img in KDV.brst.base.items()})
+    rhs = {s: fresh(r) for s, r in KDV.rhs.items()}
+    calls = count_dx_calls(monkeypatch)
+    first = apply_derivation(p, brst), reduce_on_shell(q, rhs)
+    # D^3 and D^2 of the u and c images for u_xxx and c_xx, then of the u and
+    # c flows for the markers u_t_xxx and c_t_xx
+    assert len(calls) == 3 + 2 + 3 + 2
+    apply_derivation(p, KDV.brst), reduce_on_shell(q, KDV)
+    calls.clear()
+    again = apply_derivation(p, KDV.brst), reduce_on_shell(q, KDV)
+    assert calls == []
+    assert [to_string(r) for r in again] == [to_string(r) for r in first]
+
+
+def test_substitute_family_takes_the_marker_seed_once(monkeypatch):
+    p = P("u_t_xx*c + u_t_x*u + u_t + u_xx")
+    want = ref_substitute_family(p, "u", REPLACEMENT)
+    calls = count_dx_calls(monkeypatch)
+    got = substitute_family(p, "u", fresh(REPLACEMENT))
+    # D^2 of the replacement for u_xx, D^2 of its time derivative for u_t_x and u_t_xx
+    assert len(calls) == 2 + 2
+    assert exact(got) == exact(want)
+
+
+def test_xrules_prolong_their_own_images():
+    odd = ("c", "cm")
+    img = parse("R*cm", odd=odd)
+    plain = DerivationRuleSet("plain", 1, {"v": img})
+    aux = DerivationRuleSet("aux", 1, {"v": img}, xrules={"cm": parse("2*R*cm", odd=odd)})
+    v_xx = parse("v_xx", odd=odd)
+    for _ in range(2):  # each order of use, with the other set's jets already taken
+        assert apply_derivation(v_xx, aux) == parse(
+            "R_xx*cm + 6*R*R_x*cm + 4*R^3*cm", odd=odd)
+        assert apply_derivation(v_xx, plain) == parse(
+            "R_xx*cm + 2*R_x*cm_x + R*cm_xx", odd=odd)
+    assert [to_string(j) for j in img._jets] == ["R_x*cm + R*cm_x",
+                                                 "R_xx*cm + 2*R_x*cm_x + R*cm_xx"]
+
+
+def test_concurrent_prolongation_gets_the_serial_answers():
+    img = fresh(KDV.brst.base["u"])
+    serial, d = [], fresh(img)
+    for _ in range(8):
+        d = total_x_derivative(d)
+        serial.append(to_string(d))
+    start, wrong = threading.Barrier(4), []
+
+    def prolong(orders):
+        start.wait(timeout=60)
+        for k in orders:
+            got = to_string(graded._dx_power(img, k, None))
+            if got != serial[k - 1]:
+                wrong.append(k)
+
+    threads = [threading.Thread(target=prolong, args=(orders,))
+               for orders in ((8, 1, 4), (1, 2, 3, 5, 8), (6, 2, 7), (3, 7, 5, 1))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the memo's read-extend-store
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    # a thread may store a shorter memo over a longer one; never a wrong jet
+    memo = [to_string(j) for j in img._jets]
+    assert memo and memo == serial[:len(memo)]
+
+
+# sha256 of the catalog text `brstkdv list-systems` prints and of the twelve
+# canonical rule images, as they printed before rule images kept their jets;
+# an intended change to the catalog or the rules updates these digests
+CATALOG_SHA256 = "eb8131b29acab4d226dd9e6ff664ff533fbf89de058dfc84ea20bf998c5951fe"
+CANONICAL_SHA256 = "a226a04b54c299bb35933e973eacbb856611f262215b913e6e57808a6acb83a9"
+
+
+def test_catalog_and_canonical_rules_print_as_before():
+    def digests():
+        rules = canonical_brst_rules().base
+        text = "\n".join(f"{s} {to_string(rules[s])}" for s in sorted(rules))
+        return [hashlib.sha256(t.encode()).hexdigest() for t in (catalog_manifest(), text)]
+
+    assert digests() == [CATALOG_SHA256, CANONICAL_SHA256]
+    # prolong every catalog image and flow far, then print again
+    for name in SYSTEM_NAMES:
+        kw = {"beta": BETA, "s": parameter("s")} if name == "t-form" else {}
+        system = build_system(name, **kw)
+        for img in [*system.brst.base.values(), *system.rhs.values()]:
+            if img is not None:
+                graded._dx_power(img, 4, None)
+    assert digests() == [CATALOG_SHA256, CANONICAL_SHA256]
