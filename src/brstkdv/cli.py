@@ -321,7 +321,7 @@ def run(argv=None):
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, ParseError, KeyError) as exc:
+    except (ValueError, ParseError, KeyError, OSError) as exc:  # OSError names its path
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -9,14 +9,14 @@ E+- = sqrt2 T+-, where the structure constants are integers; slice A is
     A1 = (0, 1, -T),  A0 = (u_x, u, -1/2 u_xx - u T),
     ghost triple C = (c_x, c, -1/2 c_xx - T c).
 
-The rest is computed with the sl(2) bracket, not typed in.  F^0 and F^+
-vanish and Upsilon = -F^- = T_t - 1/2 u_xxx - 2 u_x T - u T_x is the
-residual equation (``upsilon_poly``).  The laws of ``upsilon_rules()``
-are components of the symmetry: the T law -(d_x C + [A1, C])^-, the u law
-(d_t C + [A0, C])^+ = c_t - u c_x + u_x c, and the ghost law
-delta c = c c_x = -1/2 [C, C]^+, which every catalog system shares.  Both
-parameter families are gauge-fixed from Upsilon, each ghost flow solved
-from the u law:
+The rest is computed with the sl(2) bracket, not typed in: ``_slice_laws``
+gives each slice's F, delta A1 = d_x C + [A1, C], u law (d_t C + [A0, C])^+
+and ghost law -1/2 [C, C]^+.  On slice A, F^0 and F^+ vanish, Upsilon =
+-F^- = T_t - 1/2 u_xxx - 2 u_x T - u T_x is the residual equation
+(``upsilon_poly``), and ``upsilon_rules()`` holds the T law -(delta A1)^-,
+the u law c_t - u c_x + u_x c and the ghost law c c_x, which every catalog
+system shares.  Both parameter families are gauge-fixed from Upsilon, each
+ghost flow solved from the u law:
 
 - the t-form gauge u = s T^beta gives T_t = (s/2) d^3/dx^3 (T^beta) +
   (2 beta + 1) s T^beta T_x: KdV at beta=1, s=2 and a Harry Dym-type
@@ -24,11 +24,12 @@ from the u law:
 - the u-form gauge s T = u^alpha gives u_t = ((alpha+2)/alpha) u u_x +
   (s/(2 alpha)) u^(1-alpha) u_xxx, and delta u from the T law likewise.
 
-Slice B, A1 = (2R, 1, 0) and A0 = (u_x + 2uR, u, 0) at the Miura map
-u = 2(R_x - R^2), is flat on the mKdV flow in R; composing with R = v + w,
-w_x - 2vw - w^2 = 0 yields the CKdV equation in w.  The mkdv and ckdv flows
-and ghost flows are stated, not derived, so that the tests can check them
-against the maps independently.
+Slice B is A1 = (2R, 1, 0), A0 = (u_x + 2uR, u, 0) at the Miura map
+u = 2(R_x - R^2), with C = (c_x + 2Rc, c, cm) for a covariantly constant
+second ghost cm.  Its laws come the same way: the mkdv flow from F^0,
+delta R from (delta A1)^0, cm's x rule from (delta A1)^- = 0 and the
+ghost flow from the u law.  Composing with R = v + w, w_x - 2vw - w^2 = 0
+yields the CKdV equation in w; its ghost flow is mkdv's at R = v(w).
 
 Note on the CKdV right-hand side: eliminating v = (w_x - w^2)/(2w) from
 the mKdV flow gives
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from types import MappingProxyType
 
 import numpy as np
@@ -57,6 +58,7 @@ from .graded import (
     ParamPoly,
     apply_derivation,
     as_scalar,
+    base_symbol,
     marker,
     parameter,
     s_is_zero,
@@ -100,13 +102,6 @@ SYSTEM_NAMES = ("kdv", "harry-dym", "t-form", "mkdv", "ckdv", "upsilon")
 SLICE_A = "slice-A"  # A1 = (0, 1, -T); state carries u and T
 SLICE_B = "slice-B"  # A1 = (2R, 1, 0); state carries R
 
-_ODD = frozenset({"c"})
-
-
-def _gen(sym, order=0, exp=1):
-    return GradedPoly.gen(sym, order, exp, odd_syms=_ODD)
-
-
 @dataclass(frozen=True)
 class ConservedDensity:
     """A density whose spatial integral is constant along the flow.
@@ -135,12 +130,9 @@ class EvolutionSystem:
 
     ``rhs`` maps each field symbol to its time-evolution polynomial (None
     for fields carried along without an evolution law of their own, as for
-    u in the unreduced slice system).  ``brst`` is the odd symmetry;
-    ``symbolic_invariance`` records whether the symmetry closes on the
-    catalogued rules alone (False when the variation involves generators
-    with no transformation law in scope, as for mkdv/ckdv).  Built systems
-    are cached and shared, so ``parameters``, ``rhs`` and ``densities`` are
-    read-only; ``dataclasses.replace`` makes a changed copy.
+    u in the unreduced slice system).  ``brst`` is the odd symmetry.  Built
+    systems are cached and shared, so ``parameters``, ``rhs`` and
+    ``densities`` are read-only; ``dataclasses.replace`` makes a changed copy.
     """
 
     name: str
@@ -150,11 +142,20 @@ class EvolutionSystem:
     rhs: dict
     brst: DerivationRuleSet
     densities: dict = field(default_factory=dict)
-    symbolic_invariance: bool = True
 
     def __post_init__(self):
         for name in ("parameters", "rhs", "densities"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+
+    @property
+    def symbolic_invariance(self):
+        """Whether the symmetry closes on the catalogued rules alone: each
+        generator of a rule image (a marker counting as its field) has a rule
+        and each field a flow.  Not so for mkdv/ckdv (cm, cw) or upsilon (u)."""
+        images = [*self.brst.base.values(), *self.brst.xrules.values()]
+        named = {base_symbol(sym) for img in images for sym in img.symbols()}
+        return named <= set(self.brst.base) and all(
+            self.rhs.get(f) is not None for f in self.even_fields + self.odd_fields)
 
     def evolving_fields(self):
         return tuple(f for f in self.even_fields + self.odd_fields
@@ -270,12 +271,13 @@ def _u_family(alpha, s, name="kdv"):
 
 @cache
 def _mkdv():
-    odd = ("c", "cm")
-    rules = DerivationRuleSet("mkdv-brst", parity=1, base={
-        "R": parse("1/2*c_xx + R_x*c + R*c_x + cm", odd=odd),
-        "c": upsilon_rules().base["c"],
-        # no law for the covariantly constant cm is in scope
-    }, xrules={"cm": parse("2*R*cm", odd=odd)})
+    """Slice B's flow, symmetry and ghost flow at the Miura gauge u."""
+    f, d_a1, u_law, c_law = _slice_laws(SLICE_B)
+    half, odd = Fraction(1, 2), d_a1[2].odd_syms
+    rules = DerivationRuleSet("mkdv-brst", parity=1, base={"R": half * d_a1[0], "c": c_law},
+                              # no law for the covariantly constant cm is in scope
+                              xrules={"cm": GradedPoly.gen("cm", 1, odd_syms=odd) - d_a1[2]})
+    u = miura_substitution()
     densities = {
         "H0": ConservedDensity("H0", parse("R"), "classical"),
         "H1": ConservedDensity("H1", parse("R^2"), "classical"),
@@ -285,21 +287,19 @@ def _mkdv():
         parameters={},
         even_fields=("R",),
         odd_fields=("c",),
-        rhs={
-            "R": parse("R_xxx - 6*R^2*R_x"),
-            "c": parse("c_xxx + 6*R_x*c_x - 6*R^2*c_x", odd=("c",)),
-        },
+        rhs={"R": GradedPoly.gen(marker("R"), odd_syms=odd) - half * f[0],
+             "c": _ghost_flow(u_law, u, apply_derivation(u, rules))},
         brst=rules,
         densities=densities,
-        symbolic_invariance=False,
     )
 
 
 @cache
 def _ckdv():
+    mkdv = _mkdv()
     rules = DerivationRuleSet("ckdv-brst", parity=1, base={
         "w": parse("w_x*c + w*c_x + cw", odd=("c", "cw")),
-        "c": upsilon_rules().base["c"],
+        "c": mkdv.brst.base["c"],
     })
     return EvolutionSystem(
         name="ckdv",
@@ -309,13 +309,10 @@ def _ckdv():
         rhs={
             # w_xxx - 1/2 d/dx (w^3 + 3 w_x^2 w^-1), expanded
             "w": parse("w_xxx - 3/2*w^2*w_x - 3*w^-1*w_x*w_xx + 3/2*w^-2*w_x^3"),
-            # c_xxx + 6(v_x - v^2) c_x at v = (w_x - w^2)/(2w), expanded
-            "c": parse("c_xxx + 3*w^-1*w_xx*c_x - 9/2*w^-2*w_x^2*c_x"
-                       " - 3/2*w^2*c_x", odd=("c",)),
+            "c": substitute_family(mkdv.rhs["c"], "R", ckdv_substitution()),
         },
         brst=rules,
         densities={},
-        symbolic_invariance=False,
     )
 
 
@@ -324,19 +321,22 @@ def _ckdv():
 
 @cache
 def slice_connection(gauge_slice):
-    """The component triples (A1, A0, ghost) of a gauge slice in the basis
-    E0 = T0, E+- = sqrt2 T+-; slice B states no ghost triple (None)."""
-    one, zero = GradedPoly.number(1, _ODD), GradedPoly.zero(_ODD)
-    half = Fraction(1, 2)
+    """The component triples (A1, A0, ghost C) of a gauge slice in the basis
+    E0 = T0, E+- = sqrt2 T+-.  Slice A's ghosts are the jets of c; slice B
+    adds the covariantly constant cm, so that triple's odd set is {c, cm}."""
+    if gauge_slice not in (SLICE_A, SLICE_B):
+        raise ValueError(f"unknown gauge slice {gauge_slice!r}")
+    odd = frozenset({"c"} if gauge_slice == SLICE_A else {"c", "cm"})
+    gen = partial(GradedPoly.gen, odd_syms=odd)
+    one, zero, half, c = GradedPoly.number(1, odd), GradedPoly.zero(odd), Fraction(1, 2), gen("c")
     if gauge_slice == SLICE_A:
-        T, u, c = _gen("T"), _gen("u"), _gen("c")
+        T, u = gen("T"), gen("u")
         return ((zero, one, -T),
-                (_gen("u", 1), u, -half * _gen("u", 2) - u * T),
-                (_gen("c", 1), c, -half * _gen("c", 2) - T * c))
-    if gauge_slice == SLICE_B:
-        R, u = _gen("R"), miura_substitution()
-        return (2 * R, one, zero), (total_x_derivative(u) + 2 * (u * R), u, zero), None
-    raise ValueError(f"unknown gauge slice {gauge_slice!r}")
+                (gen("u", 1), u, -half * gen("u", 2) - u * T),
+                (gen("c", 1), c, -half * gen("c", 2) - T * c))
+    R, u = gen("R"), miura_substitution()
+    return ((2 * R, one, zero), (total_x_derivative(u) + 2 * (u * R), u, zero),
+            (gen("c", 1) + 2 * (R * c), c, gen("cm")))
 
 
 def slice_curvature(gauge_slice, structure=None):
@@ -349,28 +349,28 @@ def slice_curvature(gauge_slice, structure=None):
 
 
 @cache
-def _slice_a_laws():
-    """Upsilon = -F^- and, from delta A = Dc and delta c = -1/2 [c, c],
-    the u, T and ghost laws, all on slice A."""
+def _slice_laws(gauge_slice):
+    """F and, from delta A = Dc and delta c = -1/2 [c, c], delta A1 =
+    d_x C + [A1, C], the u law (d_t C + [A0, C])^+ and the ghost law
+    -1/2 [C, C]^+, all on one slice."""
     g = rescaled_table()
-    a1, a0, c = slice_connection(SLICE_A)
-    laws = {
-        "u": t_prolong(c[1]) + commutator_components(a0, c, g)[1],
-        "T": -(total_x_derivative(c[2]) + commutator_components(a1, c, g)[2]),
-        "c": Fraction(-1, 2) * commutator_components(c, c, g)[1],
-    }
-    return -slice_curvature(SLICE_A)[2], laws
+    a1, a0, c = slice_connection(gauge_slice)
+    d_a1 = tuple(total_x_derivative(x) + b for x, b in zip(c, commutator_components(a1, c, g)))
+    return (tuple(slice_curvature(gauge_slice)), d_a1,
+            t_prolong(c[1]) + commutator_components(a0, c, g)[1],
+            Fraction(-1, 2) * commutator_components(c, c, g)[1])
 
 
 def upsilon_poly():
     """The residual slice equation as a polynomial with time markers."""
-    return _slice_a_laws()[0]
+    return -_slice_laws(SLICE_A)[0][2]
 
 
 def upsilon_rules():
     """Odd symmetry of slice A: the ghost law, the T law and the u law,
     which keeps the ghost's time derivative as a marker."""
-    return DerivationRuleSet("slice-brst", parity=1, base=dict(_slice_a_laws()[1]))
+    _, d_a1, u_law, c_law = _slice_laws(SLICE_A)
+    return DerivationRuleSet("slice-brst", parity=1, base={"u": u_law, "T": -d_a1[2], "c": c_law})
 
 
 @cache
@@ -387,7 +387,6 @@ def _upsilon_system():
         },
         brst=upsilon_rules(),
         densities={},
-        symbolic_invariance=False,
     )
 
 

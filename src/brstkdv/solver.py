@@ -48,7 +48,6 @@ __all__ = [
     "evolve",
     "evolve_many",
     "evaluate",
-    "evaluate_many",
     "evaluator",
     "evaluate_functional",
     "initial_state",
@@ -542,12 +541,6 @@ def evaluator(polys):
 def evaluate(poly, fields, length):
     """The values of ``poly`` on the grids ``fields``; see :func:`evaluator`."""
     return evaluator([poly])(fields, length)[0]
-
-
-def evaluate_many(polys, fields, length):
-    """:func:`evaluate` of each of ``polys``, one row each, all read from
-    one set of grids."""
-    return evaluator(polys)(fields, length)
 
 
 def evaluate_functional(density, state):

@@ -240,8 +240,9 @@ def check_gradient_ghost(density=None, system=None):
 def check_gauge_slices(structure=None):
     """Both gauge slices of the zero-curvature equation, exactly: on slice A,
     F^0 and F^+ vanish identically, which leaves F^- = -Upsilon as the one
-    residual equation; on slice B, every component of F vanishes on the
-    stated mkdv flow.  ``structure`` replaces the (T-basis) structure table.
+    residual equation; on slice B, F^+ and F^- vanish and F^0 does on the
+    mkdv flow, which the catalog reads off F^0 with the shipped table.
+    ``structure`` replaces the (T-basis) structure table.
 
     Not in ``CHECKS`` yet: the benchmark's tracer reports a metric for each
     registered check, and its metric list does not name this one."""

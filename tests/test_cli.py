@@ -461,6 +461,25 @@ def test_miura_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("case", ["missing-config", "config-is-dir", "simulate-out",
+                                  "verify-out", "miura-out"])
+def test_file_errors_exit_two_naming_the_path(capsys, tmp_path, case):
+    (tmp_path / "afile").write_text("")
+    path = {"missing-config": tmp_path / "missing.cfg", "config-is-dir": tmp_path,
+            "simulate-out": tmp_path / "afile" / "sub"}.get(case, tmp_path)
+    argv = {
+        "missing-config": [*SIM_ARGS, "--config", str(path)],
+        "config-is-dir": ["miura", "--initial", "0", "--config", str(path)],
+        "simulate-out": [*SIM_ARGS, "--out", str(path)],
+        "verify-out": ["verify", "check_nilpotency", "--out", str(path)],
+        "miura-out": ["miura", "--initial", "0", "--n", "128", "--out", str(path)],
+    }[case]
+    code, _, err = invoke(capsys, *argv)
+    assert code == 2
+    assert str(path) in err and "Traceback" not in err
+    assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
+
+
 # --- plumbing ----------------------------------------------------------------------
 
 def test_help_screens_exit_zero(capsys):

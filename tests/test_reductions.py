@@ -52,7 +52,7 @@ from brstkdv.sl2 import commutator_components, curvature_residual, rescaled_tabl
 from brstkdv.solver import (
     FieldState,
     SingularityError,
-    evaluate_many,
+    evaluator,
     spectral_derivative,
     step,
 )
@@ -144,6 +144,28 @@ def test_ckdv_equations():
         "c_xxx + 3*w^-1*w_xx*c_x - 9/2*w^-2*w_x^2*c_x - 3/2*w^2*c_x")
 
 
+@pytest.mark.parametrize("name, params, closed", [
+    ("kdv", {"alpha": 1, "s": 2}, True),
+    ("kdv", {"alpha": -2, "s": 1}, True),
+    ("t-form", {"beta": 1, "s": 2}, True),
+    ("t-form", {"beta": "1/2", "s": 1}, True),
+    ("t-form", {"beta": "beta", "s": "s"}, True),
+    ("harry-dym", {}, True),
+    ("mkdv", {}, False),  # cm has only an x rule
+    ("ckdv", {}, False),  # cw has no rule
+    ("upsilon", {}, False),  # u and c have no flow
+])
+def test_symbolic_invariance_is_derived(name, params, closed):
+    sys_ = build_system(name, **params)
+    assert sys_.symbolic_invariance is closed
+    if closed:
+        # one odd generator without a rule of its own breaks closure
+        base = dict(sys_.brst.base)
+        base["c"] = base["c"] + parse("c*cq", odd=("c", "cq"))
+        brst = dataclasses.replace(sys_.brst, base=base)
+        assert dataclasses.replace(sys_, brst=brst).symbolic_invariance is False
+
+
 # The slice equation and its three laws as they were typed in before the
 # catalog derived them from the zero-curvature equation: the oracle.
 _UPSILON = P("T_t - 1/2*u_xxx - 2*u_x*T - u*T_x")
@@ -180,6 +202,23 @@ def test_slice_a_symmetry_keeps_the_gauge():
     assert dm == -_T_LAW
 
 
+def test_slice_b_symmetry_keeps_the_gauge():
+    # on slice B, delta A1 = d/dx C + [A1, C] leaves A1^+ = 1 alone, its lower
+    # component cm_x - 2 R cm vanishes under cm's x rule, and -1/2 [C, C]^+
+    # is the ghost law every system shares
+    a1, _, ghost = slice_connection(SLICE_B)
+    g = rescaled_table()
+    bracket = commutator_components(a1, ghost, g)
+    _, dp, dm = (total_x_derivative(c) + b for c, b in zip(ghost, bracket))
+    assert dp.is_zero
+    odd = ("c", "cm")
+    assert dm == parse("cm_x - 2*R*cm", odd=odd)
+    # cm_x read through mkdv's x rule
+    by_rule = total_x_derivative(parse("cm", odd=odd), build_system("mkdv").brst)
+    assert (dm - parse("cm_x", odd=odd) + by_rule).is_zero
+    assert Fraction(-1, 2) * commutator_components(ghost, ghost, g)[1] == _C_LAW
+
+
 def test_slice_b_is_flat_on_the_mkdv_flow():
     f0, fp, fm = slice_curvature(SLICE_B)
     assert f0 == 2 * parse("R_t - R_xxx + 6*R^2*R_x")
@@ -189,7 +228,10 @@ def test_slice_b_is_flat_on_the_mkdv_flow():
 
 def test_slice_statement_is_cached_and_checked():
     assert slice_connection(SLICE_A) is slice_connection(SLICE_A)
-    assert slice_connection(SLICE_B)[2] is None
+    c, cm = (GradedPoly.gen(sym, odd_syms=frozenset({"c", "cm"})) for sym in ("c", "cm"))
+    assert slice_connection(SLICE_B)[2] == (parse("c_x + 2*R*c", odd=("c",)), c, cm)
+    assert all(x.odd_syms == {"c", "cm"} for x in slice_connection(SLICE_B)[2])
+    assert all(x.odd_syms == {"c"} for x in slice_connection(SLICE_A)[2])
     with pytest.raises(ValueError, match="unknown gauge slice"):
         slice_connection("slice-C")
 
@@ -704,7 +746,7 @@ def _ghost_multiplet_oracle(ghost, T, length):
 
 def _ghost_triple(ghost, T, length):
     """The slice-A ghost triple on grids, in the T basis."""
-    rows = evaluate_many(slice_connection(SLICE_A)[2], {"c": ghost, "T": T}, length)
+    rows = evaluator(slice_connection(SLICE_A)[2])({"c": ghost, "T": T}, length)
     return rows * np.array([[1.0], [np.sqrt(2.0)], [np.sqrt(2.0)]])
 
 

@@ -23,7 +23,6 @@ from brstkdv.solver import (
     Trajectory,
     evaluate,
     evaluate_functional,
-    evaluate_many,
     evaluator,
     evolve,
     evolve_many,
@@ -429,7 +428,7 @@ def test_evaluate_many_reads_each_grid_once(monkeypatch):
     real = solver.spectral_derivative
     monkeypatch.setattr(solver, "spectral_derivative",
                         lambda f, o, ln: calls.append(o) or real(f, o, ln))
-    rows = evaluate_many(polys, fields, length)
+    rows = evaluator(polys)(fields, length)
     assert sorted(calls) == [1, 2]  # u_x once for both rows that read it
     assert rows.shape == (4, n)
     for row, p in zip(rows, polys):
@@ -448,7 +447,7 @@ def test_evaluator_compiles_once(monkeypatch):
     values = evaluator(polys)
     rows = [values(fields, length) for _ in range(3)]
     assert len(calls) == 2
-    assert all(np.array_equal(r, evaluate_many(polys, fields, length)) for r in rows)
+    assert all(np.array_equal(r, evaluator(polys)(fields, length)) for r in rows)
 
 
 def test_positivity_guard_fires():
