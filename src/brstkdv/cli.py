@@ -138,8 +138,7 @@ def _cmd_simulate(args):
                 "out": ".", "seed": "0"}
     eff = _effective(args, defaults)
     if "system" not in eff:
-        print("simulate: --system is required", file=sys.stderr)
-        return 2
+        raise ValueError("--system is required")
     system = build_system(eff["system"], **_family_params(eff))
     length, n, x = _grid(eff)
     dt = float(eff["dt"])
@@ -156,8 +155,7 @@ def _cmd_simulate(args):
         state = initial_state(system.even_fields[0],
                               _eval_expression(eff["initial"], x, length), length, ghost)
     else:
-        print("simulate: provide --soliton or --initial", file=sys.stderr)
-        return 2
+        raise ValueError("provide --soliton or --initial")
 
     diagnostics = []
     if eff.get("diag"):
@@ -182,9 +180,8 @@ def _cmd_verify(args):
     elif args.check in CHECKS:
         reports = [CHECKS[args.check]()]
     else:
-        print(f"unknown check {args.check!r}; available: "
-              f"{', '.join(list(CHECKS) + ['all'])}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown check {args.check!r}; available: "
+                         f"{', '.join(list(CHECKS) + ['all'])}")
     doc = [r.to_dict() for r in reports]
     text = json.dumps(doc if len(doc) > 1 else doc[0], sort_keys=True, indent=2)
     print(text)
@@ -197,8 +194,7 @@ def _cmd_verify(args):
 def _cmd_miura(args):
     eff = _effective(args, {"direction": "mkdv-to-kdv", "L": "40", "n": "512"})
     if not eff.get("initial"):
-        print("miura: --initial expression is required", file=sys.stderr)
-        return 2
+        raise ValueError("--initial expression is required")
     length, n, x = _grid(eff)
     f = _eval_expression(eff["initial"], x, length)
     if eff["direction"] == "mkdv-to-kdv":
@@ -208,8 +204,7 @@ def _cmd_miura(args):
         g = ckdv_to_mkdv(f, length)
         src, dst = "w", "v"
     else:
-        print(f"unknown direction {eff['direction']!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown direction {eff['direction']!r}")
     lines = [f"x,{src},{dst}"]
     lines += [f"{repr(float(x[i]))},{repr(float(f[i]))},{repr(float(g[i]))}"
               for i in range(n)]
@@ -226,8 +221,7 @@ def _cmd_miura(args):
 def _cmd_conserved(args):
     eff = _effective(args, {})
     if "system" not in eff:
-        print("conserved: --system is required", file=sys.stderr)
-        return 2
+        raise ValueError("--system is required")
     system = build_system(eff["system"], **_family_params(eff))
     if not system.densities:
         print(f"(no catalogued densities for {system.name})")

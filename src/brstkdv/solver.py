@@ -14,10 +14,10 @@ level, and one rfft for all terms; a kdv/mkdv/ckdv/Harry Dym step makes
 stage checks the positivity guards.  Quadrature, the step-size advisory and
 :func:`evaluate` share one unfiltered pointwise evaluator on physical
 grids, which :func:`evaluator` compiles once for repeated use.
-Time stepping is RK4 with an exact integrating factor for each field's
-constant-coefficient a*f_xxx term, which removes the k^3 stiffness; a
-variable-coefficient dispersion (Harry Dym's T^(-1/2) T_xxx) stays in the
-right-hand side, and a warning is emitted when dt breaks its CFL limit.
+Time stepping is RK4 with an exact integrating factor exp(t sum c (ik)^o)
+over each field's constant-coefficient linear terms c*f_(o x), any order o;
+a variable-coefficient dispersion (Harry Dym's T^(-1/2) T_xxx) stays in the
+right-hand side, and a warning is emitted when dt breaks its RK4 limit.
 
 Every ghost evolution equation and density in scope is at most linear in
 the odd ghost, so the odd generator is factored out and one real
@@ -269,25 +269,23 @@ class _Plan:
     with more than j factors by its factor j, and one round trip filters
     those that go on past level j; one rfft takes all terms to spectral
     space to be masked, scaled and added to their rows.  A lone linear
-    factor adds coeff * hat * (ik)^order and a constant adds to the mean
-    mode, with no FFT.
+    factor is a product of one factor, and a constant adds to the mean mode
+    with no FFT.
     """
 
     def __init__(self, terms, n, length):
-        self.terms = terms
-        self.n = n
+        self.terms, self.n = terms, n
         self.mask = np.arange(n // 2 + 1) <= n // 3  # the 2/3 rule
         every = [(r, c, fs) for r, ts in enumerate(terms) for c, fs in ts]
-        lone = [k for k, (_, _, fs) in enumerate(every) if len(fs) == 1 and fs[0][2] == 1.0]
         # the products, longest first, so the terms that reach a level are a prefix
-        order = sorted((k for k, t in enumerate(every) if t[2] and k not in lone),
+        order = sorted((k for k, t in enumerate(every) if t[2]),
                        key=lambda k: -len(every[k][2]))
         formed = [every[k][2] for k in order]
         self.reads = sorted({x[:2] for fs in formed for x in fs})
         self.powers = sorted({x for fs in formed for x in fs if x[2] != 1.0})
-        mult = {o: _multiplier(n, length, o) for _, _, fs in every for _, o, _ in fs}
         self.read_rows = np.array([r for r, _ in self.reads], dtype=int)
-        self.read_mult = np.array([mult[o] for _, o in self.reads]).reshape(-1, n // 2 + 1)
+        self.read_mult = np.array([_multiplier(n, length, o)
+                                   for _, o in self.reads]).reshape(-1, n // 2 + 1)
         slot = {x: i for i, x in enumerate(self.reads + self.powers)}
         self.raise_from = [(slot[x[:2]], x[2]) for x in self.powers]
         index = [[slot[x[:2] if x[2] == 1.0 else x] for x in fs] for fs in formed]
@@ -299,8 +297,6 @@ class _Plan:
         self.scale = np.array([every[k][1] for k in order])[:, None] * self.mask
         # (row, term) pairs, so each row adds its terms in the order given
         self.adds = [(every[k][0], order.index(k)) for k in sorted(order)]
-        self.lone = [(r, c, fs[0][0], mult[fs[0][1]])
-                     for r, c, fs in map(every.__getitem__, lone)]
         self.const = [(r, c) for r, c, fs in every if not fs]
 
     def _filter(self, a):
@@ -310,7 +306,7 @@ class _Plan:
         """The (row, order) grids the plan reads, one row each in reads order."""
         return np.fft.irfft(hats[self.read_rows] * self.read_mult, self.n)
 
-    def __call__(self, hats, grids):
+    def __call__(self, grids):
         """The rfft of every compiled right-hand side, one row each."""
         vals = grids
         if self.powers:
@@ -325,8 +321,6 @@ class _Plan:
         out = np.zeros((len(self.terms), self.n // 2 + 1), dtype=complex)
         for r, i in self.adds:
             out[r] += spec[i]
-        for r, c, i, m in self.lone:
-            out[r] += c * hats[i] * m
         for r, c in self.const:
             out[r, 0] += c * self.n
         return out
@@ -342,8 +336,7 @@ class _Stepper:
     def __init__(self, systems, length, n, dt):
         _require_power_of_two(n)
         self.length, self.n, self.dt = length, n, dt
-        self.fields, self.where, self.terms, self.spans, self.odd = (), [], [], [], []
-        by_row, linear = [], []
+        self.fields, self.where, self.spans, by_row, lam = (), [], [], [], []
         for i, system in enumerate(systems):
             missing = [f for f in system.even_fields + system.odd_fields
                        if system.rhs.get(f) is None]
@@ -354,31 +347,31 @@ class _Stepper:
             fields, odd = system.evolving_fields(), set(system.odd_fields)
             row = {f: len(self.fields) + j for j, f in enumerate(fields)}
             for f in fields:
-                # a constant-coefficient a*f_xxx is propagated exactly by the
-                # integrating factor and kept out of the plan
-                disp = ((f, 3, 1.0),)
-                compiled = _compile_terms(system.rhs[f], odd)
-                linear.append(sum(c for c, fs in compiled if fs == disp))
-                self.terms.append(tuple(t for t in compiled if t[1] != disp))
-                by_row.append(tuple((c, tuple((row[s], o, e) for s, o, e in fs))
-                                    for c, fs in self.terms[-1]))
+                # a constant-coefficient linear term in f itself, of any
+                # order, goes to the integrating factor, the rest to the plan
+                lam.append(np.zeros(n // 2 + 1, dtype=complex))
+                rest = []
+                for c, fs in _compile_terms(system.rhs[f], odd):
+                    if len(fs) == 1 and fs[0][::2] == (f, 1.0):  # c * f_(o x)
+                        lam[-1] += c * _multiplier(n, length, fs[0][1])
+                    else:
+                        rest.append((c, tuple((row[s], o, e) for s, o, e in fs)))
+                by_row.append(tuple(rest))
             self.spans.append(slice(len(self.fields), len(self.fields) + len(fields)))
             self.fields += fields
             where = f" of run {i} ({system.name})" if len(systems) > 1 else ""
             self.where += [where] * len(fields)
-            self.odd.append(odd)
         self.plan = _Plan(by_row, n, length)
         # an undifferentiated fractional power needs a positive base and a
         # negative one a nonzero base: row -> (grid index, must be positive)
         frac = {r for r, o, e in self.plan.powers if not o and e != int(e)}
         self.guarded = {r: (self.plan.reads.index((r, 0)), r in frac)
                         for r, o, e in self.plan.powers if not o and (e < 0 or r in frac)}
-
-        lam = np.outer(linear, _multiplier(n, length, 3))
-        self.E, self.E2 = np.exp(dt * lam), np.exp(0.5 * dt * lam)
-        # the RK4 weights folded into the factors, once
-        self.half_E2, self.dt_E2 = 0.5 * dt * self.E2, dt * self.E2
-        self.sixth_E, self.third_E2 = dt / 6.0 * self.E, dt / 3.0 * self.E2
+        with np.errstate(over="ignore", invalid="ignore"):  # inf blows up at t = dt
+            self.E, self.E2 = (np.exp(h * dt * np.array(lam)) for h in (1.0, 0.5))
+            # the RK4 weights folded into the factors, once
+            self.half_E2, self.dt_E2 = 0.5 * dt * self.E2, dt * self.E2
+            self.sixth_E, self.third_E2 = dt / 6.0 * self.E, dt / 3.0 * self.E2
 
     def _check_guards(self, grids, t):
         """Raise SingularityError if a guarded row of ``grids`` (indexed by
@@ -395,7 +388,7 @@ class _Stepper:
     def nonlinear_hat(self, hats, t):
         grids = self.plan.grids(hats)
         self._check_guards({r: grids[i] for r, (i, _) in self.guarded.items()}, t)
-        return self.plan(hats, grids)
+        return self.plan(grids)
 
     def advance(self, hats, t):
         """One integrating-factor RK4 step in spectral space.
@@ -413,31 +406,32 @@ class _Stepper:
             d = self.nonlinear_hat(e_hats + self.dt_E2 * c, t + dt)
             return e_hats + self.sixth_E * a + self.third_E2 * (b + c) + dt / 6.0 * d
 
-    def cfl_advisory(self, run, state):
-        """Warn when an unextracted third-derivative term of a run looks
-        unstable; the warning points at the caller of evolve/evolve_many."""
-        rows, odd = self.spans[run], self.odd[run]
+    def cfl_advisory(self, rows):
+        """Warn for each row whose stiffest plan term looks unstable on the
+        initial field ``rows``: a term's stiff factor is its highest derivative
+        of the row's own field, of order m >= 3, and its bound dt * |coeff *
+        other factors| * kmax^m.  The warning points at evolve's caller."""
         kmax = 2.0 * np.pi / self.length * (self.n // 3)
-        # |coeff| and the even factors other than the third derivative, for
-        # each term that carries one
-        stiff = {f: [(abs(c), [x for x in fs if x[1] != 3 and x[0] not in odd])
-                     for c, fs in terms if any(x[1] == 3 for x in fs)]
-                 for f, terms in zip(self.fields[rows], self.terms[rows])}
-        grids = _grids([t for amps in stiff.values() for t in amps], state.fields, self.length)
+        # (row, m, |coeff| and the factors other than the stiff one) per term
+        stiff = [(r, m, (abs(c), tuple(x for x in fs if x[:2] != (r, m))))
+                 for r, terms in enumerate(self.plan.terms) for c, fs in terms
+                 for m in [max((o for s, o, _ in fs if s == r), default=0)] if m >= 3]
+        grids = _grids([t for *_, t in stiff], dict(enumerate(rows)), self.length)
         # |x^e| via |x|^e: fractional e on negative data would NaN
         grids = {k: np.abs(g) for k, g in grids.items()}
-        for f, amps in stiff.items():
-            worst = max((float(np.max(_pointwise([t], grids, self.n))) for t in amps),
-                        default=0.0)
+        worst = {}
+        for r, m, t in stiff:
             # a product overflows to inf where a float ** raises
-            bound = self.dt * worst * math.prod([kmax] * 3)
+            amp = float(np.max(_pointwise([t], grids, self.n)))
+            worst[r] = max(worst.get(r, (0.0, m)), (self.dt * amp * math.prod([kmax] * m), m))
+        for r, (bound, m) in worst.items():
             if bound > _RK4_IMAG_LIMIT:
                 frame, level = sys._getframe(1), 2  # the first frame outside this module
                 while frame.f_globals is globals():
                     frame, level = frame.f_back, level + 1
                 warnings.warn(
-                    f"field {f!r}{self.where[rows.start]}: variable-coefficient "
-                    f"dispersion with dt*|a|*kmax^3 ~ {bound:.3g} exceeds the "
+                    f"field {self.fields[r]!r}{self.where[r]}: variable-coefficient "
+                    f"dispersion with dt*|a|*kmax^{m} ~ {bound:.3g} exceeds the "
                     "RK4 stability bound ~2.83; reduce dt or N", stacklevel=level)
 
 
@@ -490,8 +484,7 @@ def evolve_many(runs, t_end, dt):
              for f in stepper.fields[rows]]
     # the advisory raises |field| to negative powers, so the guards go first
     stepper._check_guards(grids, t0)
-    for i, (state, *_) in enumerate(runs):
-        stepper.cfl_advisory(i, state)
+    stepper.cfl_advisory(grids)
 
     states = [[state] for state, *_ in runs]
     hats = np.fft.rfft(grids)

@@ -384,6 +384,106 @@ def test_initial_expressions_never_escape_run(text):
             assert code == 0 or err.getvalue().startswith(f"{argv[0]}:")
 
 
+def _quiet_run(argv):
+    """run(argv) with stdout dropped: (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(command, code, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert code == 0 or (err.startswith(f"{command}: ") and err.count("\n") == 1)
+
+
+# Config-file values per command: good ones and bad ones.  Every file starts
+# with a working run that the lines after it change, and n, dt and t-end only
+# take values that keep a run to 32 points and 50 steps.
+_BASE = {"simulate": ["system=kdv", "soliton=k=0.7", "n=16", "t-end=0.05"],
+         "miura": ["initial=1/10*sx", "n=16"], "conserved": ["system=kdv"]}
+_CONFIG_VALUES = {
+    "simulate": {
+        "system": ["kdv", "mkdv", "harry-dym", "upsilon", "bogus", ""],
+        "n": ["16", "32", "12", "0", "-16", "x"],
+        "L": ["20", "40", "1e-3", "0", "nan", "-1", "x"],
+        "dt": ["1e-3", "5e-3", "0.01", "0", "-1e-3", "nan", "x"],
+        "t-end": ["0.01", "0.05", "0", "-1", "inf", "x"],
+        "record-every": ["1", "3", "0", "2.5", "x"],
+        "soliton": ["k=0.7", "k=0.5,x0=3", "k=", "wat", "x0=1"],
+        "initial": ["1 + 1/10*cx", "1/10*sx", "u_x", "cx^", "(beta)*cx"],
+        "ghost-initial": ["gradient", "none", "sx", "c"],
+        "diag": ["H0,H1", "H0,H0", "H99"],
+        "alpha": ["1", "2", "x"],
+        "seed": ["0", "abc"],
+    },
+    "miura": {
+        "direction": ["mkdv-to-kdv", "ckdv-to-mkdv", "bogus"],
+        "initial": ["1/10*sx", "1 + 1/10*cx", "cx", "u_x", "x^1000", ""],
+        "L": ["20", "40", "0", "nan", "x"],
+        "n": ["16", "32", "12", "0", "x"],
+    },
+    "conserved": {
+        "system": ["kdv", "mkdv", "ckdv", "t-form", "bogus", ""],
+        "alpha": ["2", "1/0"],
+        "beta": ["1", "beta", "T"],
+        "s": ["2", "s", "x"],
+    },
+}
+
+
+@st.composite
+def _config_runs(draw):
+    command = draw(st.sampled_from(sorted(_CONFIG_VALUES)))
+    values = _CONFIG_VALUES[command]
+    assignment = st.sampled_from(sorted(values)).flatmap(
+        lambda key: st.sampled_from(values[key]).map(lambda v: f"{key}={v}"))
+    line = st.one_of(
+        assignment, assignment, assignment, assignment,
+        assignment.map(lambda a: f"  {a.replace('=', ' = ', 1)}  # trailing"),
+        st.sampled_from(["", "   ", "# a comment", "#no=value"]),
+        st.sampled_from(["bogus=1", "t_end=0.01", "config=x.cfg", "=1", "no equals sign"]),
+    )
+    lines = _BASE[command] + draw(st.lists(line, max_size=5))
+    return command, "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+@settings(max_examples=60, deadline=None)
+@given(_config_runs())
+def test_config_files_never_escape_run(command_and_text):
+    command, text = command_and_text
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = f"{tmp}/run.cfg"
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        argv = [command, "--config", cfg]
+        if command != "conserved":
+            argv += ["--out", f"{tmp}/out" + (".csv" if command == "miura" else "")]
+        code, err = _quiet_run(argv)
+    _assert_clean_exit(command, code, err)
+
+
+@pytest.mark.parametrize("where", ["directory", "file", "under-file"])
+@pytest.mark.parametrize("argv, ok", [
+    pytest.param(["simulate", "--system", "kdv", "--soliton", "k=0.5", "--n", "16",
+                  "--t-end", "0.01"], "directory", id="simulate"),
+    pytest.param(["miura", "--initial", "1/10*sx", "--n", "16"], "file", id="miura"),
+    pytest.param(["verify", "check_nilpotency"], "file", id="verify"),
+])
+def test_out_paths_never_escape_run(tmp_path, argv, ok, where):
+    # each command writes its --out where it can and names the path in
+    # one line where it cannot; the directory and the file both exist
+    (tmp_path / "file").write_text("")
+    path = {"directory": tmp_path, "file": tmp_path / "file",
+            "under-file": tmp_path / "file" / "out"}[where]
+    code, err = _quiet_run(argv + ["--out", str(path)])
+    _assert_clean_exit(argv[0], code, err)
+    assert code == (0 if where == ok else 2)
+    assert code == 0 or str(path) in err
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_simulate_guard_failure_exit_code(capsys, tmp_path):
     # harry-dym data crossing the positivity floor is a runtime failure (1),
@@ -459,6 +559,24 @@ def test_miura_out_file(capsys, tmp_path):
 def test_miura_usage_errors(capsys):
     code, _, _ = invoke(capsys, "miura", "--n", "128")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", "--soliton", "k=0.5"], id="simulate-without-system"),
+    pytest.param(["simulate", "--system", "kdv"], id="simulate-without-initial-data"),
+    pytest.param(["verify", "check_bogus"], id="verify-unknown-check"),
+    pytest.param(["miura", "--n", "16"], id="miura-without-initial"),
+    pytest.param(["miura", "--initial", "0", "--n", "16", "--config", "{cfg}"],
+                 id="miura-unknown-direction"),
+    pytest.param(["conserved"], id="conserved-without-system"),
+])
+def test_usage_errors_print_one_line_naming_the_command(capsys, tmp_path, argv):
+    cfg = tmp_path / "direction.cfg"
+    cfg.write_text("direction=bogus\n")
+    code, out, err = invoke(capsys, *(a.format(cfg=cfg) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("case", ["missing-config", "config-is-dir", "simulate-out",

@@ -1,6 +1,7 @@
 """Pseudospectral machinery: differentiation, quadrature, stepping,
 guards, and trajectory export."""
 
+import dataclasses
 import json
 import warnings
 from fractions import Fraction
@@ -512,6 +513,50 @@ def test_cfl_advisory_points_at_the_caller():
         assert {w.filename for w in seen} == {__file__}
 
 
+def test_fifth_order_linear_flow_is_exact():
+    # u_5x and c_5x go whole into the integrating factor, so sin 3x travels
+    # as sin(3x + 243 t) at a dt where explicit RK4 would be unstable for
+    # every mode above 3 (dt*k^5 > 2.83)
+    kdv = build_system("kdv")
+    flow = dataclasses.replace(kdv, rhs={"u": P("u_xxxxx"), "c": P("c_xxxxx")})
+    n, length = 64, 2 * np.pi
+    x = grid(length, n)
+    st = FieldState(0.0, length, n, {"u": np.sin(3 * x), "c": np.sin(3 * x)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        end = evolve(st, flow, 0.1, 0.01).states[-1]
+    for f in ("u", "c"):
+        assert np.max(np.abs(end.fields[f] - np.sin(3 * x + 243 * 0.1))) < 1e-12
+
+
+def test_growing_linear_mode_blows_up_without_numpy_warnings():
+    # -u_xx grows mode k like exp(k^2 t): the factor of mode 32 overflows at
+    # dt = 1, which is a blow-up at t = dt and no overflow warning
+    kdv = build_system("kdv")
+    flow = dataclasses.replace(kdv, rhs={"u": P("-u_xx"), "c": P("c_xxx")})
+    n, length = 64, 2 * np.pi
+    st = FieldState(0.0, length, n, {"u": np.sin(grid(length, n)), "c": np.zeros(n)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError, match="'u'.*t = 1"):
+            evolve(st, flow, 1.0, 1.0)
+
+
+def test_cfl_advisory_reads_each_terms_own_order():
+    # u^2*u_5x stays in the plan: its bound is dt*max(u^2)*kmax^5 with
+    # kmax = 21 on 64 points of [0, 2 pi)
+    kdv = build_system("kdv")
+    flow = dataclasses.replace(kdv, rhs={"u": P("u^2*u_xxxxx"), "c": P("c_xxxxx")})
+    n, length = 64, 2 * np.pi
+    st = FieldState(0.0, length, n, {"u": 1.0 + 0.1 * np.sin(grid(length, n)),
+                                     "c": np.zeros(n)})
+    with pytest.warns(UserWarning, match=r"field 'u': .*kmax\^5 ~ 4\.94e\+04 exceeds") as seen:
+        with pytest.raises(BlowUpError):
+            evolve(st, flow, 0.1, 0.01)
+    assert {w.filename for w in seen} == {__file__}
+    assert len(seen) == 1
+
+
 def test_guard_violation_raises_before_the_advisory():
     # the advisory raises |T| to negative powers: T = 0 would divide by zero
     # and sign-changing T would draw a huge step-size warning first
@@ -649,8 +694,8 @@ def test_mkdv_short_run_conserves_classical_densities():
 def _reference_nonlinear_hat(system, state):
     """The physical-space evaluator: read each grid with (ik)^order, filter
     each power other than 1 and each product, sum the terms on the grid and
-    take one rfft.  The constant-coefficient dispersion a*f_xxx belongs to
-    the integrating factor and is left out."""
+    take one rfft.  Every constant-coefficient linear term in the row's own
+    field belongs to the integrating factor and is left out."""
     n, length = state.N, state.L
     k = 2 * np.pi / length * np.fft.rfftfreq(n, d=1.0 / n)
     mask = np.arange(n // 2 + 1) <= n // 3
@@ -670,7 +715,7 @@ def _reference_nonlinear_hat(system, state):
         for coeff, even, odd in system.rhs[f].terms():
             factors = [(sym, order, float(e)) for (sym, order), e in even]
             factors += [(sym, order, 1.0) for sym, order in odd]
-            if factors == [(f, 3, 1.0)]:
+            if len(factors) == 1 and factors[0][::2] == (f, 1.0):
                 continue
             acc = 1.0
             for i, (sym, order, e) in enumerate(factors):
@@ -681,14 +726,19 @@ def _reference_nonlinear_hat(system, state):
     return out
 
 
-# no catalog plan has a lone linear term, a constant or more than three
-# factors: a lone c_x, a constant 1/3, four-factor products (two filtered
-# levels) and rows that mix one, two and four factors
+# no catalog plan has a constant, more than three factors or a linear term
+# in another row's field: a constant 1/3, four-factor products (two filtered
+# levels) and rows that mix two and four factors, beside the self terms c_x
+# and -u_xxx that go to the integrating factor; then two even fields, each
+# row a lone linear factor of the other, which takes the product path
 _STUB = SimpleNamespace(
     name="stub", even_fields=["u"], odd_fields=["c"],
     rhs={"u": P("1/3 + 2*u*u_x - u^2*u_x*u_xx*u_xxx + 1/2*u_x^3*u_xx - u_xxx"),
          "c": P("c_x - u^2*u_x*u_xx*c_x + 3*u*c_xx")},
     evolving_fields=lambda: ("u", "c"))
+_CROSS = SimpleNamespace(
+    name="cross", even_fields=["u", "T"], odd_fields=[],
+    rhs={"u": P("T_x"), "T": P("u_x")}, evolving_fields=lambda: ("u", "T"))
 
 
 @pytest.mark.parametrize("system", [
@@ -699,6 +749,7 @@ _STUB = SimpleNamespace(
     pytest.param(build_system("kdv", alpha=2), id="kdv-alpha=2"),
     pytest.param(build_system("kdv", alpha=-2), id="kdv-alpha=-2"),
     pytest.param(_STUB, id="stub"),
+    pytest.param(_CROSS, id="cross-row"),
 ])
 def test_plan_matches_physical_space_evaluator(system):
     # band-limited data whose mode 25 puts products above the N/3 cutoff,
@@ -707,7 +758,7 @@ def test_plan_matches_physical_space_evaluator(system):
     z = 2 * np.pi * grid(length, n) / length
     f = 1.0 + 0.3 * np.cos(z) + 0.2 * np.sin(2 * z) + 0.05 * np.cos(25 * z)
     c = 0.5 * np.sin(z) + 0.1 * np.cos(3 * z) + 0.05 * np.sin(25 * z)
-    st = FieldState(0.0, length, n, {system.even_fields[0]: f, "c": c})
+    st = FieldState(0.0, length, n, dict(zip(system.evolving_fields(), (f, c))))
     stepper = _Stepper([system], length, n, 1e-3)
     hats = np.fft.rfft([st.fields[f] for f in stepper.fields])
     got = dict(zip(stepper.fields, stepper.nonlinear_hat(hats, 0.0)))

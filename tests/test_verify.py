@@ -75,7 +75,7 @@ def test_gauge_slices_pass_exactly():
     rep = check_gauge_slices()
     assert rep.status == "pass" and rep.tolerance == 0.0
     assert rep.metrics == {"slice_a_0": 0.0, "slice_a_plus": 0.0,
-                           "slice_b_0": 0.0, "slice_b_plus": 0.0, "slice_b_minus": 0.0}
+                           "slice_b_miura": 0.0, "slice_b_plus": 0.0, "slice_b_minus": 0.0}
 
 
 def test_gradient_ghost_argument_validation():
@@ -112,6 +112,16 @@ def test_gauge_slices_fail_for_a_corrupted_constant(a, b, c, failing):
     rep = check_gauge_slices(structure=f)
     assert rep.status == "fail"
     assert {k for k, v in rep.metrics.items() if v} == failing
+
+
+def test_gauge_slices_fail_for_a_detuned_modified_flow():
+    # -5 R^2 R_x for -6 R^2 R_x: the Miura map no longer carries the slice-B
+    # flow onto kdv's, and no structure table reaches this metric
+    mk = build_system("mkdv")
+    wrong = dataclasses.replace(mk, rhs={"R": parse("R_xxx - 5*R^2*R_x"), "c": mk.rhs["c"]})
+    rep = check_gauge_slices(mkdv=wrong)
+    assert rep.status == "fail"
+    assert {k: v for k, v in rep.metrics.items() if v} == {"slice_b_miura": 3.0}
 
 
 def test_covariance_fails_for_wrong_advection_weight():
