@@ -76,10 +76,19 @@ def _family_params(eff):
     return {k: str(eff[k]) for k in _FAMILY_KEYS if k in eff and eff[k] is not None}
 
 
+def _number(eff, key, kind=float):
+    """``eff[key]`` as an int or a float; a value that is neither names its option."""
+    try:
+        return kind(eff[key])
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"--{key} must be {what}, got {eff[key]!r}") from None
+
+
 def _grid(eff):
-    length = float(eff["L"])
+    length = _number(eff, "L")
     _require_length(length)
-    n = int(eff["n"])
+    n = _number(eff, "n", int)
     return length, n, length * np.arange(n) / n
 
 
@@ -141,8 +150,7 @@ def _cmd_simulate(args):
         raise ValueError("--system is required")
     system = build_system(eff["system"], **_family_params(eff))
     length, n, x = _grid(eff)
-    dt = float(eff["dt"])
-    t_end = float(eff["t-end"])
+    dt, t_end = _number(eff, "dt"), _number(eff, "t-end")
 
     ghost = eff["ghost-initial"]
     if ghost not in ("gradient", "none"):
@@ -162,7 +170,7 @@ def _cmd_simulate(args):
         for nm in str(eff["diag"]).split(","):
             diagnostics.append(system.density(nm.strip()))
     traj = evolve(state, system, t_end, dt,
-                  record_every=int(eff["record-every"]),
+                  record_every=_number(eff, "record-every", int),
                   diagnostics=diagnostics)
     outdir = eff["out"]
     os.makedirs(outdir, exist_ok=True)

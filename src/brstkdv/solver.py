@@ -5,15 +5,15 @@ domain [0, L)); derivatives are the multipliers (ik)^order, with the
 unpaired Nyquist mode dropped for odd orders.  The stepper holds the
 spectra of the evolving fields of one or more runs as the rows of one
 (sum F, N/2+1) array, so each RK stage is one array expression for all of
-them: :func:`evolve_many` integrates runs on a shared grid in lockstep, and
-:func:`evolve` is its one-run case.  The right-hand sides are compiled once
-into a plan that runs each stage as stacked passes: one irfft for all
-grids, one 2/3-rule filter round trip for all powers and one per product
-level, and one rfft for all terms; a kdv/mkdv/ckdv/Harry Dym step makes
-8/16/24/24 FFT calls, and stacked runs make those of the costliest.  Every
-stage checks the positivity guards.  Quadrature, the step-size advisory and
-:func:`evaluate` share one unfiltered pointwise evaluator on physical
-grids, which :func:`evaluator` compiles once for repeated use.
+them: :func:`evolve_many` integrates runs on a shared grid in lockstep, each
+to its own end, and :func:`evolve` is its one-run case.  The right-hand
+sides are compiled once into a plan that runs each stage as stacked passes:
+one irfft for all grids, one 2/3-rule filter round trip for all powers and
+one per product level, and one rfft for all terms; a kdv/mkdv/ckdv/Harry
+Dym step makes 8/16/24/24 FFT calls, and stacked runs make those of the
+costliest.  Every stage checks the positivity guards.  Quadrature, the
+step-size advisory and :func:`evaluate` share one unfiltered pointwise
+evaluator on stacked physical grids, compiled once by :func:`evaluator`.
 Time stepping is RK4 with an exact integrating factor exp(t sum c (ik)^o)
 over each field's constant-coefficient linear terms c*f_(o x), any order o;
 a variable-coefficient dispersion (Harry Dym's T^(-1/2) T_xxx) stays in the
@@ -27,6 +27,7 @@ coefficient array per odd field is evolved.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -56,6 +57,9 @@ __all__ = [
 
 _RK4_IMAG_LIMIT = 2.0 * np.sqrt(2.0)
 _FLOOR = 1e-6  # positivity / nonvanishing floor of fractional and negative powers
+# snapshots per diagnostics pass, for peak RSS: in the default simulate run,
+# all 101 at once add ~30%, 8 add 0.6 MB and 4 add 0.2 MB at about 8's speed
+_BLOCK = 4
 
 
 class SolverError(RuntimeError):
@@ -84,8 +88,9 @@ def _require_length(length):
         raise ValueError(f"domain length must be finite and positive, got {length!r}")
 
 
+@functools.lru_cache(maxsize=256)
 def _multiplier(n, length, order):
-    """(ik)^order on the rfft modes; odd orders drop the unpaired Nyquist mode."""
+    """(ik)^order on the rfft modes, read-only; odd orders drop the Nyquist mode."""
     _require_length(length)
     # a float product overflows to inf where numpy's power would warn
     if not math.isfinite(math.prod([2.0 * np.pi / length * (n // 2)] * order)):
@@ -95,13 +100,14 @@ def _multiplier(n, length, order):
     mult = (1j * k) ** order
     if order % 2:
         mult[-1] = 0.0
+    mult.flags.writeable = False
     return mult
 
 
 def spectral_derivative(f, order, length):
-    """Fourier differentiation of periodic samples; order 1..4."""
-    if order not in (1, 2, 3, 4):
-        raise ValueError(f"derivative order must be 1..4, got {order}")
+    """Fourier differentiation along the last axis; any int order >= 1."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
+        raise ValueError(f"derivative order must be an int >= 1, got {order!r}")
     f = np.asarray(f, dtype=float)
     n = f.shape[-1]
     _require_power_of_two(n)
@@ -228,18 +234,22 @@ def _compile_terms(poly, odd_fields):
 
 
 def _grids(terms, fields, length):
-    """Physical grids of every (field, order) that the compiled terms read."""
-    keys = {x[:2] for _, fs in terms for x in fs}
+    """Physical grids of every (field, order) the compiled terms read, one
+    derivative call per order on the stacked (..., N) fields."""
+    keys = sorted({x[:2] for _, fs in terms for x in fs})
     missing = sorted({s for s, _ in keys} - set(fields))
     if missing:
         raise KeyError(f"no field {missing[0]!r} in state")
-    return {(s, o): spectral_derivative(fields[s], o, length) if o else fields[s]
-            for s, o in keys}
+    grids = {(s, o): fields[s] for s, o in keys if not o}
+    for order in sorted({o for _, o in keys} - {0}):
+        read = [k for k in keys if k[1] == order]
+        grids.update(zip(read, spectral_derivative(
+            np.stack([fields[s] for s, _ in read]), order, length)))
+    return grids
 
 
-def _pointwise(terms, grids, n):
-    """Sum of coeff * prod grid^e over compiled terms, unfiltered, on n points."""
-    out = np.zeros(n)
+def _pointwise(terms, grids, out):
+    """Add coeff * prod grid^e over compiled terms, unfiltered, into ``out``."""
     for coeff, fs in terms:
         acc = 1.0
         for s, o, e in fs:
@@ -295,8 +305,13 @@ class _Plan:
                         sum(len(ix) > j + 1 for ix in index))
                        for j in range(1, max(map(len, index), default=1))]
         self.scale = np.array([every[k][1] for k in order])[:, None] * self.mask
-        # (row, term) pairs, so each row adds its terms in the order given
-        self.adds = [(every[k][0], order.index(k)) for k in sorted(order)]
+        # each row gathers its first term (a row with none, a zero row past
+        # the terms) and adds the rest in the order given
+        adds = [(every[k][0], order.index(k)) for k in sorted(order)]
+        head = dict(reversed(adds))
+        self.head = np.array([head.get(r, len(order)) for r in range(len(terms))], dtype=int)
+        self.pad = len(head) < len(terms)
+        self.adds = [(r, i) for r, i in adds if head[r] != i]
         self.const = [(r, c) for r, c, fs in every if not fs]
 
     def _filter(self, a):
@@ -318,7 +333,9 @@ class _Plan:
             if keep:
                 acc[:keep] = self._filter(acc[:keep])
         spec = np.fft.rfft(acc) * self.scale
-        out = np.zeros((len(self.terms), self.n // 2 + 1), dtype=complex)
+        if self.pad:
+            spec = np.concatenate((spec, np.zeros((1, self.n // 2 + 1), dtype=complex)))
+        out = spec[self.head]
         for r, i in self.adds:
             out[r] += spec[i]
         for r, c in self.const:
@@ -331,13 +348,14 @@ class _Plan:
 
 class _Stepper:
     """IF-RK4 for one or more systems, the spectra of each one's evolving
-    fields in turn being the rows of one stacked array read by one plan."""
+    fields in turn being the rows of one stacked array read by one plan;
+    errors name a system's rows by its suffix in ``where``."""
 
-    def __init__(self, systems, length, n, dt):
+    def __init__(self, systems, length, n, dt, where=None):
         _require_power_of_two(n)
         self.length, self.n, self.dt = length, n, dt
         self.fields, self.where, self.spans, by_row, lam = (), [], [], [], []
-        for i, system in enumerate(systems):
+        for system, suffix in zip(systems, where or [""] * len(systems)):
             missing = [f for f in system.even_fields + system.odd_fields
                        if system.rhs.get(f) is None]
             if missing:
@@ -359,8 +377,7 @@ class _Stepper:
                 by_row.append(tuple(rest))
             self.spans.append(slice(len(self.fields), len(self.fields) + len(fields)))
             self.fields += fields
-            where = f" of run {i} ({system.name})" if len(systems) > 1 else ""
-            self.where += [where] * len(fields)
+            self.where += [suffix] * len(fields)
         self.plan = _Plan(by_row, n, length)
         # an undifferentiated fractional power needs a positive base and a
         # negative one a nonzero base: row -> (grid index, must be positive)
@@ -387,7 +404,8 @@ class _Stepper:
 
     def nonlinear_hat(self, hats, t):
         grids = self.plan.grids(hats)
-        self._check_guards({r: grids[i] for r, (i, _) in self.guarded.items()}, t)
+        if self.guarded:
+            self._check_guards({r: grids[i] for r, (i, _) in self.guarded.items()}, t)
         return self.plan(grids)
 
     def advance(self, hats, t):
@@ -422,7 +440,7 @@ class _Stepper:
         worst = {}
         for r, m, t in stiff:
             # a product overflows to inf where a float ** raises
-            amp = float(np.max(_pointwise([t], grids, self.n)))
+            amp = float(np.max(_pointwise([t], grids, np.zeros(self.n))))
             worst[r] = max(worst.get(r, (0.0, m)), (self.dt * amp * math.prod([kmax] * m), m))
         for r, (bound, m) in worst.items():
             if bound > _RK4_IMAG_LIMIT:
@@ -444,42 +462,46 @@ def evolve(state, system, t_end, dt, record_every=1, diagnostics=()):
     """Integrate to t_end, recording every record_every-th step (plus the
     initial and final states) and evaluating the given conserved densities
     on each recorded snapshot."""
-    return evolve_many([(state, system, record_every, diagnostics)], t_end, dt)[0]
+    return evolve_many([(state, system, t_end, record_every, diagnostics)], dt)[0]
 
 
-def evolve_many(runs, t_end, dt):
-    """:func:`evolve` of runs ``(state, system, record_every, diagnostics)``
-    that start at the same t on the same L and N, in lockstep on one stacked
-    spectral state: a step costs about the FFT calls of the costliest run,
-    and each trajectory is bit for bit the run's own :func:`evolve`.  Errors
-    name the run by its index when there are several."""
+def evolve_many(runs, dt):
+    """:func:`evolve` of runs ``(state, system, t_end, record_every,
+    diagnostics)`` that start at the same t on the same L and N, in lockstep
+    on one stacked spectral state.  A run leaves the stack at its own last
+    step, so a step costs about the FFT calls of the costliest run still
+    going, and each trajectory is bit for bit the run's own :func:`evolve`.
+    Errors name the run by its index in ``runs`` when there are several."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    if not math.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end!r}")
-    runs = [(state, system, every, list(diags)) for state, system, every, diags in runs]
+    runs = [(state, system, t_end, every, list(diags))
+            for state, system, t_end, every, diags in runs]
     grid = {(state.t, state.L, state.N) for state, *_ in runs}
     if len(grid) != 1:
         raise ValueError("evolve_many needs runs that start at the same t on the same L and N")
     [(t0, length, n)] = grid
-    if t_end <= t0:
-        raise ValueError("t_end must exceed the initial time")
-    n_steps = int(round((t_end - t0) / dt))
-    if abs(n_steps * dt - (t_end - t0)) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError("t_end - t must be an integer number of steps")
-    names, evaluators = [], []
-    for state, _, every, diagnostics in runs:
+    where = [f" of run {i} ({run[1].name})" if len(runs) > 1 else ""
+             for i, run in enumerate(runs)]
+    ends, names, evaluators = [], [], []
+    for (state, _, t_end, every, diagnostics), of in zip(runs, where):
+        if not math.isfinite(t_end):
+            raise ValueError(f"t_end{of} must be finite, got {t_end!r}")
+        if t_end <= t0:
+            raise ValueError(f"t_end{of} must exceed the initial time")
+        ends.append(int(round((t_end - t0) / dt)))
+        if abs(ends[-1] * dt - (t_end - t0)) > 1e-9 * max(1.0, abs(t_end)):
+            raise ValueError(f"t_end - t{of} must be an integer number of steps")
         if not isinstance(every, (int, np.integer)) or every < 1:
-            raise ValueError(f"record_every must be an int >= 1, got {every!r}")
+            raise ValueError(f"record_every{of} must be an int >= 1, got {every!r}")
         bad = [f for f in sorted(state.fields) if not np.isfinite(state.fields[f]).all()]
         if bad:
-            raise ValueError(f"initial field {bad[0]!r} is not finite")
+            raise ValueError(f"initial field {bad[0]!r}{of} is not finite")
         names.append([d.name if hasattr(d, "name") else str(d) for d in diagnostics])
         twice = sorted({nm for nm in names[-1] if names[-1].count(nm) > 1})
         if twice:
-            raise ValueError(f"diagnostic {twice[0]!r} is given more than once")
+            raise ValueError(f"diagnostic {twice[0]!r}{of} is given more than once")
         evaluators.append(evaluator(diagnostics))
-    stepper = _Stepper([system for _, system, _, _ in runs], length, n, dt)
+    live, stepper = list(range(len(runs))), _Stepper([r[1] for r in runs], length, n, dt, where)
     grids = [state.fields[f] for (state, *_), rows in zip(runs, stepper.spans)
              for f in stepper.fields[rows]]
     # the advisory raises |field| to negative powers, so the guards go first
@@ -488,46 +510,60 @@ def evolve_many(runs, t_end, dt):
 
     states = [[state] for state, *_ in runs]
     hats = np.fft.rfft(grids)
-    for i in range(1, n_steps + 1):
+    for i in range(1, max(ends) + 1):
         hats = stepper.advance(hats, t0 + (i - 1) * dt)
         bad = ~np.isfinite(hats).all(axis=1)
         if bad.any():
             r = bad.argmax()
             raise BlowUpError(f"non-finite values in field {stepper.fields[r]!r}"
                               f"{stepper.where[r]}", t0 + i * dt)
-        for (state, _, every, _), rows, snaps in zip(runs, stepper.spans, states):
-            if i % every == 0 or i == n_steps:
+        for k, rows in zip(live, stepper.spans):
+            state, _, _, every, _ = runs[k]
+            if i % every == 0 or i == ends[k]:
                 fields = dict(zip(stepper.fields[rows], np.fft.irfft(hats[rows], n)))
-                snaps.append(state.replace(t=t0 + i * dt, fields={**state.fields, **fields}))
+                states[k].append(state.replace(t=t0 + i * dt, fields={**state.fields, **fields}))
+        if i in ends and i < max(ends):  # the runs that end here leave the stack
+            going = [j for j, k in enumerate(live) if ends[k] > i]
+            hats = np.concatenate([hats[stepper.spans[j]] for j in going])
+            live = [live[j] for j in going]
+            stepper = _Stepper([runs[k][1] for k in live], length, n, dt, [where[k] for k in live])
     return [Trajectory(
         states=snaps,
-        diagnostics=dict(zip(nms, map(list, zip(*[_quadrature(ev, s) for s in snaps])))),
+        diagnostics=dict(zip(nms, _quadrature(ev, snaps))),
         meta={"system": system.name,
               "parameters": {k: str(v) for k, v in system.parameters.items()},
               "dt": dt, "record_every": every, "t_end": t_end},
-    ) for (_, system, every, _), snaps, nms, ev in zip(runs, states, names, evaluators)]
+    ) for (_, system, t_end, every, _), snaps, nms, ev in zip(runs, states, names, evaluators)]
 
 
-def _quadrature(values, state):
-    """Mean * L of each row of an :func:`evaluator` on the state."""
-    return [float(np.mean(row) * state.L) for row in values(state.fields, state.L)]
+def _quadrature(values, states):
+    """Mean * L of each row of an :func:`evaluator` on ``states``, one list
+    per row, ``_BLOCK`` stacked states at a time."""
+    length, blocks = states[0].L, []
+    for b in range(0, len(states), _BLOCK):
+        block = states[b:b + _BLOCK]
+        fields = {k: np.stack([s.fields[k] for s in block]) for k in block[0].fields}
+        blocks.append(np.mean(values(fields, length), axis=-1) * length)
+    return np.concatenate(blocks, axis=1).tolist()
 
 
 def evaluator(polys):
     """Compile ``polys`` (polynomials or densities) once.  The callable it
     returns maps ``(fields, length)`` to the values of each on the grids
-    ``fields`` (equal-length periodic samples on [0, length), keyed by
-    symbol), one row each, pointwise and unfiltered, all read from one set
-    of grids.  Odd generators read the coefficient arrays of their ghost
-    fields."""
+    ``fields`` (periodic samples on [0, length) along the last axis, all of
+    one shape (..., N), keyed by symbol), one row each, pointwise and
+    unfiltered, all read from one set of grids.  Odd generators read the
+    coefficient arrays of their ghost fields."""
     polys = [p.density if hasattr(p, "density") else p for p in polys]
     compiled = [_compile_terms(p, {base_symbol(s) for s in p.odd_syms}) for p in polys]
     read = [t for terms in compiled for t in terms]
 
     def rows(fields, length):
         grids = _grids(read, fields, length)
-        n = len(next(iter(fields.values())))
-        return np.array([_pointwise(terms, grids, n) for terms in compiled])
+        out = np.zeros((len(compiled),) + np.shape(next(iter(fields.values()))))
+        for terms, row in zip(compiled, out):
+            _pointwise(terms, grids, row)
+        return out
     return rows
 
 
@@ -540,7 +576,7 @@ def evaluate_functional(density, state):
     """Trapezoid quadrature of a density over the periodic domain (exact
     mean * L on the equispaced grid).  Ghost generators are replaced by
     derivatives of the ghost coefficient array."""
-    return _quadrature(evaluator([density]), state)[0]
+    return _quadrature(evaluator([density]), [state])[0][0]
 
 
 def soliton_initial(k, x0, system, length=40.0, n=512, ghost="gradient"):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cache
 from fractions import Fraction
 
 import numpy as np
@@ -286,20 +285,25 @@ def _soliton_run(densities=()):
     ``evolve_many`` run to ``_T_END``."""
     kdv = build_system("kdv")
     state = soliton_initial(0.7, _LENGTH / 2, "kdv", _LENGTH, _N)
-    return state, kdv, 10, [kdv.density(d) if isinstance(d, str) else d for d in densities]
+    dens = [kdv.density(d) if isinstance(d, str) else d for d in densities]
+    return state, kdv, _T_END, 10, dens
 
 
 def _miura_runs():
-    """The two legs of the Miura check, to ``_T_END`` and recording their
-    endpoints only: R0 under the modified flow and its image under the
-    target flow."""
+    """The three legs of the substitution-chain check as ``evolve_many``
+    runs: R0 under the modified flow and its image under the target flow, to
+    ``_T_END`` and recording their endpoints only, and nonvanishing w0 under
+    the composed flow to ``_CKDV_T_END``, recorded every 10 steps."""
     x = _LENGTH * np.arange(_N) / _N
     R0 = 0.9 / np.cosh(0.8 * (x - _LENGTH / 2))
+    w0 = 1.0 + 0.3 * np.cos(2 * np.pi * x / _LENGTH)
     zeros = np.zeros(_N)
     return [(FieldState(0.0, _LENGTH, _N, {"R": R0, "c": zeros}),
-             build_system("mkdv"), 10 ** 9, ()),
+             build_system("mkdv"), _T_END, 10 ** 9, ()),
             (FieldState(0.0, _LENGTH, _N, {"u": miura_map(R0, _LENGTH), "c": zeros}),
-             build_system("kdv"), 10 ** 9, ())]
+             build_system("kdv"), _T_END, 10 ** 9, ()),
+            (FieldState(0.0, _LENGTH, _N, {"w": w0, "c": zeros}),
+             build_system("ckdv"), _CKDV_T_END, 10, ())]
 
 
 def _snapshot_rates(states, values):
@@ -331,7 +335,7 @@ def check_conservation(trajectory=None, densities=None, tolerance=1e-6):
     """
     if trajectory is None:
         densities = _ODD_DENSITIES if densities is None else densities
-        trajectory = evolve_many([_soliton_run(densities)], _T_END, _DT)[0]
+        trajectory = evolve_many([_soliton_run(densities)], _DT)[0]
     if densities is None:
         names = sorted(trajectory.diagnostics)
     else:
@@ -354,35 +358,23 @@ def check_conservation(trajectory=None, densities=None, tolerance=1e-6):
     )
 
 
-@cache
-def _modified_flow():
-    """The modified flow's right-hand side as a grid evaluator, compiled once."""
-    return evaluator([build_system("mkdv").rhs["R"]])
-
-
 def check_miura_chain(legs=None):
     """Numeric consistency of the substitution chain: evolving under the
     modified flow and mapping agrees with mapping first and evolving under
     the target flow; mapped ckdv data satisfies the modified-flow residual.
 
-    ``legs`` are the (mkdv, kdv) trajectories of ``_miura_runs``; without
-    them, the two legs are integrated here in lockstep."""
+    ``legs`` are the (mkdv, kdv, ckdv) trajectories of ``_miura_runs``;
+    without them, the three legs are integrated here in one lockstep pass."""
     if legs is None:
-        legs = evolve_many(_miura_runs(), _T_END, _DT)
-    trajR, trajU = legs
+        legs = evolve_many(_miura_runs(), _DT)
+    trajR, trajU, trajW = legs
     mapped = miura_map(trajR.states[-1].fields["R"], _LENGTH)
     linf = float(np.max(np.abs(mapped - trajU.states[-1].fields["u"])))
 
-    ck = build_system("ckdv")
-    x = _LENGTH * np.arange(_N) / _N
-    w0 = 1.0 + 0.3 * np.cos(2 * np.pi * x / _LENGTH)
-    w_run = (FieldState(0.0, _LENGTH, _N, {"w": w0, "c": np.zeros(_N)}), ck, 10, ())
-    trajW = evolve_many([w_run], _CKDV_T_END, _DT)[0]
     vs = (ckdv_to_mkdv(s.fields["w"], _LENGTH) for s in trajW.states)
-    residual = 0.0
-    for v, v_t in _snapshot_rates(trajW.states, vs):
-        rhs = _modified_flow()({"R": v}, _LENGTH)[0]
-        residual = max(residual, float(np.max(np.abs(v_t - rhs))))
+    flow = evaluator([build_system("mkdv").rhs["R"]])  # the modified flow's right-hand side
+    residual = max(float(np.max(np.abs(v_t - flow({"R": v}, _LENGTH)[0])))
+                   for v, v_t in _snapshot_rates(trajW.states, vs))
     metrics = {"mkdv_to_kdv_linf": linf, "ckdv_to_mkdv_residual": residual}
     return _report(
         "check_miura_chain", metrics, 1e-5,
@@ -397,7 +389,7 @@ def check_zero_curvature(trajectory=None, gauge_scale=Fraction(1, 2)):
     (0, +, -) components of its curvature dt A1 - dx A0 + [A0, A1], with
     dt A1 from a 4th-order stencil in snapshot time."""
     if trajectory is None:
-        trajectory = evolve_many([_soliton_run()], _T_END, _DT)[0]
+        trajectory = evolve_many([_soliton_run()], _DT)[0]
     states = trajectory.states
     scale = float(gauge_scale)
     conns = (reconstruct_connection(
@@ -433,10 +425,11 @@ def run_all():
     """Run every check serially in registry order, plus the even-sector
     conservation variant at its tighter tolerance.  One ``evolve_many`` pass
     integrates the standard soliton run, which both conservation reports and
-    the zero-curvature check read, in lockstep with the two Miura legs; the
-    ckdv leg, with its shorter end time, is the only other integrator pass."""
+    the zero-curvature check read, in lockstep with the three legs of the
+    substitution chain; the ckdv leg leaves the stack at its shorter end
+    time."""
     trajectory, *legs = evolve_many(
-        [_soliton_run(_EVEN_DENSITIES + _ODD_DENSITIES), *_miura_runs()], _T_END, _DT)
+        [_soliton_run(_EVEN_DENSITIES + _ODD_DENSITIES), *_miura_runs()], _DT)
     shared = {"check_conservation": (trajectory, _ODD_DENSITIES),
               "check_miura_chain": (legs,),
               "check_zero_curvature": (trajectory,)}

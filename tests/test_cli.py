@@ -579,6 +579,26 @@ def test_usage_errors_print_one_line_naming_the_command(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value, what", [
+    ("n", "x", "an integer"), ("n", "1.5", "an integer"), ("dt", "x", "a number"),
+    ("t-end", "soon", "a number"), ("record-every", "2.0", "an integer"),
+    ("L", "", "a number")])
+@pytest.mark.parametrize("source", ["argv", "config"])
+def test_unparsable_numbers_name_their_option(capsys, tmp_path, key, value, what, source):
+    argv = ["simulate", "--system", "kdv", "--soliton", "k=0.5", "--out", str(tmp_path / "out")]
+    if key != "n":
+        argv += ["--n", "16"]
+    if source == "argv":
+        argv += [f"--{key}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"simulate: --{key} must be {what}, got {value!r}\n"
+
+
 @pytest.mark.parametrize("case", ["missing-config", "config-is-dir", "simulate-out",
                                   "verify-out", "miura-out"])
 def test_file_errors_exit_two_naming_the_path(capsys, tmp_path, case):

@@ -88,10 +88,13 @@ def test_derivatives_of_sech_squared():
 
 
 def test_derivative_validation():
-    with pytest.raises(ValueError):
-        spectral_derivative(np.zeros(64), 5, 1.0)
-    with pytest.raises(ValueError):
-        spectral_derivative(np.zeros(64), 0, 1.0)
+    # any int order >= 1: d^5/dx^5 sin 3x = 243 cos 3x
+    x = grid(2 * np.pi, 64)
+    d5 = spectral_derivative(np.sin(3 * x), 5, 2 * np.pi)
+    assert np.max(np.abs(d5 - 243 * np.cos(3 * x))) < 1e-7  # round-off times 32^5
+    for order in (0, -1, 2.0, 2.5, True, "1"):
+        with pytest.raises(ValueError, match="order must be an int >= 1"):
+            spectral_derivative(np.zeros(64), order, 1.0)
     with pytest.raises(ValueError):
         spectral_derivative(np.zeros(48), 1, 1.0)  # not a power of two
 
@@ -322,6 +325,17 @@ def test_evolve_diagnostics_are_the_quadrature_of_each_snapshot():
         assert traj.diagnostics[d.name] == [evaluate_functional(d, s) for s in traj.states]
 
 
+def test_diagnostics_over_several_blocks_match_each_snapshot():
+    # 26 snapshots: several full blocks of stacked snapshots and a short one
+    kdv = build_system("kdv")
+    st = soliton_initial(0.6, 20.0, "kdv", 40.0, 128)
+    dens = [kdv.density(nm) for nm in sorted(kdv.densities)]
+    traj = evolve(st, kdv, 0.05, 1e-3, record_every=2, diagnostics=dens)
+    assert len(traj.states) == 26 > 3 * solver._BLOCK
+    for d in dens:
+        assert traj.diagnostics[d.name] == [evaluate_functional(d, s) for s in traj.states]
+
+
 def test_evolve_rejects_duplicate_diagnostic_names():
     kdv = build_system("kdv")
     st = soliton_initial(0.5, 20.0, "kdv", 40.0, 64)
@@ -424,16 +438,46 @@ def test_evaluate_many_reads_each_grid_once(monkeypatch):
     n, length = 64, 10.0
     x = grid(length, n)
     fields = {"u": np.sin(2 * np.pi * x / length), "T": np.cos(2 * np.pi * x / length)}
-    polys = [parse("u_x*T"), parse("u_x + T_xx"), GradedPoly.number(3), GradedPoly.zero()]
+    polys = [parse("u_x*T"), parse("u_x + T_xx"), parse("T_x"), GradedPoly.number(3),
+             GradedPoly.zero()]
     calls = []
     real = solver.spectral_derivative
     monkeypatch.setattr(solver, "spectral_derivative",
-                        lambda f, o, ln: calls.append(o) or real(f, o, ln))
+                        lambda f, o, ln: calls.append((o, np.shape(f))) or real(f, o, ln))
     rows = evaluator(polys)(fields, length)
-    assert sorted(calls) == [1, 2]  # u_x once for both rows that read it
-    assert rows.shape == (4, n)
+    # one call per distinct order: u_x and T_x stacked, u_x once for both rows
+    assert sorted(calls) == [(1, (2, n)), (2, (1, n))]
+    assert rows.shape == (5, n)
     for row, p in zip(rows, polys):
         assert np.array_equal(row, evaluate(p, fields, length))
+
+
+def test_evaluator_reads_stacked_fields_row_by_row():
+    n, length = 64, 10.0
+    z = 2 * np.pi * grid(length, n) / length
+    stacked = {"u": np.stack([np.sin(z), 1.0 + 0.5 * np.cos(2 * z), np.cos(3 * z)]),
+               "T": np.stack([np.cos(z), np.sin(z), 2.0 + np.sin(4 * z)])}
+    polys = [parse("u_x*T^2"), parse("u_xxxxx + T_x"), GradedPoly.number(3)]
+    rows = evaluator(polys)(stacked, length)
+    assert rows.shape == (3, 3, n)
+    for b in range(3):
+        one = evaluator(polys)({k: v[b] for k, v in stacked.items()}, length)
+        assert np.array_equal(rows[:, b], one)
+
+
+def test_fifth_and_higher_derivatives_read_on_grids():
+    # the evaluator, and the advisory that reads u_5x as u_7x's amplitude
+    n, length = 64, 2 * np.pi
+    x = grid(length, n)
+    got = evaluate(parse("u_xxxxx"), {"u": np.sin(3 * x)}, length)
+    assert np.max(np.abs(got - 243 * np.cos(3 * x))) < 1e-7
+    flow = dataclasses.replace(build_system("kdv"),
+                               rhs={"u": P("u_5x*u_7x"), "c": P("c_xxx")})
+    st = FieldState(0.0, length, n, {"u": 1e-3 * np.sin(x), "c": np.zeros(n)})
+    # dt * max|u_5x| * kmax^7 = 1e-3 * 1e-3 * 21^7
+    with pytest.warns(UserWarning, match=r"kmax\^7 ~ 1\.8e\+03 exceeds"):
+        end = evolve(st, flow, 0.002, 1e-3).states[-1]
+    assert np.isfinite(end.fields["u"]).all()
 
 
 def test_evaluator_compiles_once(monkeypatch):
@@ -507,7 +551,7 @@ def test_cfl_advisory_points_at_the_caller():
     T = 1.0 + 0.1 * np.cos(2 * np.pi * grid(20.0, n) / 20.0)
     st = FieldState(0.0, 20.0, n, {"T": T, "c": np.zeros(n)})
     for run in (lambda: evolve(st, hd, 0.05, 0.05),
-                lambda: evolve_many([(st, hd, 1, ())], 0.05, 0.05)):
+                lambda: evolve_many([(st, hd, 0.05, 1, ())], 0.05)):
         with pytest.warns(UserWarning, match="stability") as seen:
             run()
         assert {w.filename for w in seen} == {__file__}
@@ -618,25 +662,25 @@ def _same_trajectory(a, b):
 
 
 _RUN = st.tuples(st.sampled_from(sorted(_RUNNABLE)), st.integers(1, 4), st.booleans(),
-                 st.floats(0.0, 0.3))
+                 st.floats(0.0, 0.3), st.integers(1, 12))
 
 
 @settings(max_examples=30)
-@given(st.lists(_RUN, min_size=1, max_size=4), st.sampled_from([32, 64]), st.integers(1, 6))
-def test_evolve_many_matches_each_runs_own_evolve(specs, n, steps):
-    # every stage works row by row, so stacking runs changes no bit
+@given(st.lists(_RUN, min_size=1, max_size=4), st.sampled_from([32, 64]))
+def test_evolve_many_matches_each_runs_own_evolve(specs, n):
+    # every stage works row by row, so stacking runs, and a run leaving the
+    # stack at its own end time, changes no bit
     kx = 2 * np.pi * grid(20.0, n) / 20.0
     runs = []
-    for name, every, with_densities, a in specs:
+    for name, every, with_densities, a, steps in specs:
         system = _RUNNABLE[name]
         state = FieldState(0.0, 20.0, n, {system.even_fields[0]: 1.0 + a * np.cos(kx),
                                           system.odd_fields[0]: np.sin(kx)})
         dens = ([system.densities[k] for k in sorted(system.densities)]
                 if with_densities else [])
-        runs.append((state, system, every, dens))
-    t_end = steps * 1e-3
-    for run, traj in zip(runs, evolve_many(runs, t_end, 1e-3)):
-        _same_trajectory(traj, evolve(run[0], run[1], t_end, 1e-3, run[2], run[3]))
+        runs.append((state, system, steps * 1e-3, every, dens))
+    for run, traj in zip(runs, evolve_many(runs, 1e-3)):
+        _same_trajectory(traj, evolve(run[0], run[1], run[2], 1e-3, run[3], run[4]))
 
 
 @pytest.mark.parametrize("length, n, t", [(30.0, 64, 0.0), (20.0, 32, 0.0), (20.0, 64, 0.5)])
@@ -645,23 +689,52 @@ def test_evolve_many_needs_one_grid_and_start_time(length, n, t):
     st = soliton_initial(0.5, 10.0, "kdv", 20.0, 64)
     other = soliton_initial(0.5, 10.0, "kdv", length, n).replace(t=t)
     with pytest.raises(ValueError, match="same t on the same L and N"):
-        evolve_many([(st, kdv, 1, ()), (other, kdv, 1, ())], 1.0, 1e-3)
+        evolve_many([(st, kdv, 1.0, 1, ()), (other, kdv, 1.0, 1, ())], 1e-3)
+
+
+def test_evolve_many_validates_each_runs_end_time():
+    kdv = build_system("kdv")
+    st = soliton_initial(0.5, 10.0, "kdv", 20.0, 64)
+    for t_end, message in [(float("nan"), "t_end of run 1 .kdv. must be finite"),
+                           (0.0, "t_end of run 1 .kdv. must exceed"),
+                           (0.0105, "t_end - t of run 1 .kdv. must be an integer")]:
+        with pytest.raises(ValueError, match=message):
+            evolve_many([(st, kdv, 0.01, 1, ()), (st, kdv, t_end, 1, ())], 1e-3)
 
 
 def test_lockstep_errors_name_the_run():
     n = 64
     kx = 2 * np.pi * grid(20.0, n) / 20.0
     kdv, mk, hd = (build_system(nm) for nm in ("kdv", "mkdv", "harry-dym"))
-    good = [(FieldState(0.0, 20.0, n, {"u": np.cos(kx), "c": np.zeros(n)}), kdv, 1, ()),
-            (FieldState(0.0, 20.0, n, {"R": np.cos(kx), "c": np.zeros(n)}), mk, 1, ())]
+    good = [(FieldState(0.0, 20.0, n, {"u": np.cos(kx), "c": np.zeros(n)}), kdv, 0.01, 1, ()),
+            (FieldState(0.0, 20.0, n, {"R": np.cos(kx), "c": np.zeros(n)}), mk, 0.01, 1, ())]
     crossing = FieldState(0.0, 20.0, n, {"T": np.cos(kx), "c": np.zeros(n)})
     with pytest.raises(SingularityError, match=r"field 'T' of run 2 \(harry-dym\)"):
-        evolve_many(good + [(crossing, hd, 1, ())], 0.01, 1e-3)
+        evolve_many(good + [(crossing, hd, 0.01, 1, ())], 1e-3)
     u = np.zeros(n)
     u[0] = 1e308  # finite, but u*u_x overflows in the first step
     huge = FieldState(0.0, 20.0, n, {"u": u, "c": np.zeros(n)})
     with pytest.raises(BlowUpError, match=r"field 'u' of run 1 \(kdv\)"):
-        evolve_many([good[1], (huge, kdv, 1, ())], 0.01, 1e-3)
+        evolve_many([good[1], (huge, kdv, 0.01, 1, ())], 1e-3)
+
+
+def test_a_run_is_named_by_its_index_after_others_leave_the_stack():
+    # u^2*u_5x blows up at t = 0.03 (see the advisory test), after run 0
+    # has left the stack at t = 0.01 and the rows were restacked
+    n, length = 64, 2 * np.pi
+    x = grid(length, n)
+    kdv, mk = build_system("kdv"), build_system("mkdv")
+    flow = dataclasses.replace(kdv, rhs={"u": P("u^2*u_xxxxx"), "c": P("c_xxxxx")})
+    runs = [(FieldState(0.0, length, n, {"u": 0.1 * np.cos(x), "c": np.zeros(n)}),
+             kdv, 0.01, 1, ()),
+            (FieldState(0.0, length, n, {"R": 0.1 * np.cos(x), "c": np.zeros(n)}),
+             mk, 0.1, 1, ()),
+            (FieldState(0.0, length, n, {"u": 1.0 + 0.1 * np.sin(x), "c": np.zeros(n)}),
+             flow, 0.1, 1, ())]
+    with pytest.warns(UserWarning, match=r"field 'u' of run 2 \(kdv\): "):
+        with pytest.raises(BlowUpError, match=r"field 'u' of run 2 \(kdv\)") as ei:
+            evolve_many(runs, 0.01)
+    assert ei.value.t == pytest.approx(0.03)
 
 
 def test_harry_dym_run_conserves_fractional_density():
