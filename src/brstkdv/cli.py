@@ -120,17 +120,18 @@ def _eval_expression(text, x, length):
 
 def _parse_soliton(spec):
     vals = {"k": None, "x0": None}
-    for piece in spec.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if "=" not in piece:
+    for piece in filter(str.strip, spec.split(",")):
+        key, eq, v = (p.strip() for p in piece.partition("="))
+        if not eq:
             raise ValueError("soliton spec is k=<value>[,x0=<value>]")
-        key, v = piece.split("=", 1)
-        key = key.strip()
         if key not in vals:
             raise ValueError(f"unknown soliton key {key!r}")
-        vals[key] = float(v)
+        try:
+            vals[key] = float(v)
+        except ValueError:
+            vals[key] = float("nan")
+        if not np.isfinite(vals[key]):
+            raise ValueError(f"--soliton {key} must be a finite number, got {v!r}")
     if vals["k"] is None:
         raise ValueError("soliton spec must set k")
     return vals["k"], vals["x0"]

@@ -21,7 +21,8 @@ right-hand side, and a warning is emitted when dt breaks its RK4 limit.
 
 Every ghost evolution equation and density in scope is at most linear in
 the odd ghost, so the odd generator is factored out and one real
-coefficient array per odd field is evolved.
+coefficient array per odd field is evolved.  A zero ghost whose law has
+a factor of it in every term stays +0.0 and is no row of the stepper.
 """
 
 from __future__ import annotations
@@ -347,37 +348,43 @@ class _Plan:
 # the stepper
 
 class _Stepper:
-    """IF-RK4 for one or more systems, the spectra of each one's evolving
-    fields in turn being the rows of one stacked array read by one plan;
-    errors name a system's rows by its suffix in ``where``."""
+    """IF-RK4 for one or more systems: the spectra of each one's evolving
+    fields, less the ``idle`` ghosts that stay zero, are the rows of one
+    stacked array read by one plan; errors name rows by ``where``."""
 
-    def __init__(self, systems, length, n, dt, where=None):
+    def __init__(self, systems, length, n, dt, where=None, zero=None):
         _require_power_of_two(n)
         self.length, self.n, self.dt = length, n, dt
-        self.fields, self.where, self.spans, by_row, lam = (), [], [], [], []
-        for system, suffix in zip(systems, where or [""] * len(systems)):
+        self.fields, self.where, self.spans, self.idle, by_row, lam = (), [], [], [], [], []
+        for k, system in enumerate(systems):
             missing = [f for f in system.even_fields + system.odd_fields
                        if system.rhs.get(f) is None]
             if missing:
                 raise ValueError(
                     f"system {system.name!r} leaves {missing} without an evolution "
                     "law and cannot be integrated")
-            fields, odd = system.evolving_fields(), set(system.odd_fields)
+            laws = {f: _compile_terms(system.rhs[f], system.odd_fields)
+                    for f in system.evolving_fields()}
+            # a ghost in zero[k] with a factor of itself in every term stays 0
+            idle = {f for f in system.odd_fields if zero and f in zero[k]
+                    and all(f in [s for s, _, _ in fs] for _, fs in laws[f])}
+            fields = tuple(f for f in laws if f not in idle)
             row = {f: len(self.fields) + j for j, f in enumerate(fields)}
             for f in fields:
                 # a constant-coefficient linear term in f itself, of any
                 # order, goes to the integrating factor, the rest to the plan
                 lam.append(np.zeros(n // 2 + 1, dtype=complex))
                 rest = []
-                for c, fs in _compile_terms(system.rhs[f], odd):
+                for c, fs in laws[f]:
                     if len(fs) == 1 and fs[0][::2] == (f, 1.0):  # c * f_(o x)
                         lam[-1] += c * _multiplier(n, length, fs[0][1])
-                    else:
+                    elif idle.isdisjoint(s for s, _, _ in fs):  # else it reads a zero
                         rest.append((c, tuple((row[s], o, e) for s, o, e in fs)))
                 by_row.append(tuple(rest))
             self.spans.append(slice(len(self.fields), len(self.fields) + len(fields)))
+            self.idle.append(idle)
             self.fields += fields
-            self.where += [suffix] * len(fields)
+            self.where += [where[k] if where else ""] * len(fields)
         self.plan = _Plan(by_row, n, length)
         # an undifferentiated fractional power needs a positive base and a
         # negative one a nonzero base: row -> (grid index, must be positive)
@@ -501,7 +508,8 @@ def evolve_many(runs, dt):
         if twice:
             raise ValueError(f"diagnostic {twice[0]!r}{of} is given more than once")
         evaluators.append(evaluator(diagnostics))
-    live, stepper = list(range(len(runs))), _Stepper([r[1] for r in runs], length, n, dt, where)
+    zero = [{f for f in state.fields if not state.fields[f].any()} for state, *_ in runs]
+    live, stepper = [*range(len(runs))], _Stepper([r[1] for r in runs], length, n, dt, where, zero)
     grids = [state.fields[f] for (state, *_), rows in zip(runs, stepper.spans)
              for f in stepper.fields[rows]]
     # the advisory raises |field| to negative powers, so the guards go first
@@ -517,16 +525,18 @@ def evolve_many(runs, dt):
             r = bad.argmax()
             raise BlowUpError(f"non-finite values in field {stepper.fields[r]!r}"
                               f"{stepper.where[r]}", t0 + i * dt)
-        for k, rows in zip(live, stepper.spans):
+        for k, rows, idle in zip(live, stepper.spans, stepper.idle):
             state, _, _, every, _ = runs[k]
             if i % every == 0 or i == ends[k]:
                 fields = dict(zip(stepper.fields[rows], np.fft.irfft(hats[rows], n)))
+                fields.update((f, np.zeros(n)) for f in idle)
                 states[k].append(state.replace(t=t0 + i * dt, fields={**state.fields, **fields}))
         if i in ends and i < max(ends):  # the runs that end here leave the stack
             going = [j for j, k in enumerate(live) if ends[k] > i]
             hats = np.concatenate([hats[stepper.spans[j]] for j in going])
             live = [live[j] for j in going]
-            stepper = _Stepper([runs[k][1] for k in live], length, n, dt, [where[k] for k in live])
+            stepper = _Stepper([runs[k][1] for k in live], length, n, dt,
+                               [where[k] for k in live], [zero[k] for k in live])
     return [Trajectory(
         states=snaps,
         diagnostics=dict(zip(nms, _quadrature(ev, snaps))),

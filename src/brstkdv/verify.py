@@ -293,17 +293,16 @@ def _miura_runs():
     """The three legs of the substitution-chain check as ``evolve_many``
     runs: R0 under the modified flow and its image under the target flow, to
     ``_T_END`` and recording their endpoints only, and nonvanishing w0 under
-    the composed flow to ``_CKDV_T_END``, recorded every 10 steps."""
+    the composed flow to ``_CKDV_T_END``, recorded every 10 steps.  No leg
+    reads its ghost, which starts at zero, stays so and is not integrated."""
     x = _LENGTH * np.arange(_N) / _N
     R0 = 0.9 / np.cosh(0.8 * (x - _LENGTH / 2))
     w0 = 1.0 + 0.3 * np.cos(2 * np.pi * x / _LENGTH)
-    zeros = np.zeros(_N)
-    return [(FieldState(0.0, _LENGTH, _N, {"R": R0, "c": zeros}),
-             build_system("mkdv"), _T_END, 10 ** 9, ()),
-            (FieldState(0.0, _LENGTH, _N, {"u": miura_map(R0, _LENGTH), "c": zeros}),
-             build_system("kdv"), _T_END, 10 ** 9, ()),
-            (FieldState(0.0, _LENGTH, _N, {"w": w0, "c": zeros}),
-             build_system("ckdv"), _CKDV_T_END, 10, ())]
+    specs = [("R", R0, "mkdv", _T_END, 10 ** 9),
+             ("u", miura_map(R0, _LENGTH), "kdv", _T_END, 10 ** 9),
+             ("w", w0, "ckdv", _CKDV_T_END, 10)]
+    return [(FieldState(0.0, _LENGTH, _N, {sym: f, "c": np.zeros(_N)}),
+             build_system(name), t_end, every, ()) for sym, f, name, t_end, every in specs]
 
 
 def _snapshot_rates(states, values):
@@ -426,8 +425,8 @@ def run_all():
     conservation variant at its tighter tolerance.  One ``evolve_many`` pass
     integrates the standard soliton run, which both conservation reports and
     the zero-curvature check read, in lockstep with the three legs of the
-    substitution chain; the ckdv leg leaves the stack at its shorter end
-    time."""
+    substitution chain, whose zero ghosts it leaves out: 5 stacked rows, and
+    4 once the ckdv leg leaves at its shorter end time."""
     trajectory, *legs = evolve_many(
         [_soliton_run(_EVEN_DENSITIES + _ODD_DENSITIES), *_miura_runs()], _DT)
     shared = {"check_conservation": (trajectory, _ODD_DENSITIES),

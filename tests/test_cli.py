@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,25 @@ def test_simulate_usage_errors(capsys, tmp_path):
     code, _, err = invoke(capsys, "simulate", "--system", "kdv",
                           "--soliton", "wat")
     assert code == 2
+
+
+@pytest.mark.parametrize("source", ["argv", "config"])
+@pytest.mark.parametrize("key", ["k", "x0"])
+@pytest.mark.parametrize("value", ["x", "inf", "nan"])
+def test_soliton_values_must_be_finite_numbers(capsys, tmp_path, source, key, value):
+    spec = f"k={value}" if key == "k" else f"k=0.7,x0={value}"
+    argv = ["simulate", "--system", "kdv", "--n", "16", "--out", str(tmp_path / "out")]
+    if source == "argv":
+        argv += ["--soliton", spec]
+    else:
+        (tmp_path / "run.cfg").write_text(f"soliton = {spec}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning before the message
+        code, stdout, err = invoke(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert err == f"simulate: --soliton {key} must be a finite number, got {value!r}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [

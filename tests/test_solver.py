@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brstkdv import parse
@@ -656,26 +656,34 @@ def _same_trajectory(a, b):
     assert [s.t for s in a.states] == [s.t for s in b.states]
     for sa, sb in zip(a.states, b.states):
         assert sa.fields.keys() == sb.fields.keys()
-        assert all(np.array_equal(sa.fields[k], sb.fields[k]) for k in sa.fields)
+        assert all(_same_bits(sa.fields[k], sb.fields[k]) for k in sa.fields)
     assert a.diagnostics == b.diagnostics
     assert a.meta == b.meta
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# the last entry scales the ghost sin(kx): a zero ghost (of mixed-sign
+# zeros) is left out of the stack, a nonzero one is a row
 _RUN = st.tuples(st.sampled_from(sorted(_RUNNABLE)), st.integers(1, 4), st.booleans(),
-                 st.floats(0.0, 0.3), st.integers(1, 12))
+                 st.floats(0.0, 0.3), st.integers(1, 12), st.sampled_from([1.0, 0.0, -0.0]))
 
 
 @settings(max_examples=30)
 @given(st.lists(_RUN, min_size=1, max_size=4), st.sampled_from([32, 64]))
+@example([("kdv", 3, True, 0.2, 7, 0.0), ("mkdv", 3, True, 0.2, 12, 1.0),
+          ("harry-dym", 3, True, 0.2, 12, -0.0), ("ckdv", 3, True, 0.2, 12, 1.0)], 64)
 def test_evolve_many_matches_each_runs_own_evolve(specs, n):
     # every stage works row by row, so stacking runs, and a run leaving the
     # stack at its own end time, changes no bit
     kx = 2 * np.pi * grid(20.0, n) / 20.0
     runs = []
-    for name, every, with_densities, a, steps in specs:
+    for name, every, with_densities, a, steps, ghost in specs:
         system = _RUNNABLE[name]
         state = FieldState(0.0, 20.0, n, {system.even_fields[0]: 1.0 + a * np.cos(kx),
-                                          system.odd_fields[0]: np.sin(kx)})
+                                          system.odd_fields[0]: ghost * np.sin(kx)})
         dens = ([system.densities[k] for k in sorted(system.densities)]
                 if with_densities else [])
         runs.append((state, system, steps * 1e-3, every, dens))
@@ -735,6 +743,77 @@ def test_a_run_is_named_by_its_index_after_others_leave_the_stack():
         with pytest.raises(BlowUpError, match=r"field 'u' of run 2 \(kdv\)") as ei:
             evolve_many(runs, 0.01)
     assert ei.value.t == pytest.approx(0.03)
+
+
+# --- zero ghosts --------------------------------------------------------------------
+
+_ZERO_GHOST_SYSTEMS = {**_RUNNABLE, "t-form": build_system("t-form", beta=1, s=2)}
+
+
+def _rows_per_step(monkeypatch):
+    """The list that each later step appends its number of stacked rows to."""
+    rows, advance = [], _Stepper.advance
+
+    def counted(stepper, hats, t):
+        rows.append(len(hats))
+        return advance(stepper, hats, t)
+
+    monkeypatch.setattr(_Stepper, "advance", counted)
+    return rows
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["plus-zero", "minus-zero"])
+@pytest.mark.parametrize("name", sorted(_ZERO_GHOST_SYSTEMS))
+def test_a_zero_ghost_is_not_integrated_and_stays_plus_zero(monkeypatch, name, zero):
+    # no even law reads the ghost, so the even field of a zero-ghost run is
+    # bit for bit that of a nonzero-ghost run; the zero ghost is no row, and
+    # every snapshot after t0 holds +0.0 in it, also from a -0.0 start
+    system, n = _ZERO_GHOST_SYSTEMS[name], 64
+    kx = 2 * np.pi * grid(20.0, n) / 20.0
+    even = system.even_fields[0]
+    f = 1.0 + 0.2 * np.cos(kx) + 0.1 * np.sin(2 * kx)
+    rows = _rows_per_step(monkeypatch)
+    ghostly = evolve(FieldState(0.0, 20.0, n, {even: f, "c": np.sin(kx)}),
+                     system, 0.02, 1e-3, 5)
+    assert rows == [2] * 20
+    rows.clear()
+    start = FieldState(0.0, 20.0, n, {even: f, "c": np.full(n, zero)})
+    traj = evolve(start, system, 0.02, 1e-3, 5)
+    assert rows == [1] * 20
+    assert [s.t for s in traj.states] == [s.t for s in ghostly.states]
+    assert all(_same_bits(a.fields[even], b.fields[even])
+               for a, b in zip(traj.states, ghostly.states))
+    assert traj.states[0].fields["c"] is start.fields["c"]
+    for snap in traj.states[1:]:
+        assert not snap.fields["c"].any() and not np.signbit(snap.fields["c"]).any()
+    assert len({id(s.fields["c"]) for s in traj.states}) == len(traj.states)  # fresh arrays
+
+
+def test_blow_ups_name_their_run_and_field_past_left_out_rows():
+    n, kdv = 128, build_system("kdv")
+    calm = soliton_initial(0.5, 20.0, "kdv", 40.0, n, ghost="none")
+    ghostly = soliton_initial(0.5, 20.0, "kdv", 40.0, n)
+    c, u = np.zeros(n), np.zeros(n)
+    c[0] = u[0] = 1e308  # finite, but c_x and u*u_x overflow in the first step
+    bad_c = calm.replace(fields={**calm.fields, "c": c})
+    bad_u = calm.replace(fields={**calm.fields, "u": u})
+    for states, message in [([calm, bad_c], r"field 'c' of run 1 \(kdv\)"),
+                            ([calm, ghostly, calm, bad_u], r"field 'u' of run 3 \(kdv\)"),
+                            ([ghostly, bad_u, calm], r"field 'u' of run 1 \(kdv\)")]:
+        with pytest.raises(BlowUpError, match=message) as ei:
+            evolve_many([(s, kdv, 0.01, 1, ()) for s in states], 1e-3)
+        assert ei.value.t == pytest.approx(1e-3)
+
+
+def test_a_zero_ghost_gets_no_step_size_advisory():
+    # T^(-1/2) c_xxx is as stiff as T's own dispersion, but zero cannot grow
+    hd, n = build_system("harry-dym"), 128
+    z = 2 * np.pi * grid(20.0, n) / 20.0
+    T = 1.0 + 0.1 * np.cos(z)
+    for ghost, fields in [(np.zeros(n), ["T"]), (np.sin(z), ["T", "c"])]:
+        with pytest.warns(UserWarning, match="stability") as seen:
+            evolve(FieldState(0.0, 20.0, n, {"T": T, "c": ghost}), hd, 0.05, 0.05)
+        assert [str(w.message).split("'")[1] for w in seen] == fields
 
 
 def test_harry_dym_run_conserves_fractional_density():

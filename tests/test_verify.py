@@ -13,7 +13,7 @@ import brstkdv.verify
 from brstkdv import parse
 from brstkdv.reductions import build_system
 from brstkdv.sl2 import structure_table
-from brstkdv.solver import FieldState, evolve, evolve_many, spectral_derivative
+from brstkdv.solver import FieldState, _Stepper, evolve, evolve_many, spectral_derivative
 from brstkdv.verify import (
     CHECKS,
     CheckReport,
@@ -226,18 +226,26 @@ def test_status_threshold_semantics():
 
 
 def test_run_all_everything_passes(monkeypatch):
-    passes = []
+    passes, rows, advance = [], [], _Stepper.advance
 
     def counted(runs, dt):
         passes.append([run[1].name for run in runs])
         return evolve_many(runs, dt)
 
+    def stepped(stepper, hats, t):
+        rows.append(len(hats))
+        return advance(stepper, hats, t)
+
     monkeypatch.setattr(brstkdv.verify, "evolve_many", counted)
+    monkeypatch.setattr(_Stepper, "advance", stepped)
     reports = run_all()
     names = [r.check for r in reports]
     assert names == list(CHECKS) + ["check_conservation_classical"]
     # one soliton run serves both conservation reports and the curvature
     # check; it and the three legs of the substitution chain share one pass
     assert [sorted(names) for names in passes] == [["ckdv", "kdv", "kdv", "mkdv"]]
+    # the soliton's u and gradient ghost and each leg's even field are rows;
+    # the legs' zero ghosts are not, and the ckdv leg leaves after 200 steps
+    assert rows == [5] * 200 + [4] * 800
     failing = {r.check: r.metrics for r in reports if r.status != "pass"}
     assert failing == {}
