@@ -15,14 +15,20 @@ and ghost law -1/2 [C, C]^+.  On slice A, F^0 and F^+ vanish, Upsilon =
 -F^- = T_t - 1/2 u_xxx - 2 u_x T - u T_x is the residual equation
 (``upsilon_poly``), and ``upsilon_rules()`` holds the T law -(delta A1)^-,
 the u law c_t - u c_x + u_x c and the ghost law c c_x, which every catalog
-system shares.  Both parameter families are gauge-fixed from Upsilon, each
-ghost flow solved from the u law:
+system shares.  Both parameter families are gauge-fixed from Upsilon, and
+one routine (``_gauged``) builds every gauge-fixed system, solving its ghost
+flow from the u law at the gauge function u:
 
 - the t-form gauge u = s T^beta gives T_t = (s/2) d^3/dx^3 (T^beta) +
   (2 beta + 1) s T^beta T_x: KdV at beta=1, s=2 and a Harry Dym-type
   equation at beta=1/2, s=1;
 - the u-form gauge s T = u^alpha gives u_t = ((alpha+2)/alpha) u u_x +
   (s/(2 alpha)) u^(1-alpha) u_xxx, and delta u from the T law likewise.
+
+The t-form's Ht1 is delta H1, and kdv's H0, H1, Ht0 and Ht1 are the t-form's
+at beta=1, s=2 pulled back by T = u/2.  The densities that equal delta of a
+classical one only modulo total derivatives (the t-form's Ht0, kdv's H1g, H3
+and H5) are typed.  A density's kind is read off its parity.
 
 Slice B is A1 = (2R, 1, 0), A0 = (u_x + 2uR, u, 0) at the Miura map
 u = 2(R_x - R^2), with C = (c_x + 2Rc, c, cm) for a covariantly constant
@@ -106,22 +112,21 @@ SLICE_B = "slice-B"  # A1 = (2R, 1, 0); state carries R
 class ConservedDensity:
     """A density whose spatial integral is constant along the flow.
 
-    kind is "classical" (even, ghost-free) or "brst-invariant" (odd,
-    linear in the ghost family).
+    ``kind`` is read off the density's parity: "classical" for an even
+    (ghost-free) density, "brst-invariant" for an odd one.  A density that
+    mixes even and odd terms is rejected.
     """
 
     name: str
     density: GradedPoly
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in ("classical", "brst-invariant"):
-            raise ValueError(f"unknown density kind {self.kind!r}")
-        par = self.density.parity()
-        if self.kind == "classical" and par != 0:
-            raise ValueError(f"classical density {self.name} must be even")
-        if self.kind == "brst-invariant" and par != 1:
-            raise ValueError(f"odd density {self.name} must be ghost-linear")
+        if self.density.parity() is None:
+            raise ValueError(f"density {self.name} mixes even and odd terms")
+
+    @property
+    def kind(self):
+        return "brst-invariant" if self.density.parity() else "classical"
 
 
 @dataclass(frozen=True)
@@ -188,10 +193,20 @@ def _slice_flow():
     return GradedPoly.gen(marker("T"), odd_syms=frozenset({"c"})) - upsilon_poly()
 
 
-def _ghost_flow(u_law, u, delta_u):
-    """c_t solved from the u law delta u = c_t + rest(u, c) at the gauge u."""
+def _gauged(name, parameters, field, flow, rules, u_law, u, densities):
+    """The system of one gauge: the even ``field`` with its ``flow`` and the
+    ghost c, whose flow is solved from the slice's u law delta u = c_t +
+    rest(u, c) at the gauge function ``u``."""
     rest = u_law - GradedPoly.gen(marker("c"), odd_syms=u_law.odd_syms)
-    return delta_u - substitute_family(rest, "u", u)
+    return EvolutionSystem(
+        name=name,
+        parameters=parameters,
+        even_fields=(field,),
+        odd_fields=("c",),
+        rhs={field: flow, "c": apply_derivation(u, rules) - substitute_family(rest, "u", u)},
+        brst=rules,
+        densities={k: ConservedDensity(k, d) for k, d in densities.items()},
+    )
 
 
 @lru_cache(maxsize=128)  # one system per parameter point, shared by every caller
@@ -199,30 +214,21 @@ def _t_family(beta, s, name="t-form"):
     """The gauge u = s T^beta, which leaves T and the ghost c."""
     odd = frozenset({"c"})
     laws = upsilon_rules().base
-    Tb = GradedPoly.gen("T", 0, beta, odd_syms=odd)
-    u = s * Tb
     rules = DerivationRuleSet(name + "-brst", parity=1, base={"T": laws["T"], "c": laws["c"]})
-    delta_u = apply_derivation(u, rules)
+    u = s * GradedPoly.gen("T", 0, beta, odd_syms=odd)
+    h1 = GradedPoly.gen("T", 0, beta + 1, odd_syms=odd)
     densities = {
-        "H0": ConservedDensity("H0", GradedPoly.gen("T", odd_syms=odd), "classical"),
-        "H1": ConservedDensity("H1", GradedPoly.gen("T", 0, beta + 1, odd_syms=odd), "classical"),
-        "Ht0": ConservedDensity("Ht0", parse("T*c_x", odd=("c",)), "brst-invariant"),
-        "Ht1": ConservedDensity("Ht1", (beta + 1) * (Tb * laws["T"]), "brst-invariant"),
+        "H0": GradedPoly.gen("T", odd_syms=odd),
+        "H1": h1,
+        "Ht0": parse("T*c_x", odd=("c",)),
+        "Ht1": apply_derivation(h1, rules),
     }
-    return EvolutionSystem(
-        name=name,
-        parameters={"beta": beta, "s": s},
-        even_fields=("T",),
-        odd_fields=("c",),
-        rhs={"T": substitute_family(_slice_flow(), "u", u),
-             "c": _ghost_flow(laws["u"], u, delta_u)},
-        brst=rules,
-        densities=densities,
-    )
+    return _gauged(name, {"beta": beta, "s": s}, "T", substitute_family(_slice_flow(), "u", u),
+                   rules, laws["u"], u, densities)
 
 
 @lru_cache(maxsize=128)
-def _u_family(alpha, s, name="kdv"):
+def _u_family(alpha, s):
     """The gauge s T = u^alpha, which leaves u and the ghost c."""
     if s_is_zero(alpha) or isinstance(alpha, ParamPoly):
         raise ValueError("alpha must be a nonzero number: the flow divides by alpha")
@@ -239,34 +245,20 @@ def _u_family(alpha, s, name="kdv"):
         at_zero = substitute_family(p, "T", GradedPoly.zero(odd))
         return lift * (s * at_zero + substitute_family(p - at_zero, "T", ua))
 
-    delta_u = pull_back(laws["T"])
-    rules = DerivationRuleSet(name + "-brst", parity=1, base={"u": delta_u, "c": laws["c"]})
-
+    rules = DerivationRuleSet("kdv-brst", parity=1,
+                              base={"u": pull_back(laws["T"]), "c": laws["c"]})
     densities = {}
-    if (alpha, s) == (1, 2):
-        dens = {
-            "H0": ("1/2*u", "classical"),
-            "H1": ("1/4*u^2", "classical"),
-            "Ht0": ("1/2*u*c_x", "brst-invariant"),
-            "Ht1": ("1/2*u*c_xxx + 1/2*u*u_x*c + u^2*c_x", "brst-invariant"),
-            "H1g": ("u*c_x", "brst-invariant"),
-            "H3": ("u*c_xxx + 3/2*u^2*c_x", "brst-invariant"),
-            "H5": ("2/3*u_xx*c_xxx + 5/3*u^3*c_x + u^2*c_xxx"
-                   " + 1/3*u_x^2*c_x - 4/3*u*u_xxx*c", "brst-invariant"),
-        }
-        densities = {
-            k: ConservedDensity(k, parse(t, odd=("c",)), kind)
-            for k, (t, kind) in dens.items()
-        }
-    return EvolutionSystem(
-        name=name,
-        parameters={"alpha": alpha, "s": s},
-        even_fields=("u",),
-        odd_fields=("c",),
-        rhs={"u": pull_back(_slice_flow()), "c": _ghost_flow(laws["u"], u, delta_u)},
-        brst=rules,
-        densities=densities,
-    )
+    if (alpha, s) == (1, 2):  # the t-form's densities at T = u/2, and three typed ones
+        densities = {k: substitute_family(d.density, "T", Fraction(1, 2) * u)
+                     for k, d in _t_family(1, 2).densities.items()}
+        densities.update((k, parse(t, odd=("c",))) for k, t in (
+            ("H1g", "u*c_x"),
+            ("H3", "u*c_xxx + 3/2*u^2*c_x"),
+            ("H5", "2/3*u_xx*c_xxx + 5/3*u^3*c_x + u^2*c_xxx"
+                   " + 1/3*u_x^2*c_x - 4/3*u*u_xxx*c"),
+        ))
+    return _gauged("kdv", {"alpha": alpha, "s": s}, "u", pull_back(_slice_flow()),
+                   rules, laws["u"], u, densities)
 
 
 @cache
@@ -277,21 +269,8 @@ def _mkdv():
     rules = DerivationRuleSet("mkdv-brst", parity=1, base={"R": half * d_a1[0], "c": c_law},
                               # no law for the covariantly constant cm is in scope
                               xrules={"cm": GradedPoly.gen("cm", 1, odd_syms=odd) - d_a1[2]})
-    u = miura_substitution()
-    densities = {
-        "H0": ConservedDensity("H0", parse("R"), "classical"),
-        "H1": ConservedDensity("H1", parse("R^2"), "classical"),
-    }
-    return EvolutionSystem(
-        name="mkdv",
-        parameters={},
-        even_fields=("R",),
-        odd_fields=("c",),
-        rhs={"R": GradedPoly.gen(marker("R"), odd_syms=odd) - half * f[0],
-             "c": _ghost_flow(u_law, u, apply_derivation(u, rules))},
-        brst=rules,
-        densities=densities,
-    )
+    return _gauged("mkdv", {}, "R", GradedPoly.gen(marker("R"), odd_syms=odd) - half * f[0],
+                   rules, u_law, miura_substitution(), {"H0": parse("R"), "H1": parse("R^2")})
 
 
 @cache
@@ -416,7 +395,7 @@ def build_system(name, **params):
 
     if name == "kdv":
         only({"alpha", "s"})
-        system = _u_family(params.get("alpha", 1), params.get("s", 2), name="kdv")
+        system = _u_family(params.get("alpha", 1), params.get("s", 2))
     elif name == "t-form":
         only({"beta", "s"})
         if "beta" not in params or "s" not in params:
@@ -438,16 +417,8 @@ def build_system(name, **params):
 
 def catalog_manifest():
     """Human-readable catalog: systems, parameters, equations, densities."""
-    lines = []
-    shown = [
-        build_system("kdv"),
-        build_system("harry-dym"),
-        build_system("t-form", beta=1, s=2),
-        build_system("mkdv"),
-        build_system("ckdv"),
-        build_system("upsilon"),
-    ]
-    for sys_ in shown:
+    lines, params = [], {"t-form": {"beta": 1, "s": 2}}
+    for sys_ in (build_system(nm, **params.get(nm, {})) for nm in SYSTEM_NAMES):
         pars = ", ".join(f"{k}={v}" for k, v in sorted(sys_.parameters.items()))
         lines.append(f"{sys_.name}" + (f"  ({pars})" if pars else ""))
         for f in sys_.even_fields + sys_.odd_fields:
@@ -457,10 +428,9 @@ def catalog_manifest():
             lines.append(f"  delta {f} = {to_string(sys_.brst.base[f])}")
         for xf in sorted(sys_.brst.xrules):
             lines.append(f"  d/dx {xf} = {to_string(sys_.brst.xrules[xf])}")
-        if sys_.densities:
-            for nm in sorted(sys_.densities):
-                d = sys_.densities[nm]
-                lines.append(f"  density {nm} [{d.kind}] = {to_string(d.density)}")
+        for nm in sorted(sys_.densities):
+            d = sys_.densities[nm]
+            lines.append(f"  density {nm} [{d.kind}] = {to_string(d.density)}")
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
 

@@ -172,7 +172,7 @@ class Trajectory:
 
     def export_manifest(self, path, config=None):
         doc = {
-            "meta": {k: _jsonable(v) for k, v in sorted(self.meta.items())},
+            "meta": self.meta,
             "times": [float(s.t) for s in self.states],
             "diagnostics": {k: [float(v) for v in vs]
                             for k, vs in sorted(self.diagnostics.items())},
@@ -180,21 +180,11 @@ class Trajectory:
             "grid": {"L": float(self.states[0].L), "N": int(self.states[0].N)},
         }
         if config is not None:
-            doc["config"] = {k: _jsonable(v) for k, v in sorted(config.items())}
-        text = json.dumps(doc, sort_keys=True, indent=2)
+            doc["config"] = config
+        text = json.dumps(doc, sort_keys=True, indent=2, default=str)
         with open(path, "w") as fh:
             fh.write(text + "\n")
         return text
-
-
-def _jsonable(v):
-    if isinstance(v, (bool, int, float, str)) or v is None:
-        return v
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in sorted(v.items())}
-    return str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +480,10 @@ def evolve_many(runs, dt):
     where = [f" of run {i} ({run[1].name})" if len(runs) > 1 else ""
              for i, run in enumerate(runs)]
     ends, names, evaluators = [], [], []
-    for (state, _, t_end, every, diagnostics), of in zip(runs, where):
+    for (state, system, t_end, every, diagnostics), of in zip(runs, where):
+        missing = [f for f in system.evolving_fields() if f not in state.fields]
+        if missing:
+            raise ValueError(f"initial state{of} has no field {missing[0]!r}")
         if not math.isfinite(t_end):
             raise ValueError(f"t_end{of} must be finite, got {t_end!r}")
         if t_end <= t0:

@@ -63,16 +63,20 @@ __all__ = [
 class CheckReport:
     """Outcome of one verification check.
 
-    status is "fail" iff any metric exceeds the tolerance; exact symbolic
-    checks use tolerance 0.0 with monomial counts as metrics.  ``claim``
-    states the property being checked in plain language.
+    ``status``, read off the metrics, is "pass" iff every metric is at most
+    the tolerance, so a NaN metric fails; exact symbolic checks use tolerance
+    0.0 with monomial counts as metrics.  ``claim`` states the property being
+    checked in plain language.
     """
 
     check: str
-    status: str
     metrics: dict
     tolerance: float
     claim: str
+
+    @property
+    def status(self):
+        return "pass" if all(v <= self.tolerance for v in self.metrics.values()) else "fail"
 
     def to_dict(self):
         return {
@@ -88,14 +92,12 @@ class CheckReport:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(check=d["check"], status=d["status"], metrics=dict(d["metrics"]),
+        return cls(check=d["check"], metrics=dict(d["metrics"]),
                    tolerance=d["tolerance"], claim=d["claim"])
 
 
 def _report(check, metrics, tolerance, claim):
-    status = "pass" if all(v <= tolerance for v in metrics.values()) else "fail"
-    return CheckReport(check=check, status=status,
-                       metrics={k: float(v) for k, v in metrics.items()},
+    return CheckReport(check=check, metrics={k: float(v) for k, v in metrics.items()},
                        tolerance=float(tolerance), claim=claim)
 
 

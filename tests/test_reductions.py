@@ -439,12 +439,51 @@ def test_quintic_density_is_exact_modulo_derivatives():
 
 
 def test_density_validation():
-    with pytest.raises(ValueError):
-        ConservedDensity("bad", P("u"), "mystery")
-    with pytest.raises(ValueError):
-        ConservedDensity("bad", P("u*c_x"), "classical")
-    with pytest.raises(ValueError):
-        ConservedDensity("bad", P("u^2"), "brst-invariant")
+    # the kind is read off the parity, and a mixed parity has none
+    assert ConservedDensity("even", P("u^2 + u_x")).kind == "classical"
+    assert ConservedDensity("number", P("3")).kind == "classical"
+    assert ConservedDensity("odd", P("u*c_x")).kind == "brst-invariant"
+    assert ConservedDensity("cubic", P("c*c_x*c_xx")).kind == "brst-invariant"
+    for mixed in ("u + u*c_x", "1 + c"):
+        with pytest.raises(ValueError, match="mixes even and odd terms"):
+            ConservedDensity("bad", P(mixed))
+
+
+# the kdv densities as they were typed before they were pulled back from the
+# t-form; each is compared term by term
+_KDV_TYPED = {
+    "H0": "1/2*u",
+    "H1": "1/4*u^2",
+    "Ht0": "1/2*u*c_x",
+    "Ht1": "1/2*u*c_xxx + 1/2*u*u_x*c + u^2*c_x",
+}
+
+
+def _term_dict(p):
+    return {(even, odd): coeff for coeff, even, odd in p.terms()}
+
+
+def test_kdv_densities_are_the_t_forms_pulled_back():
+    kdv, tf = build_system("kdv"), build_system("t-form", beta=1, s=2)
+    for name, text in _KDV_TYPED.items():
+        got = kdv.densities[name].density
+        assert _term_dict(got) == _term_dict(P(text)), name
+        assert got.odd_syms == {"c"}
+        pulled = substitute_family(tf.densities[name].density, "T", P("1/2*u"))
+        assert _term_dict(pulled) == _term_dict(got), name
+    # off (alpha, s) = (1, 2) the u-form carries no densities
+    assert dict(build_system("kdv", alpha=-2, s=1).densities) == {}
+
+
+@pytest.mark.parametrize("beta, s", [(1, 2), (Fraction(1, 2), 1), (_BETA, _S)],
+                         ids=["1-2", "1/2-1", "beta-s"])
+def test_t_form_ht1_is_the_brst_image_of_h1(beta, s):
+    tf = build_system("t-form", beta=beta, s=s)
+    h1, ht1 = tf.densities["H1"].density, tf.densities["Ht1"].density
+    assert _term_dict(ht1) == _term_dict(apply_derivation(h1, tf.brst))
+    # the form it was typed in before: (beta + 1) T^beta delta T
+    Tb = GradedPoly.gen("T", 0, beta, odd_syms=frozenset({"c"}))
+    assert _term_dict(ht1) == _term_dict(s_add(beta, 1) * (Tb * upsilon_rules().base["T"]))
 
 
 def test_density_lookup_error():

@@ -423,6 +423,21 @@ def test_non_finite_initial_state_is_rejected_before_any_transform(bad):
             evolve(st.replace(fields={**st.fields, "c": c}), kdv, 0.01, 1e-3)
 
 
+def test_a_missing_field_is_named_before_any_transform(monkeypatch):
+    kdv, mk = build_system("kdv"), build_system("mkdv")
+    u = np.cos(2 * np.pi * grid(20.0, 64) / 20.0)
+    lone = FieldState(0.0, 20.0, 64, {"u": u})
+    monkeypatch.setattr(np.fft, "rfft", None)  # the check precedes every transform
+    with pytest.raises(ValueError, match="^initial state has no field 'c'$"):
+        evolve(lone, kdv, 0.01, 1e-3)
+    other = FieldState(0.0, 20.0, 64, {"R": u, "c": np.zeros(64)})
+    with pytest.raises(ValueError, match=r"^initial state of run 1 \(kdv\) has no field 'c'$"):
+        evolve_many([(other, mk, 0.01, 1, ()), (lone, kdv, 0.01, 1, ())], 1e-3)
+    with pytest.raises(ValueError, match=r"^initial state of run 0 \(kdv\) has no field 'u'$"):
+        evolve_many([(other.replace(fields={"c": u}), kdv, 0.01, 1, ()),
+                     (other, mk, 0.01, 1, ())], 1e-3)
+
+
 def test_evaluate_matches_the_hand_typed_modified_flow():
     n, length = 128, 40.0
     x = grid(length, n)

@@ -142,7 +142,7 @@ def test_conservation_fails_for_non_conserved_functional():
     # conserved cubic functional needs the -T_x^2/2 companion term)
     from brstkdv.reductions import ConservedDensity
     tf = build_system("t-form", beta=1, s=2)
-    fake = ConservedDensity("I3", parse("T^3"), "classical")
+    fake = ConservedDensity("I3", parse("T^3"))
     n = 256
     x = 40.0 * np.arange(n) / n
     st = FieldState(0.0, 40.0, n,
@@ -221,8 +221,16 @@ def test_report_json_round_trip():
 
 
 def test_status_threshold_semantics():
-    ok = CheckReport("x", "pass", {"m": 0.5}, 1.0, "demo")
-    assert ok.to_dict()["metrics"]["m"] == 0.5
+    def status(*metrics):
+        return CheckReport("x", dict(enumerate(metrics)), 1.0, "demo").status
+
+    assert status() == "pass"
+    assert status(0.5) == status(1.0) == status(0.5, 1.0) == "pass"
+    assert status(1.0 + 1e-12) == status(0.5, 2.0) == "fail"
+    assert status(float("nan")) == status(0.5, float("nan")) == "fail"
+    exact = CheckReport("y", {"terms": 0.0}, 0.0, "demo")
+    assert exact.status == "pass" and exact.to_dict()["status"] == "pass"
+    assert dataclasses.replace(exact, metrics={"terms": 1.0}).to_dict()["status"] == "fail"
 
 
 def test_run_all_everything_passes(monkeypatch):
