@@ -19,6 +19,10 @@ Two extensions beyond plain rationals are supported exactly:
   exactly and without floating point.  The module needs nothing beyond the
   standard library; a parameter polynomial prints in sympy's string form.
 
+The total x-derivative and the Euler operator's left partials edit monomial
+keys in place; the even merge and odd sort that other products call are
+memoized, ``_KEY_CACHE`` entries each.
+
 Time derivatives are not part of the jet structure.  They appear as marker
 fields named ``u_t`` (which may themselves carry x-derivative orders, e.g.
 ``u_t_x``) and are only eliminated by :func:`reduce_on_shell`.
@@ -199,10 +203,6 @@ def s_mul(a, b):
     return int(c) if type(c) is Fraction and c.denominator == 1 else c
 
 
-def s_neg(a):
-    return -a
-
-
 def s_div(a, b):
     """a / b for a nonzero number b; nothing divides by a parameter."""
     return s_mul(a, Fraction(1, b))
@@ -253,6 +253,10 @@ def _term_sort_key(key):
     return (odd, tuple((g, _exp_sort_key(e)) for g, e in even))
 
 
+_KEY_CACHE = 4096  # entries per key-helper memo; a run touches hundreds
+
+
+@functools.lru_cache(maxsize=_KEY_CACHE)
 def _sort_odd(odd):
     """Sort an odd factor sequence, tracking the permutation sign; dup -> None."""
     seq = list(odd)
@@ -269,6 +273,7 @@ def _sort_odd(odd):
     return tuple(seq), sign
 
 
+@functools.lru_cache(maxsize=_KEY_CACHE)
 def _merge_even(ev1, ev2):
     """Product of two canonical even-factor tuples (exponents add)."""
     if not ev1 or not ev2:
@@ -306,7 +311,7 @@ def _mul_into(acc, even, head, tail, coeff, terms):
         if od is None:
             continue
         c = coeff if c2 == 1 else s_mul(coeff, c2)
-        _acc(acc, (_merge_even(even, ev2), od), c if sign > 0 else s_neg(c))
+        _acc(acc, (_merge_even(even, ev2), od), c if sign > 0 else -c)
 
 
 def _merged_odds(*polys):
@@ -319,6 +324,20 @@ def _merged_odds(*polys):
                     if _sym_is_odd(g[0], odd_syms):
                         raise ValueError(f"symbol {g[0]} is even here but odd elsewhere")
     return odd_syms
+
+
+def _jet(sym, order):
+    if type(order) is not int or order < 0:
+        raise ValueError(f"generator {sym!r}: derivative orders are non-negative ints, "
+                         f"got {order!r}")
+    return sym, order
+
+
+def _lowered(even, idx, coeff):
+    """``even`` up to its idx-th factor g^e, with g^(e-1) there, and coeff*e."""
+    g, e = even[idx]
+    e1 = s_add(e, -1)
+    return even[:idx] + (() if s_is_zero(e1) else ((g, e1),)), coeff if e == 1 else s_mul(coeff, e)
 
 
 def _check_exponent(gen, e):
@@ -369,7 +388,7 @@ class GradedPoly:
     @classmethod
     def gen(cls, sym, order=0, exp=1, odd_syms=frozenset()):
         exp = as_scalar(exp)
-        g = (sym, order)
+        g = _jet(sym, order)
         if _sym_is_odd(sym, odd_syms):
             if exp == 0:
                 return cls.number(1, odd_syms)
@@ -396,7 +415,7 @@ class GradedPoly:
             coeff = as_scalar(coeff)
             ev = {}
             for g, e in even:
-                g = (g[0], g[1])
+                g = _jet(g[0], g[1])
                 if _sym_is_odd(g[0], odd_syms):
                     raise ValueError(f"odd symbol {g[0]} used as an even factor")
                 e = as_scalar(e)
@@ -406,16 +425,13 @@ class GradedPoly:
             ev = tuple(sorted((g, e) for g, e in ev.items() if not s_is_zero(e)))
             for g, e in ev:
                 _check_exponent(g, e)
-            od, sign = _sort_odd(tuple(odd))
+            od, sign = _sort_odd(tuple(_jet(g[0], g[1]) for g in odd))
             if od is None:
                 continue
             for g in od:
                 if not _sym_is_odd(g[0], odd_syms):
                     raise ValueError(f"even symbol {g[0]} used as an odd factor")
-            if sign < 0:
-                coeff = s_neg(coeff)
-            key = (ev, od)
-            acc[key] = s_add(acc[key], coeff) if key in acc else coeff
+            _acc(acc, (ev, od), coeff if sign > 0 else -coeff)
         return cls(acc, odd_syms)
 
     # -- inspection ----------------------------------------------------------
@@ -478,7 +494,7 @@ class GradedPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPoly._of({k: s_neg(c) for k, c in self._terms.items()}, self.odd_syms)
+        return GradedPoly._of({k: -c for k, c in self._terms.items()}, self.odd_syms)
 
     def __sub__(self, other):
         if not isinstance(other, GradedPoly):
@@ -636,23 +652,6 @@ class DerivationRuleSet:
         return DerivationRuleSet(self.name + "+markers", self.parity, base, dict(self.xrules))
 
 
-def _structural_x_image(g, xrules, odd_syms):
-    sym, order = g
-    if xrules and sym in xrules:
-        if order:
-            raise ValueError(
-                f"generator {_gen_str(g)}: symbol carries an explicit d/dx rule, "
-                "derivative generators of it must not appear"
-            )
-        return xrules[sym]
-    return _next_jet(sym, order, odd_syms)
-
-
-@functools.cache
-def _next_jet(sym, order, odd_syms):
-    return GradedPoly.gen(sym, order + 1, odd_syms=odd_syms)
-
-
 def _derive(p, image_of, parity):
     """Apply a derivation given the image of every generator.
 
@@ -665,26 +664,48 @@ def _derive(p, image_of, parity):
             img = images[g] if g in images else images.setdefault(g, image_of(g))
             if img.is_zero:
                 continue
-            e1 = s_add(e, -1)
-            rest = even[:idx] + (() if s_is_zero(e1) else ((g, e1),)) + even[idx + 1:]
-            _mul_into(acc, rest, (), odd, coeff if e == 1 else s_mul(coeff, e), img._terms)
+            head, c = _lowered(even, idx, coeff)
+            _mul_into(acc, head + even[idx + 1:], (), odd, c, img._terms)
         for i, g in enumerate(odd):
             img = images[g] if g in images else images.setdefault(g, image_of(g))
             if img.is_zero:
                 continue
-            c = coeff if not (parity and i % 2) else s_neg(coeff)
+            c = coeff if not (parity and i % 2) else -coeff
             _mul_into(acc, even, odd[:i], odd[i + 1:], c, img._terms)
     used = [img for img in images.values() if not img.is_zero]
     return GradedPoly._of(acc, _merged_odds(p, *used))
 
 
 def total_x_derivative(p, rules=None):
-    """d/dx with jet prolongation; ``rules`` may supply explicit substitutions."""
+    """d/dx with jet prolongation; ``rules`` may supply explicit substitutions.
+
+    Each Leibniz term edits a key: g^e becomes e g^(e-1) times the next jet,
+    which sorts right after it; an odd factor steps to its next jet in place.
+    """
     xrules = rules.xrules if isinstance(rules, DerivationRuleSet) else (rules or {})
-    odd_syms = p.odd_syms
-    for img in xrules.values():
-        odd_syms = odd_syms | img.odd_syms
-    return _derive(p, lambda g: _structural_x_image(g, xrules, odd_syms), parity=0)
+    acc = {}
+    for (even, odd), coeff in p._terms.items():
+        for idx, (g, _e) in enumerate(even):
+            head, c = _lowered(even, idx, coeff)
+            if g[0] in xrules:
+                _mul_into(acc, head + even[idx + 1:], (), odd, c, _x_rule(xrules, g))
+                continue
+            nxt, tail = (g[0], g[1] + 1), even[idx + 1:]
+            had = tail[0][1] if tail and tail[0][0] == nxt else 0  # next jet's power, or 0
+            _acc(acc, (head + ((nxt, had + 1),) + (tail[1:] if had else tail), odd), c)
+        for i, g in enumerate(odd):
+            if g[0] in xrules:
+                _mul_into(acc, even, odd[:i], odd[i + 1:], coeff, _x_rule(xrules, g))
+            elif odd[i + 1:i + 2] != ((g[0], g[1] + 1),):  # else it squares to zero
+                _acc(acc, (even, odd[:i] + ((g[0], g[1] + 1),) + odd[i + 1:]), coeff)
+    return GradedPoly._of(acc, _merged_odds(p, *xrules.values()) if xrules else p.odd_syms)
+
+
+def _x_rule(xrules, g):
+    if g[1]:
+        raise ValueError(f"generator {_gen_str(g)}: symbol carries an explicit d/dx rule, "
+                         "derivative generators of it must not appear")
+    return xrules[g[0]]._terms
 
 
 def _dx_power(p, k, xrules):
@@ -811,21 +832,30 @@ def euler_operator(p, sym):
     """Variational derivative with respect to a field of either parity:
     E = sum_i (-D)^i of the left partial by the i-th jet, by Horner's rule
     d_0 p - D(d_1 p - D(...)).  It annihilates every total x-derivative, so
-    densities that differ by exact terms have the same gradient.
+    densities that differ by exact terms have the same gradient.  A left
+    partial edits keys: it takes off one power, times e, or an odd factor.
     """
+    if sym.endswith("_t"):
+        raise ValueError(f"'{sym}' is a time marker, which has no variational derivative")
     if p.max_order(marker(sym)) >= 0:
         raise ValueError(f"density contains time markers of '{sym}'; reduce on shell first")
-    one, zero = GradedPoly.number(1, p.odd_syms), GradedPoly.zero(p.odd_syms)
-    parity = int(_sym_is_odd(sym, p.odd_syms))
-    out = zero
+    out = GradedPoly.zero(p.odd_syms)
     for i in range(p.max_order(sym), -1, -1):
-        part = _derive(p, lambda g: one if g == (sym, i) else zero, parity)
-        out = part - total_x_derivative(out)
+        g, acc = (sym, i), {}
+        for (even, odd), coeff in p._terms.items():
+            if g in odd:  # an odd factor passes the j factors before it
+                j = odd.index(g)
+                _acc(acc, (even, odd[:j] + odd[j + 1:]), -coeff if j % 2 else coeff)
+            for idx, (h, _e) in enumerate(even):
+                if h == g:
+                    head, c = _lowered(even, idx, coeff)
+                    _acc(acc, (head + even[idx + 1:], odd), c)
+        out = GradedPoly._of(acc, p.odd_syms) - total_x_derivative(out)
     return out
 
 
 def odd_gradient(p, sym):
     """:func:`euler_operator` with respect to a field that must be odd."""
-    if not _sym_is_odd(sym, p.odd_syms):
+    if not (sym.endswith("_t") or _sym_is_odd(sym, p.odd_syms)):
         raise ValueError(f"'{sym}' is not an odd symbol here")
     return euler_operator(p, sym)

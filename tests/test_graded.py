@@ -300,6 +300,28 @@ def test_generator_validation():
     assert gen("u", 2, 0) == GradedPoly.number(1, ODD)
 
 
+# derivative orders that are not non-negative ints, as gen and from_terms see them
+BAD_ORDERS = {"negative": -1, "fraction": 1.5, "bool": True, "negative_two": -2}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ORDERS))
+def test_gen_rejects_bad_orders(name):
+    with pytest.raises(ValueError, match="generator 'u': derivative orders"):
+        GradedPoly.gen("u", BAD_ORDERS[name])
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ORDERS))
+def test_from_terms_rejects_bad_even_orders(name):
+    with pytest.raises(ValueError, match="generator 'u': derivative orders"):
+        GradedPoly.from_terms([(1, [(("u", BAD_ORDERS[name]), 1)], [])])
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ORDERS))
+def test_from_terms_rejects_bad_odd_orders(name):
+    with pytest.raises(ValueError, match="generator 'c': derivative orders"):
+        GradedPoly.from_terms([(1, [], [("c", BAD_ORDERS[name])])], odd_syms=ODD)
+
+
 def test_parity_classification():
     assert P("u^2 + T").parity() == 0
     assert P("u*c_x").parity() == 1
@@ -547,6 +569,13 @@ def test_euler_validation():
     assert euler_operator(P("u*T_t"), "u") == P("T_t")
 
 
+@pytest.mark.parametrize("kernel, sym", [(euler_operator, "u_t"), (euler_operator, "c_t"),
+                                         (odd_gradient, "u_t"), (odd_gradient, "c_t")])
+def test_variational_derivative_by_a_marker(kernel, sym):
+    with pytest.raises(ValueError, match=f"'{sym}' is a time marker, which has no variational"):
+        kernel(P("u_t*c_t + u*c"), sym)
+
+
 def test_odd_gradient_point_cases():
     assert odd_gradient(P("u*c_x"), "c") == P("-u_x")
     assert odd_gradient(P("u*c_xxx"), "c") == P("-u_xxx")
@@ -666,10 +695,12 @@ def ref_derive(p, image_of, parity):
     return out
 
 
-def ref_dx(p, k=1):
+def ref_dx(p, k=1, xrules=None):
+    xrules = xrules or {}
     for _ in range(k):
         odd = p.odd_syms
-        p = ref_derive(p, lambda g: GradedPoly.gen(g[0], g[1] + 1, odd_syms=odd), 0)
+        p = ref_derive(p, lambda g: xrules[g[0]] if g[0] in xrules
+                       else GradedPoly.gen(g[0], g[1] + 1, odd_syms=odd), 0)
     return p
 
 
@@ -717,8 +748,14 @@ def ref_substitute_family(p, sym, replacement):
 
 
 def ref_formal_partial(p, g):
+    """The left partial: an odd g is first moved to the front of its factors."""
     out = GradedPoly.zero(p.odd_syms)
     for (even, odd), coeff in p._terms.items():
+        if g in odd:
+            j = odd.index(g)
+            rest = GradedPoly({(even, odd[:j] + odd[j + 1:]): s_mul(coeff, (-1) ** j)},
+                              p.odd_syms)
+            out = ref_add(out, rest)
         for idx, (h, e) in enumerate(even):
             if h == g:
                 rest = list(even)
@@ -784,12 +821,20 @@ def exact(p):
 
 
 REPLACEMENT = parse("(beta)*v_x - 1/3*w*c", odd=("c",))
+# slice B's ghost rule cm_x = 2*R*cm, and an even rule T_x = R*T that meets
+# T's fractional and symbolic powers; every term of the factor has one of them
+SLICE_ODD = ("c", "cm")
+XRULES = {"cm": parse("2*R*cm", odd=SLICE_ODD), "T": parse("R*T", odd=SLICE_ODD)}
+XRULE_FACTOR = parse("cm + (beta)*R*T^2 - 1/2*R_x*cm", odd=SLICE_ODD)
 # factors whose terms collide, and partly cancel, once reduced or substituted
 ON_SHELL_CLASH = parse("u_t - 3*u*u_x")
 SUBSTITUTION_CLASH = parse("u - (beta)*v_x")
 
 ORACLE_CASES = {
     "total_x_derivative": (oracle_polys(), total_x_derivative, ref_dx),
+    "total_x_derivative_xrules": (oracle_polys().map(lambda p: p * XRULE_FACTOR),
+                                  lambda p: total_x_derivative(p, XRULES),
+                                  lambda p: ref_dx(p, xrules=XRULES)),
     "apply_derivation": (oracle_polys(wild="u"),
                          lambda p: apply_derivation(p, KDV.brst),
                          lambda p: ref_apply_derivation(p, KDV.brst)),
@@ -804,6 +849,9 @@ ORACLE_CASES = {
                          lambda p: ref_euler_operator(p, "u")),
     "euler_operator_T": (oracle_polys(), lambda p: euler_operator(p, "T"),
                          lambda p: ref_euler_operator(p, "T")),
+    # up to two ghost factors, so the left partial's sign (-1)^j is reached
+    "euler_operator_c": (oracle_polys(), lambda p: euler_operator(p, "c"),
+                         lambda p: ref_euler_operator(p, "c")),
     "odd_gradient": (oracle_polys(max_odd=1).map(
                          lambda p: GradedPoly({k: c for k, c in p._terms.items()
                                                if len(k[1]) == 1}, ODD)),
@@ -956,6 +1004,42 @@ def test_concurrent_prolongation_gets_the_serial_answers():
     # a thread may store a shorter memo over a longer one; never a wrong jet
     memo = [to_string(j) for j in img._jets]
     assert memo and memo == serial[:len(memo)]
+
+
+def test_threads_share_the_key_memos_and_jets():
+    # the key-helper caches and the rules' jets are process-wide; four threads
+    # fill them at once, from cold, and must each get the serial answers
+    p = P("u*u_xxx + u_xx^2*c + u^2*u_x*c_x + 3*u_x^3 - u*c_xxx + u_x*c*c_x") ** 3
+
+    def job(brst):
+        q = fresh(p)
+        return [exact(r) for r in (euler_operator(q, "u"), euler_operator(q, "c"),
+                                   apply_derivation(q, brst), graded._dx_power(q, 3, None))]
+
+    def fresh_brst():
+        return DerivationRuleSet("fresh", 1, {s: fresh(img) for s, img in KDV.brst.base.items()})
+
+    serial = job(fresh_brst())
+    shared, start, results = fresh_brst(), threading.Barrier(4), [None] * 4
+
+    def run(k):
+        start.wait(timeout=60)
+        results[k] = job(shared)
+
+    graded._merge_even.cache_clear()
+    graded._sort_odd.cache_clear()
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * 4
 
 
 # sha256 of the catalog text `brstkdv list-systems` prints and of the twelve
