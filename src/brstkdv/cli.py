@@ -17,8 +17,9 @@ import numpy as np
 
 from . import __version__
 from .graded import euler_operator, to_string
-from .grammar import ParseError, is_name, parse
+from .grammar import is_name, parse
 from .reductions import (
+    FAMILY_PARAMETERS,
     SYSTEM_NAMES,
     build_system,
     catalog_manifest,
@@ -34,8 +35,6 @@ from .solver import (
     soliton_initial,
 )
 from .verify import CHECKS, run_all
-
-_FAMILY_KEYS = ("alpha", "beta", "s")
 
 
 def _load_config(path):
@@ -73,7 +72,7 @@ def _effective(args, defaults):
 
 
 def _family_params(eff):
-    return {k: str(eff[k]) for k in _FAMILY_KEYS if k in eff and eff[k] is not None}
+    return {k: str(eff[k]) for k in FAMILY_PARAMETERS if k in eff and eff[k] is not None}
 
 
 def _number(eff, key, kind=float):
@@ -166,10 +165,7 @@ def _cmd_simulate(args):
     else:
         raise ValueError("provide --soliton or --initial")
 
-    diagnostics = []
-    if eff.get("diag"):
-        for nm in str(eff["diag"]).split(","):
-            diagnostics.append(system.density(nm.strip()))
+    diagnostics = [nm.strip() for nm in str(eff["diag"]).split(",")] if eff.get("diag") else []
     traj = evolve(state, system, t_end, dt,
                   record_every=_number(eff, "record-every", int),
                   diagnostics=diagnostics)
@@ -264,7 +260,7 @@ def _build_parser():
 
     sim = sub.add_parser("simulate", help="integrate a catalog system and export CSV/JSON")
     sim.add_argument("--system", choices=SYSTEM_NAMES)
-    for key in _FAMILY_KEYS:
+    for key in FAMILY_PARAMETERS:
         sim.add_argument(f"--{key}", help=f"family parameter {key} (exact rational)")
     sim.add_argument("--L", help="domain length (default 40)")
     sim.add_argument("--n", help="grid size, power of two (default 512)")
@@ -295,7 +291,7 @@ def _build_parser():
 
     con = sub.add_parser("conserved", help="list a system's catalogued densities")
     con.add_argument("--system", choices=SYSTEM_NAMES)
-    for key in _FAMILY_KEYS:
+    for key in FAMILY_PARAMETERS:
         con.add_argument(f"--{key}")
     con.add_argument("--config", help="key=value config file")
 
@@ -324,8 +320,10 @@ def run(argv=None):
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, ParseError, KeyError, OSError) as exc:  # OSError names its path
-        print(f"{args.command}: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, OSError) as exc:  # OSError names its path
+        # str() of a KeyError is its message's repr, in quotes
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"{args.command}: {msg}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

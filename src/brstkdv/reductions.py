@@ -25,10 +25,10 @@ flow from the u law at the gauge function u:
 - the u-form gauge s T = u^alpha gives u_t = ((alpha+2)/alpha) u u_x +
   (s/(2 alpha)) u^(1-alpha) u_xxx, and delta u from the T law likewise.
 
-The t-form's Ht1 is delta H1, and kdv's H0, H1, Ht0 and Ht1 are the t-form's
-at beta=1, s=2 pulled back by T = u/2.  The densities that equal delta of a
-classical one only modulo total derivatives (the t-form's Ht0, kdv's H1g, H3
-and H5) are typed.  A density's kind is read off its parity.
+The t-form's Ht1 is delta H1, kdv's H0, H1, Ht0 and Ht1 are the t-form's
+at beta=1, s=2 pulled back by T = u/2, and kdv's H1g is 2 Ht0.  Only the
+t-form's Ht0 and kdv's H3 and H5, which equal delta of a classical density
+just modulo total derivatives, are typed.  Kind is read off parity.
 
 Slice B is A1 = (2R, 1, 0), A0 = (u_x + 2uR, u, 0) at the Miura map
 u = 2(R_x - R^2), with C = (c_x + 2Rc, c, cm) for a covariantly constant
@@ -87,6 +87,7 @@ __all__ = [
     "EvolutionSystem",
     "ConservedDensity",
     "SYSTEM_NAMES",
+    "FAMILY_PARAMETERS",
     "SLICE_A",
     "SLICE_B",
     "build_system",
@@ -102,8 +103,6 @@ __all__ = [
     "zero_curvature_components",
     "reconstruct_connection",
 ]
-
-SYSTEM_NAMES = ("kdv", "harry-dym", "t-form", "mkdv", "ckdv", "upsilon")
 
 SLICE_A = "slice-A"  # A1 = (0, 1, -T); state carries u and T
 SLICE_B = "slice-B"  # A1 = (2R, 1, 0); state carries R
@@ -248,11 +247,11 @@ def _u_family(alpha, s):
     rules = DerivationRuleSet("kdv-brst", parity=1,
                               base={"u": pull_back(laws["T"]), "c": laws["c"]})
     densities = {}
-    if (alpha, s) == (1, 2):  # the t-form's densities at T = u/2, and three typed ones
+    if (alpha, s) == (1, 2):  # the t-form's densities at T = u/2, and two typed ones
         densities = {k: substitute_family(d.density, "T", Fraction(1, 2) * u)
                      for k, d in _t_family(1, 2).densities.items()}
+        densities["H1g"] = 2 * densities["Ht0"]
         densities.update((k, parse(t, odd=("c",))) for k, t in (
-            ("H1g", "u*c_x"),
             ("H3", "u*c_xxx + 3/2*u^2*c_x"),
             ("H5", "2/3*u_xx*c_xxx + 5/3*u^3*c_x + u^2*c_xxx"
                    " + 1/3*u_x^2*c_x - 4/3*u*u_xxx*c"),
@@ -291,7 +290,6 @@ def _ckdv():
             "c": substitute_family(mkdv.rhs["c"], "R", ckdv_substitution()),
         },
         brst=rules,
-        densities={},
     )
 
 
@@ -365,47 +363,42 @@ def _upsilon_system():
             "c": None,
         },
         brst=upsilon_rules(),
-        densities={},
     )
 
 
-_FIXED = {
-    "harry-dym": lambda: _t_family(Fraction(1, 2), 1, name="harry-dym"),
-    "mkdv": _mkdv,
-    "ckdv": _ckdv,
-    "upsilon": _upsilon_system,
+# each system's builder and its family parameters, in the order the builder
+# takes them, with their defaults (None when required)
+_CATALOG = {
+    "kdv": (_u_family, {"alpha": 1, "s": 2}),
+    "harry-dym": (partial(_t_family, Fraction(1, 2), 1, name="harry-dym"), {}),
+    "t-form": (_t_family, {"beta": None, "s": None}),
+    "mkdv": (_mkdv, {}),
+    "ckdv": (_ckdv, {}),
+    "upsilon": (_upsilon_system, {}),
 }
+SYSTEM_NAMES = tuple(_CATALOG)
+FAMILY_PARAMETERS = tuple(sorted({k for _, row in _CATALOG.values() for k in row}))
 
 
 def build_system(name, **params):
-    """Construct a catalog system; family parameters may be Fractions, ints,
-    strings like "1/2" or "beta", or ``parameter("beta")`` for exact
-    parametric work.  kdv's alpha must be a number: its flow divides by it.
-
-    kdv accepts (alpha, s) to reach the whole u-form family (default
-    alpha=1, s=2); t-form requires (beta, s); harry-dym is t-form at
-    beta=1/2, s=1.
+    """Construct a catalog system at the family parameters its row of
+    ``_CATALOG`` names; harry-dym is t-form at beta=1/2, s=1.  Parameters may
+    be Fractions, ints, strings like "1/2" or "beta", or ``parameter("beta")``
+    for exact parametric work.  kdv's alpha must be a number: its flow divides
+    by it.  ``system.density(name)`` looks a density up by name, which is how
+    ``evolve`` reads a diagnostic given as a string.
     """
     params = {k: _coerce_param(v) for k, v in params.items()}
-
-    def only(allowed):
-        extra = set(params) - set(allowed)
-        if extra:
-            raise ValueError(f"system {name!r} does not take parameters {sorted(extra)}")
-
-    if name == "kdv":
-        only({"alpha", "s"})
-        system = _u_family(params.get("alpha", 1), params.get("s", 2))
-    elif name == "t-form":
-        only({"beta", "s"})
-        if "beta" not in params or "s" not in params:
-            raise ValueError("t-form requires beta and s")
-        system = _t_family(params["beta"], params["s"])
-    elif name in _FIXED:
-        only(set())
-        return _FIXED[name]()
-    else:
+    if name not in _CATALOG:
         raise ValueError(f"unknown system {name!r}; catalog: {', '.join(SYSTEM_NAMES)}")
+    builder, row = _CATALOG[name]
+    extra = set(params) - set(row)
+    if extra:
+        raise ValueError(f"system {name!r} does not take parameters {sorted(extra)}")
+    required = [k for k, default in row.items() if default is None]
+    if not set(required) <= set(params):
+        raise ValueError(f"{name} requires {' and '.join(required)}")
+    system = builder(*{**row, **params}.values())
     fields = system.even_fields + system.odd_fields
     for key, value in sorted(params.items()):
         for nm in sorted(value.names) if isinstance(value, ParamPoly) else ():

@@ -80,7 +80,7 @@ class SingularityError(SolverError):
 
 
 def _require_power_of_two(n):
-    if n < 4 or n & (n - 1):
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 4 or n & (n - 1):
         raise ValueError(f"grid size must be a power of two >= 4, got {n}")
 
 
@@ -156,6 +156,8 @@ class Trajectory:
         return np.array([s.t for s in self.states])
 
     def __post_init__(self):
+        if not self.states:
+            raise ValueError("a trajectory needs at least one state")
         ts = [s.t for s in self.states]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("snapshot times must be strictly increasing")
@@ -296,13 +298,8 @@ class _Plan:
                         sum(len(ix) > j + 1 for ix in index))
                        for j in range(1, max(map(len, index), default=1))]
         self.scale = np.array([every[k][1] for k in order])[:, None] * self.mask
-        # each row gathers its first term (a row with none, a zero row past
-        # the terms) and adds the rest in the order given
-        adds = [(every[k][0], order.index(k)) for k in sorted(order)]
-        head = dict(reversed(adds))
-        self.head = np.array([head.get(r, len(order)) for r in range(len(terms))], dtype=int)
-        self.pad = len(head) < len(terms)
-        self.adds = [(r, i) for r, i in adds if head[r] != i]
+        # each row adds its terms in the order given
+        self.adds = [(every[k][0], order.index(k)) for k in sorted(order)]
         self.const = [(r, c) for r, c, fs in every if not fs]
 
     def _filter(self, a):
@@ -324,9 +321,7 @@ class _Plan:
             if keep:
                 acc[:keep] = self._filter(acc[:keep])
         spec = np.fft.rfft(acc) * self.scale
-        if self.pad:
-            spec = np.concatenate((spec, np.zeros((1, self.n // 2 + 1), dtype=complex)))
-        out = spec[self.head]
+        out = np.zeros((len(self.terms), self.n // 2 + 1), dtype=complex)
         for r, i in self.adds:
             out[r] += spec[i]
         for r, c in self.const:
@@ -458,7 +453,7 @@ def step(state, system, dt):
 def evolve(state, system, t_end, dt, record_every=1, diagnostics=()):
     """Integrate to t_end, recording every record_every-th step (plus the
     initial and final states) and evaluating the given conserved densities
-    on each recorded snapshot."""
+    on each recorded snapshot; a density may be given by its catalog name."""
     return evolve_many([(state, system, t_end, record_every, diagnostics)], dt)[0]
 
 
@@ -468,14 +463,17 @@ def evolve_many(runs, dt):
     on one stacked spectral state.  A run leaves the stack at its own last
     step, so a step costs about the FFT calls of the costliest run still
     going, and each trajectory is bit for bit the run's own :func:`evolve`.
+    A diagnostic named by a string is the run's ``system.density(name)``.
     Errors name the run by its index in ``runs`` when there are several."""
+    runs = [(state, system, t_end, every,
+             [system.density(d) if isinstance(d, str) else d for d in diags])
+            for state, system, t_end, every, diags in runs]
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    runs = [(state, system, t_end, every, list(diags))
-            for state, system, t_end, every, diags in runs]
     grid = {(state.t, state.L, state.N) for state, *_ in runs}
     if len(grid) != 1:
-        raise ValueError("evolve_many needs runs that start at the same t on the same L and N")
+        raise ValueError("evolve_many needs runs that start at the same t on the same L and N"
+                         if runs else "evolve_many needs at least one run")
     [(t0, length, n)] = grid
     where = [f" of run {i} ({run[1].name})" if len(runs) > 1 else ""
              for i, run in enumerate(runs)]
@@ -491,7 +489,7 @@ def evolve_many(runs, dt):
         ends.append(int(round((t_end - t0) / dt)))
         if abs(ends[-1] * dt - (t_end - t0)) > 1e-9 * max(1.0, abs(t_end)):
             raise ValueError(f"t_end - t{of} must be an integer number of steps")
-        if not isinstance(every, (int, np.integer)) or every < 1:
+        if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
             raise ValueError(f"record_every{of} must be an int >= 1, got {every!r}")
         bad = [f for f in sorted(state.fields) if not np.isfinite(state.fields[f]).all()]
         if bad:

@@ -28,7 +28,6 @@ from .graded import (
     t_prolong,
     total_x_derivative,
 )
-from .grammar import parse
 from .reductions import (
     SLICE_A,
     SLICE_B,
@@ -201,11 +200,12 @@ def _gradient_ghost_case(system, density, even_field, ghost="c"):
 def check_gradient_ghost(density=None, system=None):
     """Variational gradients of conserved densities solve the ghost flow.
 
-    With no arguments, runs the battery: densities T and T^(beta+1) for
-    symbolic (beta, s) and for (beta, s) in {(1,2), (1/2,1)}, plus the
-    quadratic density of the u-form system.  The conservation premise is
-    itself verified (the gradient of the on-shell time derivative must
-    vanish); a failed premise fails the check with a *_premise metric.
+    With no arguments, runs the battery on the catalog's densities: the
+    t-form's H0 = T and H1 = T^(beta+1) for symbolic (beta, s) and for
+    (beta, s) in {(1,2), (1/2,1)}, plus kdv's H1 = 1/4 u^2.  The
+    conservation premise is itself verified (the gradient of the on-shell
+    time derivative must vanish); a failed premise fails the check with a
+    *_premise metric.
     """
     cases = []
     if density is not None or system is not None:
@@ -214,18 +214,13 @@ def check_gradient_ghost(density=None, system=None):
         fld = system.even_fields[0]
         cases.append(("given", system, density, fld))
     else:
-        beta, s = parameter("beta"), parameter("s")
-        tf = build_system("t-form", beta=beta, s=s)
-        cases.append(("T_symbolic", tf, GradedPoly.gen("T"), "T"))
-        cases.append(("T_power_symbolic", tf,
-                      GradedPoly.gen("T", 0, beta + 1), "T"))
-        for b, sv in ((1, 2), (Fraction(1, 2), 1)):
-            tfn = build_system("t-form", beta=b, s=sv)
-            tag = f"beta_{b}"
-            cases.append((f"T_{tag}", tfn, GradedPoly.gen("T"), "T"))
-            cases.append((f"T_power_{tag}", tfn,
-                          GradedPoly.gen("T", 0, Fraction(b) + 1), "T"))
-        cases.append(("u_quadratic", build_system("kdv"), parse("1/4*u^2"), "u"))
+        for tag, b, sv in (("symbolic", parameter("beta"), parameter("s")),
+                           ("beta_1", 1, 2), ("beta_1/2", Fraction(1, 2), 1)):
+            tf = build_system("t-form", beta=b, s=sv)
+            cases += [(f"T_{tag}", tf, tf.densities["H0"].density, "T"),
+                      (f"T_power_{tag}", tf, tf.densities["H1"].density, "T")]
+        kdv = build_system("kdv")
+        cases.append(("u_quadratic", kdv, kdv.densities["H1"].density, "u"))
     metrics = {}
     for label, sys_, dens, fld in cases:
         prem, thm = _gradient_ghost_case(sys_, dens, fld)
@@ -270,8 +265,6 @@ def check_gauge_slices(structure=None, mkdv=None):
 # ---------------------------------------------------------------------------
 # numeric checks
 
-_ODD_DENSITIES = ("Ht0", "Ht1", "H1g", "H3", "H5")
-_EVEN_DENSITIES = ("H0", "H1")
 # domain, grid, time step and end time of the numeric checks' runs
 _LENGTH = 40.0
 _N = 512
@@ -281,14 +274,17 @@ _CKDV_T_END = 0.2  # the ckdv leg of the substitution chain
 _ZERO_FLOOR = 1e-8  # conservation drift is absolute below this initial value
 
 
+def _kdv_densities(kind):
+    """The names of kdv's catalogued densities of one kind."""
+    return [nm for nm, d in sorted(build_system("kdv").densities.items()) if d.kind == kind]
+
+
 def _soliton_run(densities=()):
     """The standard kdv soliton run (k = 0.7, centred, on the checks' grid,
     recorded every 10 steps) with the given densities as diagnostics, as an
     ``evolve_many`` run to ``_T_END``."""
-    kdv = build_system("kdv")
     state = soliton_initial(0.7, _LENGTH / 2, "kdv", _LENGTH, _N)
-    dens = [kdv.density(d) if isinstance(d, str) else d for d in densities]
-    return state, kdv, _T_END, 10, dens
+    return state, build_system("kdv"), _T_END, 10, densities
 
 
 def _miura_runs():
@@ -330,12 +326,12 @@ def check_conservation(trajectory=None, densities=None, tolerance=1e-6):
     """Max relative drift of each diagnostic along a trajectory (absolute
     drift when the initial value is below 1e-8).
 
-    Default evidence: the coupled soliton+ghost run with all odd
-    functionals at tolerance 1e-6; pass tolerance=1e-8 with the classical
-    densities for the even sector.
+    Default evidence: the coupled soliton+ghost run with kdv's odd
+    (brst-invariant) densities at tolerance 1e-6; pass tolerance=1e-8 with
+    the classical ones for the even sector.
     """
     if trajectory is None:
-        densities = _ODD_DENSITIES if densities is None else densities
+        densities = _kdv_densities("brst-invariant") if densities is None else densities
         trajectory = evolve_many([_soliton_run(densities)], _DT)[0]
     if densities is None:
         names = sorted(trajectory.diagnostics)
@@ -429,12 +425,12 @@ def run_all():
     the zero-curvature check read, in lockstep with the three legs of the
     substitution chain, whose zero ghosts it leaves out: 5 stacked rows, and
     4 once the ckdv leg leaves at its shorter end time."""
-    trajectory, *legs = evolve_many(
-        [_soliton_run(_EVEN_DENSITIES + _ODD_DENSITIES), *_miura_runs()], _DT)
-    shared = {"check_conservation": (trajectory, _ODD_DENSITIES),
+    even, odd = _kdv_densities("classical"), _kdv_densities("brst-invariant")
+    trajectory, *legs = evolve_many([_soliton_run(even + odd), *_miura_runs()], _DT)
+    shared = {"check_conservation": (trajectory, odd),
               "check_miura_chain": (legs,),
               "check_zero_curvature": (trajectory,)}
     reports = [fn(*shared.get(name, ())) for name, fn in CHECKS.items()]
-    classical = check_conservation(trajectory, _EVEN_DENSITIES, tolerance=1e-8)
+    classical = check_conservation(trajectory, even, tolerance=1e-8)
     reports.append(replace(classical, check="check_conservation_classical"))
     return reports

@@ -217,6 +217,24 @@ def test_simulate_usage_errors(capsys, tmp_path):
     assert code == 2
 
 
+def test_unknown_density_prints_the_catalog_message_unquoted(capsys, tmp_path):
+    code, _, err = invoke(capsys, "simulate", "--system", "kdv", "--soliton", "k=0.7",
+                          "--diag", "H0,Hx", "--out", str(tmp_path))
+    assert code == 2
+    assert err == ("simulate: system 'kdv' has no density 'Hx'; "
+                   "available: H0, H1, H1g, H3, H5, Ht0, Ht1\n")
+
+
+def test_family_flags_are_the_catalogs_parameters():
+    from brstkdv.cli import _build_parser
+    from brstkdv.reductions import _CATALOG, FAMILY_PARAMETERS
+    keys = {k for _, row in _CATALOG.values() for k in row}
+    assert set(FAMILY_PARAMETERS) == keys == {"alpha", "beta", "s"}
+    for command in ("simulate", "conserved"):
+        args = _build_parser().parse_args([command, *(f"--{k}=v_{k}" for k in keys)])
+        assert {k: getattr(args, k) for k in keys} == {k: f"v_{k}" for k in keys}
+
+
 @pytest.mark.parametrize("source", ["argv", "config"])
 @pytest.mark.parametrize("key", ["k", "x0"])
 @pytest.mark.parametrize("value", ["x", "inf", "nan"])

@@ -34,6 +34,7 @@ from brstkdv.reductions import (
     SLICE_A,
     SLICE_B,
     SYSTEM_NAMES,
+    _CATALOG,
     ConservedDensity,
     build_system,
     catalog_manifest,
@@ -66,6 +67,18 @@ def P(text):
 
 def test_catalog_names():
     assert SYSTEM_NAMES == ("kdv", "harry-dym", "t-form", "mkdv", "ckdv", "upsilon")
+    assert SYSTEM_NAMES == tuple(_CATALOG)
+
+
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_every_catalog_row_builds_at_its_defaults(name):
+    builder, row = _CATALOG[name]
+    required = {k: 1 for k, default in row.items() if default is None}  # t-form's beta, s
+    system = build_system(name, **required)
+    assert system.name == name
+    assert system is builder(*{**row, **required}.values())
+    for key, default in row.items():
+        assert system.parameters[key] == required.get(key, default)
 
 
 def test_built_systems_are_cached_and_read_only():
@@ -315,13 +328,15 @@ def test_derived_family_matches_the_typed_formulas(name, params):
 
 
 def test_build_system_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown system 'nosuch'; catalog: kdv, harry-dym, "
+                                         r"t-form, mkdv, ckdv, upsilon$"):
         build_system("nosuch")
-    with pytest.raises(ValueError):
-        build_system("t-form", beta=1)  # s missing
-    with pytest.raises(ValueError):
+    for params in ({"beta": 1}, {"s": 1}, {}):  # s or beta missing
+        with pytest.raises(ValueError, match=r"^t-form requires beta and s$"):
+            build_system("t-form", **params)
+    with pytest.raises(ValueError, match=r"^system 'kdv' does not take parameters \['beta'\]$"):
         build_system("kdv", beta=1)  # wrong family key
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^system 'harry-dym' does not take parameters "):
         build_system("harry-dym", beta=1)
     with pytest.raises(ValueError):
         build_system("kdv", alpha=0)
@@ -491,6 +506,12 @@ def test_density_lookup_error():
     with pytest.raises(KeyError):
         kdv.density("H99")
     assert kdv.density("H3").density == P("u*c_xxx + 3/2*u^2*c_x")
+
+
+def test_kdv_h1g_is_twice_ht0():
+    kdv = build_system("kdv")
+    assert kdv.density("H1g").density == 2 * kdv.density("Ht0").density
+    assert kdv.density("H1g").density == P("u*c_x")  # the form it was typed in before
 
 
 # --- substitution chain ----------------------------------------------------------

@@ -146,6 +146,21 @@ def test_field_state_leaves_callers_dict_alone():
     assert isinstance(st.fields["u"], np.ndarray)
 
 
+@pytest.mark.parametrize("n", [64.0, True, "64", np.float64(64)])
+def test_field_state_grid_size_must_be_an_int(n):
+    with pytest.raises(ValueError, match="^grid size must be a power of two >= 4, got "):
+        FieldState(0.0, 20.0, n, {"u": np.zeros(64)})
+
+
+def test_field_state_takes_a_numpy_int_grid_size():
+    assert FieldState(0.0, 20.0, np.int64(64), {"u": np.zeros(64)}).N == 64
+
+
+def test_trajectory_needs_a_state():
+    with pytest.raises(ValueError, match="^a trajectory needs at least one state$"):
+        Trajectory([])
+
+
 def test_trajectory_times_must_increase():
     a = FieldState(0.0, 10.0, 64, {"u": np.zeros(64)})
     b = FieldState(0.0, 10.0, 64, {"u": np.zeros(64)})
@@ -378,6 +393,41 @@ def test_evolve_rejects_zero_record_stride():
     st = soliton_initial(0.5, 20.0, "kdv", 40.0, 128)
     with pytest.raises(ValueError, match="record_every"):
         evolve(st, build_system("kdv"), 0.1, 1e-3, record_every=0)
+
+
+def test_evolve_rejects_a_bool_record_stride():
+    st = soliton_initial(0.5, 20.0, "kdv", 40.0, 128)
+    with pytest.raises(ValueError, match="^record_every must be an int >= 1, got True$"):
+        evolve(st, build_system("kdv"), 0.1, 1e-3, record_every=True)
+
+
+def test_evolve_many_needs_a_run():
+    with pytest.raises(ValueError, match="^evolve_many needs at least one run$"):
+        evolve_many([], 1e-3)
+
+
+def test_diagnostics_by_name_match_the_densities_bit_for_bit():
+    kdv = build_system("kdv")
+    st = soliton_initial(0.6, 20.0, "kdv", 40.0, 128)
+    names = sorted(kdv.densities)
+    by_name = evolve(st, kdv, 0.02, 1e-3, record_every=5, diagnostics=names)
+    by_object = evolve(st, kdv, 0.02, 1e-3, record_every=5,
+                       diagnostics=[kdv.density(nm) for nm in names])
+    assert by_name.diagnostics == by_object.diagnostics
+    assert list(by_name.diagnostics) == names
+    for a, b in zip(by_name.states, by_object.states, strict=True):
+        assert a.t == b.t
+        for f in a.fields:
+            assert a.fields[f].tobytes() == b.fields[f].tobytes()
+
+
+def test_an_unknown_diagnostic_name_is_the_catalogs_key_error():
+    kdv = build_system("kdv")
+    st = soliton_initial(0.5, 20.0, "kdv", 40.0, 64)
+    with pytest.raises(KeyError) as ei:
+        evolve(st, kdv, 0.01, 1e-3, diagnostics=["H0", "Hx"])
+    assert ei.value.args == ("system 'kdv' has no density 'Hx'; "
+                             "available: H0, H1, H1g, H3, H5, Ht0, Ht1",)
 
 
 def test_systems_without_complete_evolution_laws_cannot_run():

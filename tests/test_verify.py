@@ -66,9 +66,11 @@ def test_invariance_battery_passes():
 def test_gradient_ghost_battery_passes():
     rep = check_gradient_ghost()
     assert rep.status == "pass"
-    for label in ("T_symbolic", "T_power_symbolic", "u_quadratic"):
-        assert rep.metrics[label] == 0.0
-        assert rep.metrics[label + "_premise"] == 0.0
+    labels = [f"T{p}_{tag}" for tag in ("symbolic", "beta_1", "beta_1/2")
+              for p in ("", "_power")] + ["u_quadratic"]
+    assert sorted(rep.metrics) == sorted(labels + [nm + "_premise" for nm in labels])
+    assert len(rep.metrics) == 14
+    assert set(rep.metrics.values()) == {0.0}
 
 
 def test_gauge_slices_pass_exactly():
