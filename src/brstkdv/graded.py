@@ -203,11 +203,6 @@ def s_mul(a, b):
     return int(c) if type(c) is Fraction and c.denominator == 1 else c
 
 
-def s_div(a, b):
-    """a / b for a nonzero number b; nothing divides by a parameter."""
-    return s_mul(a, Fraction(1, b))
-
-
 def s_is_zero(a):
     """Exact zero test; a ParamPoly is canonical, so never zero."""
     return a == 0

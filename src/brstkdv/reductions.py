@@ -174,11 +174,15 @@ class EvolutionSystem:
         return self.densities[name]
 
 
-def _coerce_param(v):
+def _coerce_param(key, v):
     """Numeric strings ("3", "-1/2", "1.5") become exact Fractions and
-    identifiers become parameters; any other string is rejected."""
+    identifiers become parameters; any other string, and every value that
+    is not exact (a float), is rejected."""
     try:
         return as_scalar(v)
+    except TypeError:
+        raise ValueError(f"family parameter {key} must be exact, got {v!r}; "
+                         "give an int, a Fraction or a string such as '3/2'") from None
     except (ValueError, ZeroDivisionError):
         if v.isidentifier():
             return parameter(v)
@@ -388,7 +392,6 @@ def build_system(name, **params):
     by it.  ``system.density(name)`` looks a density up by name, which is how
     ``evolve`` reads a diagnostic given as a string.
     """
-    params = {k: _coerce_param(v) for k, v in params.items()}
     if name not in _CATALOG:
         raise ValueError(f"unknown system {name!r}; catalog: {', '.join(SYSTEM_NAMES)}")
     builder, row = _CATALOG[name]
@@ -398,6 +401,7 @@ def build_system(name, **params):
     required = [k for k, default in row.items() if default is None]
     if not set(required) <= set(params):
         raise ValueError(f"{name} requires {' and '.join(required)}")
+    params = {k: _coerce_param(k, v) for k, v in params.items()}
     system = builder(*{**row, **params}.values())
     fields = system.even_fields + system.odd_fields
     for key, value in sorted(params.items()):

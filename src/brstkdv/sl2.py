@@ -41,7 +41,6 @@ __all__ = [
     "structure_constant",
     "structure_table",
     "killing_form",
-    "epsilon_lower",
     "E_WEIGHTS",
     "rescaled_table",
     "commutator_components",
@@ -87,11 +86,6 @@ def structure_constant(a, b, c):
 def killing_form(a, b):
     """eta_ab = 2 tr(T_a T_b)."""
     return _ETA[_IDX[a]][_IDX[b]]
-
-
-def epsilon_lower(a, b, c):
-    """Fully lowered f_abc = f_ab^d eta_dc (antisymmetric, f_{0+-} = 1)."""
-    return sum(_F[_IDX[a]][_IDX[b]][d] * _ETA[d][_IDX[c]] for d in range(3))
 
 
 def rescaled_table(f=None):

@@ -46,7 +46,6 @@ __all__ = [
     "FieldState",
     "Trajectory",
     "spectral_derivative",
-    "step",
     "evolve",
     "evolve_many",
     "evaluate",
@@ -150,10 +149,6 @@ class Trajectory:
     states: list
     diagnostics: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-
-    @property
-    def times(self):
-        return np.array([s.t for s in self.states])
 
     def __post_init__(self):
         if not self.states:
@@ -445,11 +440,6 @@ class _Stepper:
                     "RK4 stability bound ~2.83; reduce dt or N", stacklevel=level)
 
 
-def step(state, system, dt):
-    """Advance one RK4/integrating-factor step; convenience wrapper."""
-    return evolve(state, system, state.t + dt, dt).states[-1]
-
-
 def evolve(state, system, t_end, dt, record_every=1, diagnostics=()):
     """Integrate to t_end, recording every record_every-th step (plus the
     initial and final states) and evaluating the given conserved densities
@@ -465,9 +455,10 @@ def evolve_many(runs, dt):
     going, and each trajectory is bit for bit the run's own :func:`evolve`.
     A diagnostic named by a string is the run's ``system.density(name)``.
     Errors name the run by its index in ``runs`` when there are several."""
-    runs = [(state, system, t_end, every,
-             [system.density(d) if isinstance(d, str) else d for d in diags])
-            for state, system, t_end, every, diags in runs]
+    where = [f" of run {i} ({run[1].name})" if len(runs) > 1 else ""
+             for i, run in enumerate(runs)]
+    runs = [(state, system, t_end, every, _diagnostics(system, diags, of))
+            for (state, system, t_end, every, diags), of in zip(runs, where)]
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     grid = {(state.t, state.L, state.N) for state, *_ in runs}
@@ -475,8 +466,6 @@ def evolve_many(runs, dt):
         raise ValueError("evolve_many needs runs that start at the same t on the same L and N"
                          if runs else "evolve_many needs at least one run")
     [(t0, length, n)] = grid
-    where = [f" of run {i} ({run[1].name})" if len(runs) > 1 else ""
-             for i, run in enumerate(runs)]
     ends, names, evaluators = [], [], []
     for (state, system, t_end, every, diagnostics), of in zip(runs, where):
         missing = [f for f in system.evolving_fields() if f not in state.fields]
@@ -537,6 +526,14 @@ def evolve_many(runs, dt):
     ) for (_, system, t_end, every, _), snaps, nms, ev in zip(runs, states, names, evaluators)]
 
 
+def _diagnostics(system, diags, of):
+    """``diags`` with each name replaced by the system's density of that name."""
+    if isinstance(diags, str):
+        raise ValueError(f"diagnostics{of} is a sequence of names or densities, "
+                         f"not the string {diags!r}")
+    return [system.density(d) if isinstance(d, str) else d for d in diags]
+
+
 def _quadrature(values, states):
     """Mean * L of each row of an :func:`evaluator` on ``states``, one list
     per row, ``_BLOCK`` stacked states at a time."""
@@ -560,8 +557,12 @@ def evaluator(polys):
     read = [t for terms in compiled for t in terms]
 
     def rows(fields, length):
+        shapes = {s: np.shape(f) for s, f in sorted(fields.items())}
+        if len(set(shapes.values())) > 1:
+            raise ValueError("fields of unequal shape: " + ", ".join(
+                f"{s!r} {shape}" for s, shape in shapes.items()))
         grids = _grids(read, fields, length)
-        out = np.zeros((len(compiled),) + np.shape(next(iter(fields.values()))))
+        out = np.zeros((len(compiled),) + next(iter(shapes.values())))
         for terms, row in zip(compiled, out):
             _pointwise(terms, grids, row)
         return out
@@ -591,15 +592,24 @@ def soliton_initial(k, x0, system, length=40.0, n=512, ghost="gradient"):
     R_t = R_xxx - 6 R^2 R_x the same ansatz forces A^2 = -k^2, so no real
     sech traveling wave exists for this sign of the cubic term.
 
+    The soliton sits on the periodic domain: x - x0 is taken to its minimal
+    image in [-L/2, L/2], so x0 and x0 + L give the same data and a soliton
+    near an end is not cut.  Where cosh overflows, far in a tail, the
+    profile is 0 without a warning.
+
     ghost: as for :func:`initial_state`.
     """
     name = system if isinstance(system, str) else system.name
     if name not in ("kdv", "mkdv"):
         raise ValueError(f"soliton data is defined for kdv/mkdv, not {name!r}")
-    z = length * np.arange(n) / n - x0
-    if name == "kdv":
-        return initial_state("u", 4.0 * k * k / np.cosh(k * z) ** 2, length, ghost)
-    return initial_state("R", k / np.cosh(k * z), length, ghost)
+    sym, amplitude, power = ("u", 4.0 * k * k, 2) if name == "kdv" else ("R", k, 1)
+    if not np.isfinite(amplitude):
+        raise ValueError(f"soliton amplitude {amplitude!r} at k = {k!r} is not finite")
+    d = length * np.arange(n) / n - x0
+    z = d - length * np.round(d / length)
+    with np.errstate(over="ignore"):
+        profile = amplitude / np.cosh(k * z) ** power
+    return initial_state(sym, profile, length, ghost)
 
 
 def initial_state(sym, f, length, ghost="gradient"):

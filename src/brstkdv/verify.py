@@ -9,7 +9,6 @@ corrupted structure constants or equation coefficients.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -85,14 +84,6 @@ class CheckReport:
             "tolerance": float(self.tolerance),
             "claim": self.claim,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(check=d["check"], metrics=dict(d["metrics"]),
-                   tolerance=d["tolerance"], claim=d["claim"])
 
 
 def _report(check, metrics, tolerance, claim):

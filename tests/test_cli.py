@@ -254,6 +254,26 @@ def test_soliton_values_must_be_finite_numbers(capsys, tmp_path, source, key, va
     assert not (tmp_path / "out").exists()
 
 
+def test_soliton_amplitude_that_overflows_is_one_usage_line(capsys, tmp_path):
+    # 4k^2 = inf used to print four numpy warning lines before the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = invoke(capsys, "simulate", "--system", "kdv", "--soliton", "k=1e200",
+                                   "--out", str(tmp_path / "out"))
+    assert code == 2 and stdout == ""
+    assert err == "simulate: soliton amplitude inf at k = 1e+200 is not finite\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_narrow_soliton_simulates_without_warnings(capsys, tmp_path):
+    # sech^2 overflows in the far tails of k = 20; under -W error that was a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = invoke(capsys, "simulate", "--system", "kdv", "--soliton", "k=20",
+                              "--t-end", "0.001", "--out", str(tmp_path))
+    assert code == 0 and err == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--system", "kdv", "--soliton", "k=0.7", "--L", "0"],
     ["simulate", "--system", "kdv", "--soliton", "k=0.7", "--L", "-5",

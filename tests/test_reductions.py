@@ -8,6 +8,7 @@ criterion is symbolic and independent of any time integration.
 """
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,6 @@ from brstkdv.graded import (
     parameter,
     reduce_on_shell,
     s_add,
-    s_div,
     s_mul,
     substitute_family,
     t_prolong,
@@ -54,8 +54,8 @@ from brstkdv.solver import (
     FieldState,
     SingularityError,
     evaluator,
+    evolve,
     spectral_derivative,
-    step,
 )
 
 
@@ -257,7 +257,7 @@ def test_slice_statement_is_cached_and_checked():
 def _t_family_oracle(beta, s):
     odd = frozenset({"c"})
     Tb = GradedPoly.gen("T", 0, beta, odd_syms=odd)
-    half_s = s_div(s, 2)
+    half_s = s_mul(s, Fraction(1, 2))
     big = s_mul(s, s_add(s_mul(2, beta), 1))  # (2 beta + 1) s
     d3 = total_x_derivative(total_x_derivative(total_x_derivative(Tb)))
     Tbm1 = GradedPoly.gen("T", 0, s_add(beta, -1), odd_syms=odd)
@@ -273,9 +273,9 @@ def _u_family_oracle(alpha, s):
     odd = frozenset({"c"})
     u, ux, u3 = (GradedPoly.gen("u", k) for k in (0, 1, 3))
     c, cx, c3 = (GradedPoly.gen("c", k, odd_syms=odd) for k in (0, 1, 3))
-    adv = s_div(s_add(alpha, 2), alpha)
-    disp = s_div(s, s_mul(2, alpha))
-    two_over = s_div(2, alpha)
+    adv = s_mul(s_add(alpha, 2), Fraction(1, alpha))
+    disp = s_mul(s, Fraction(1, s_mul(2, alpha)))
+    two_over = s_mul(2, Fraction(1, alpha))
     upow = GradedPoly.gen("u", 0, s_add(1, -alpha), odd_syms=odd)
     rhs = {
         "u": adv * (u * ux) + disp * (upow * u3),
@@ -345,6 +345,24 @@ def test_build_system_validation():
         build_system("kdv", alpha=parameter("a"))
     with pytest.raises(ValueError, match="alpha"):
         build_system("kdv", alpha="a")
+
+
+def test_build_system_checks_the_catalog_row_before_the_parameters():
+    # the unknown system is named, not its unreadable parameter
+    with pytest.raises(ValueError, match=r"^unknown system 'nosuch'; catalog: "):
+        build_system("nosuch", alpha="??")
+    with pytest.raises(ValueError, match=r"^system 'kdv' does not take parameters \['beta'\]$"):
+        build_system("kdv", beta=0.5)
+    with pytest.raises(ValueError, match=r"^family parameter '\?\?' is neither a number nor a name$"):
+        build_system("kdv", alpha="??")
+
+
+@pytest.mark.parametrize("value", [1.5, True, None, [1]])
+def test_build_system_rejects_a_parameter_that_is_not_exact(value):
+    # a float used to escape as TypeError: not an exact scalar: 1.5
+    got = re.escape(repr(value))
+    with pytest.raises(ValueError, match=rf"^family parameter alpha must be exact, got {got}; "):
+        build_system("kdv", alpha=value)
 
 
 def test_parameters_from_strings_and_symbols():
@@ -560,7 +578,7 @@ def test_constant_data_is_stationary_for_corrected_flow_only():
     const = 0.7 * np.ones(n)
     state = FieldState(0.0, 20.0, n, {"w": const, "c": np.zeros(n)})
     ck = build_system("ckdv")
-    out = step(state, ck, 1e-3)
+    out = evolve(state, ck, 1e-3, 1e-3).states[-1]
     assert np.max(np.abs(out.fields["w"] - const)) < 1e-13
 
     import dataclasses
@@ -568,7 +586,7 @@ def test_constant_data_is_stationary_for_corrected_flow_only():
         "w": parse("w_xxx - 1/2*w^3 - 3/2*w^-1*w_x^2"),
         "c": ck.rhs["c"],
     })
-    moved = step(state, wrong, 1e-3)
+    moved = evolve(state, wrong, 1e-3, 1e-3).states[-1]
     drift = np.max(np.abs(moved.fields["w"] - const))
     assert drift > 1e-5  # ~ dt * w^3/2
 

@@ -29,7 +29,6 @@ from brstkdv.sl2 import (
     commutator_components,
     constraint_polynomials,
     curvature_residual,
-    epsilon_lower,
     killing_form,
     rescaled_table,
     structure_constant,
@@ -123,14 +122,15 @@ def test_killing_form_from_traces():
 
 
 def test_lowered_constants_are_totally_antisymmetric():
-    assert epsilon_lower("0", "+", "-") == 1
-    for a, b, c in itertools.product(BASIS, repeat=3):
-        assert epsilon_lower(a, b, c) == -epsilon_lower(b, a, c)
-        assert epsilon_lower(a, b, c) == -epsilon_lower(a, c, b)
+    # f_abc = f_ab^d eta_dc
+    f = {(a, b, c): sum(structure_constant(a, b, d) * killing_form(d, c) for d in BASIS)
+         for a, b, c in itertools.product(BASIS, repeat=3)}
+    assert f["0", "+", "-"] == 1
+    for a, b, c in f:
+        assert f[a, b, c] == -f[b, a, c]
+        assert f[a, b, c] == -f[a, c, b]
     # and it is the alternating symbol on distinct labels
-    labels = list(itertools.permutations(BASIS))
-    vals = {p: epsilon_lower(*p) for p in labels}
-    assert set(vals.values()) == {1, -1}
+    assert {f[p] for p in itertools.permutations(BASIS)} == {1, -1}
 
 
 @given(st.lists(st.integers(-3, 3), min_size=6, max_size=6))

@@ -3,6 +3,7 @@ guards, and trajectory export."""
 
 import dataclasses
 import json
+import re
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -29,7 +30,6 @@ from brstkdv.solver import (
     evolve_many,
     soliton_initial,
     spectral_derivative,
-    step,
 )
 
 
@@ -277,7 +277,7 @@ def test_functional_rejects_markers_and_ghost_squares():
 def test_zero_state_is_fixed_point():
     n = 64
     st = FieldState(0.0, 20.0, n, {"u": np.zeros(n), "c": np.zeros(n)})
-    out = step(st, build_system("kdv"), 1e-2)
+    out = evolve(st, build_system("kdv"), 1e-2, 1e-2).states[-1]
     assert np.allclose(out.fields["u"], 0.0) and np.allclose(out.fields["c"], 0.0)
     assert out.t == pytest.approx(1e-2)
 
@@ -286,7 +286,7 @@ def test_constant_state_is_fixed_point_of_quadratic_flow():
     n = 64
     tf = build_system("t-form", beta=1, s=2)
     st = FieldState(0.0, 20.0, n, {"T": 1.3 * np.ones(n), "c": np.zeros(n)})
-    out = step(st, tf, 1e-2)
+    out = evolve(st, tf, 1e-2, 1e-2).states[-1]
     assert np.max(np.abs(out.fields["T"] - 1.3)) < 1e-14
 
 
@@ -306,7 +306,7 @@ def test_record_every_semantics():
     kdv = build_system("kdv")
     st = soliton_initial(0.5, 20.0, "kdv", 40.0, 128, ghost="none")
     traj = evolve(st, kdv, 0.1, 0.01, record_every=3)
-    assert np.allclose(traj.times, [0.0, 0.03, 0.06, 0.09, 0.1])
+    assert np.allclose([s.t for s in traj.states], [0.0, 0.03, 0.06, 0.09, 0.1])
     assert traj.meta["system"] == "kdv"
     assert traj.meta["record_every"] == 3
 
@@ -378,8 +378,6 @@ def test_evolve_rejects_zero_dt():
     st = soliton_initial(0.5, 20.0, "kdv", 40.0, 128)
     with pytest.raises(ValueError, match="dt"):
         evolve(st, build_system("kdv"), 0.1, 0.0)
-    with pytest.raises(ValueError, match="dt"):
-        step(st, build_system("kdv"), 0.0)
 
 
 @pytest.mark.parametrize("t_end", [float("inf"), float("nan"), float("-inf")])
@@ -436,7 +434,7 @@ def test_systems_without_complete_evolution_laws_cannot_run():
     st = FieldState(0.0, 20.0, n,
                     {"u": np.zeros(n), "T": np.zeros(n), "c": np.zeros(n)})
     with pytest.raises(ValueError):
-        step(st, ups, 1e-3)
+        evolve(st, ups, 1e-3, 1e-3)
 
 
 def test_blow_up_detection():
@@ -567,7 +565,7 @@ def test_positivity_guard_fires():
     T = 1.0 + 1.5 * np.cos(2 * np.pi * x / 20.0)  # dips below zero
     st = FieldState(0.0, 20.0, n, {"T": T, "c": np.zeros(n)})
     with pytest.raises(SingularityError):
-        step(st, hd, 1e-4)
+        evolve(st, hd, 1e-4, 1e-4)
 
 
 def test_guards_run_on_every_rk_stage():
@@ -592,7 +590,7 @@ def test_nonvanishing_guard_fires():
     w = np.cos(2 * np.pi * x / 20.0)  # crosses zero
     st = FieldState(0.0, 20.0, n, {"w": w, "c": np.zeros(n)})
     with pytest.raises(SingularityError):
-        step(st, ck, 1e-4)
+        evolve(st, ck, 1e-4, 1e-4)
 
 
 def test_cfl_advisory_for_variable_dispersion():
@@ -712,7 +710,7 @@ def test_evolve_records_to_t_end_or_raises_a_library_error(name, n, a, b, c, dt,
             traj = evolve(state, system, t_end, dt, record_every=3)
         except (solver.SolverError, ValueError):
             return
-    times = traj.times
+    times = [s.t for s in traj.states]
     assert all(t1 > t0 for t0, t1 in zip(times, times[1:]))
     assert times[-1] == t_end
 
@@ -1081,3 +1079,62 @@ def test_kdv_soliton_translates_at_its_speed():
     z = np.mod(x - 20.0 + 4 * k * k * t_end + 20.0, 40.0) - 20.0
     want = 4 * k * k / np.cosh(k * z) ** 2
     assert np.max(np.abs(traj.states[-1].fields["u"] - want)) < 1e-7
+
+
+@pytest.mark.parametrize("system", ["kdv", "mkdv"])
+def test_soliton_centre_is_taken_modulo_the_period(system):
+    # x0 = 60 on L = 40 left only the tail (max u 4.9e-12)
+    a = soliton_initial(0.7, 20.0, system, 40.0, 256)
+    for x0 in (60.0, -20.0):
+        b = soliton_initial(0.7, x0, system, 40.0, 256)
+        assert all(np.array_equal(a.fields[f], b.fields[f]) for f in a.fields)
+
+
+def test_soliton_near_the_end_of_the_domain_is_not_cut():
+    # cut at x = L, the profile jumped and its spectral gradient ghost peaked
+    # at 17.4 instead of the centred 1.06
+    k, length, n = 0.7, 40.0, 512
+    edge = soliton_initial(k, length - 0.1, "kdv", length, n)
+    inner = soliton_initial(k, length / 2 - 0.1, "kdv", length, n)
+    assert edge.fields["u"].max() == pytest.approx(4 * k * k, rel=1e-3)
+    for f in ("u", "c"):
+        assert np.max(np.abs(edge.fields[f] - np.roll(inner.fields[f], n // 2))) < 1e-12
+    assert np.abs(edge.fields["c"]).max() == pytest.approx(1.0558, abs=1e-3)
+
+
+def test_narrow_soliton_does_not_warn():
+    # sech^2 overflows in the far tails of k = 20, where the profile is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st = soliton_initial(20.0, 20.0, "kdv", 40.0, 512)
+    assert st.fields["u"].max() == 1600.0
+    assert st.fields["u"].min() == 0.0 and np.isfinite(st.fields["c"]).all()
+
+
+@pytest.mark.parametrize("k, system", [(1e200, "kdv"), (float("inf"), "kdv"),
+                                       (float("nan"), "mkdv"), (-float("inf"), "mkdv")])
+def test_soliton_amplitude_must_be_finite(k, system):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^soliton amplitude .* at k = {re.escape(repr(k))} is not finite$"):
+            soliton_initial(k, 20.0, system, 40.0, 64)
+
+
+def test_evolve_rejects_a_string_of_diagnostics():
+    # iterated by character, "H0" asked for a density "H"
+    st = soliton_initial(0.5, 20.0, "kdv", 40.0, 64)
+    with pytest.raises(ValueError, match="^diagnostics is a sequence of names or densities, "
+                                         "not the string 'H0'$"):
+        evolve(st, build_system("kdv"), 0.01, 1e-3, diagnostics="H0")
+    runs = [(st, build_system("kdv"), 0.01, 1, ["H0"]), (st, build_system("kdv"), 0.01, 1, "H0")]
+    with pytest.raises(ValueError, match="^diagnostics of run 1 \\(kdv\\) is a sequence"):
+        evolve_many(runs, 1e-3)
+
+
+def test_evaluator_rejects_fields_of_unequal_shape():
+    # a (1,) grid used to broadcast against the (8,) one
+    fields = {"u": np.arange(8.0), "w": np.array([2.0])}
+    with pytest.raises(ValueError, match=r"^fields of unequal shape: 'u' \(8,\), 'w' \(1,\)$"):
+        evaluate(parse("u*w"), fields, 1.0)
+    with pytest.raises(ValueError, match="unequal shape"):
+        evaluator([parse("u")])({"u": np.zeros((2, 8)), "c": np.zeros(8)}, 1.0)
