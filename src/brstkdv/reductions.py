@@ -34,19 +34,19 @@ Slice B is A1 = (2R, 1, 0), A0 = (u_x + 2uR, u, 0) at the Miura map
 u = 2(R_x - R^2), with C = (c_x + 2Rc, c, cm) for a covariantly constant
 second ghost cm.  Its laws come the same way: the mkdv flow from F^0,
 delta R from (delta A1)^0, cm's x rule from (delta A1)^- = 0 and the
-ghost flow from the u law.  Composing with R = v + w, w_x - 2vw - w^2 = 0
-yields the CKdV equation in w; its ghost flow is mkdv's at R = v(w).
+ghost flow from the u law.
 
-Note on the CKdV right-hand side: eliminating v = (w_x - w^2)/(2w) from
-the mKdV flow gives
+CKdV is mkdv pulled back by R = v(w) = 1/2 w^-1 w_x - 1/2 w, the solution
+of w_x - 2 v w - w^2 = 0, with cm = -cw.  Its w is a weight-one density:
+at the Miura gauge u(w) it flows by the total derivative
 
-    w_t = w_xxx - 1/2 d/dx (w^3 + 3 w_x^2 / w)
-        = w_xxx - 3/2 w^2 w_x - 3 w_x w_xx / w + 3/2 w_x^3 / w^2,
+    w_t = (w u)_x = w_xxx - 1/2 d/dx (w^3 + 3 w_x^2 / w),
 
-i.e. the cubic terms enter under an overall x-derivative.  (Dropping that
-derivative would make constant data non-stationary and break the map back
-to mKdV; the identity 2 v_t = 2(v_xxx - 6 v^2 v_x) under this flow is an
-exact polynomial consequence, which the test suite checks.)
+so constant data is stationary and 2 v_t = 2(v_xxx - 6 v^2 v_x) holds
+exactly, which the test suite checks.  Its symmetry is delta w = (w c)_x +
+cw, and cw's x rule is cm's pulled back, cw_x = 2 v cw = w^-1 w_x cw - w cw.
+With it delta v(w) is delta R at (v(w), -cw), and cw cancels from the ghost
+flow, solved from the u law as for mkdv.
 """
 
 from __future__ import annotations
@@ -155,7 +155,8 @@ class EvolutionSystem:
     def symbolic_invariance(self):
         """Whether the symmetry closes on the catalogued rules alone: each
         generator of a rule image (a marker counting as its field) has a rule
-        and each field a flow.  Not so for mkdv/ckdv (cm, cw) or upsilon (u)."""
+        and each field a flow.  Not so for mkdv/ckdv, whose cm and cw have
+        only x rules, or upsilon (u)."""
         images = [*self.brst.base.values(), *self.brst.xrules.values()]
         named = {base_symbol(sym) for img in images for sym in img.symbols()}
         return named <= set(self.brst.base) and all(
@@ -278,23 +279,18 @@ def _mkdv():
 
 @cache
 def _ckdv():
-    mkdv = _mkdv()
-    rules = DerivationRuleSet("ckdv-brst", parity=1, base={
-        "w": parse("w_x*c + w*c_x + cw", odd=("c", "cw")),
-        "c": mkdv.brst.base["c"],
-    })
-    return EvolutionSystem(
-        name="ckdv",
-        parameters={},
-        even_fields=("w",),
-        odd_fields=("c",),
-        rhs={
-            # w_xxx - 1/2 d/dx (w^3 + 3 w_x^2 w^-1), expanded
-            "w": parse("w_xxx - 3/2*w^2*w_x - 3*w^-1*w_x*w_xx + 3/2*w^-2*w_x^3"),
-            "c": substitute_family(mkdv.rhs["c"], "R", ckdv_substitution()),
-        },
-        brst=rules,
-    )
+    """mkdv pulled back by R = v(w), cm = -cw: the weight-one density w flows
+    by (w u)_x at the gauge function u(w), and delta w = (w c)_x + cw."""
+    mkdv, odd = _mkdv(), frozenset({"c", "cw"})
+    w, c, cw = (GradedPoly.gen(s, odd_syms=odd) for s in ("w", "c", "cw"))
+    v = ckdv_substitution()
+    u = substitute_family(miura_substitution(), "R", v)
+    cm_x = substitute_family(mkdv.brst.xrules["cm"], "R", v)
+    rules = DerivationRuleSet("ckdv-brst", parity=1,
+                              base={"w": total_x_derivative(w * c) + cw, "c": mkdv.brst.base["c"]},
+                              xrules={"cw": -substitute_family(cm_x, "cm", -cw)})
+    return _gauged("ckdv", {}, "w", total_x_derivative(w * u), rules,
+                   upsilon_rules().base["u"], u, {})
 
 
 # ---------------------------------------------------------------------------
@@ -475,15 +471,10 @@ def ckdv_to_mkdv(w, length):
 # ---------------------------------------------------------------------------
 # zero curvature and reconstruction
 
-def _check_same_shape(named):
-    shapes = {k: np.shape(v) for k, v in named.items()}
-    if len(set(shapes.values())) != 1:
-        raise ValueError(f"grid size mismatch: {shapes}")
-
-
 def zero_curvature_components(P, Q, R, S, T, u, R_t, S_t, T_t, length):
     """The three component residuals of the flat-connection condition in
-    the (P,Q,R,S,T,u) variables, with spectral x-derivatives:
+    the (P,Q,R,S,T,u) variables: the E-basis curvature (F^0/2, F^+, -F^-)
+    of A1 = (2R, S, -T), A0 = (2P, u, Q) with spectral x-derivatives,
 
         R_t - P_x - u T - Q S
         S_t - u_x + 2 P S - 2 u R
@@ -491,13 +482,14 @@ def zero_curvature_components(P, Q, R, S, T, u, R_t, S_t, T_t, length):
     """
     grids = dict(P=P, Q=Q, R=R, S=S, T=T, u=u, R_t=R_t, S_t=S_t, T_t=T_t)
     grids = {k: np.asarray(v, dtype=float) for k, v in grids.items()}
-    _check_same_shape(grids)
-    P, Q, R, S, T, u = (grids[k] for k in "PQRSTu")
-    R_t, S_t, T_t = grids["R_t"], grids["S_t"], grids["T_t"]
-    r1 = R_t - spectral_derivative(P, 1, length) - u * T - Q * S
-    r2 = S_t - spectral_derivative(u, 1, length) + 2 * P * S - 2 * u * R
-    r3 = T_t + spectral_derivative(Q, 1, length) - 2 * P * T - 2 * Q * R
-    return r1, r2, r3
+    shapes = {k: np.shape(v) for k, v in grids.items()}
+    if len(set(shapes.values())) != 1:
+        raise ValueError(f"grid size mismatch: {shapes}")
+    P, Q, R, S, T, u, R_t, S_t, T_t = grids.values()
+    a0 = (2 * P, u, Q)
+    f = curvature_residual((2 * R_t, S_t, -T_t), [spectral_derivative(a, 1, length) for a in a0],
+                           a0, (2 * R, S, -T), f=rescaled_table())
+    return f[0] / 2, f[1], -f[2]
 
 
 def reconstruct_connection(state, gauge_slice):

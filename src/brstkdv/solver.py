@@ -531,7 +531,10 @@ def _diagnostics(system, diags, of):
     if isinstance(diags, str):
         raise ValueError(f"diagnostics{of} is a sequence of names or densities, "
                          f"not the string {diags!r}")
-    return [system.density(d) if isinstance(d, str) else d for d in diags]
+    try:
+        return [system.density(d) if isinstance(d, str) else d for d in diags]
+    except KeyError as e:
+        raise KeyError(f"diagnostics{of}: {e.args[0]}" if of else e.args[0]) from None
 
 
 def _quadrature(values, states):

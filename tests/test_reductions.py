@@ -165,7 +165,7 @@ def test_ckdv_equations():
     ("t-form", {"beta": "beta", "s": "s"}, True),
     ("harry-dym", {}, True),
     ("mkdv", {}, False),  # cm has only an x rule
-    ("ckdv", {}, False),  # cw has no rule
+    ("ckdv", {}, False),  # cw has only an x rule
     ("upsilon", {}, False),  # u and c have no flow
 ])
 def test_symbolic_invariance_is_derived(name, params, closed):
@@ -555,6 +555,32 @@ def test_composed_ghost_identity():
     assert got == ck.rhs["c"]
 
 
+def test_ckdv_symmetry_is_mkdvs_pulled_back():
+    # at R = v(w) and cm = -cw, delta v(w) is delta R; cw's x rule is cm's
+    # pulled back, and cm = 1/2 (cw/w)_x - 1/2 cw reduces to -cw
+    mk, ck = build_system("mkdv"), build_system("ckdv")
+    v_of_w = ckdv_substitution()
+    cw = GradedPoly.gen("cw", odd_syms=frozenset({"c", "cw"}))
+    at_w = substitute_family(mk.brst.base["R"], "R", v_of_w)
+    assert apply_derivation(v_of_w, ck.brst) - substitute_family(at_w, "cm", -cw) == 0
+    assert ck.brst.xrules["cw"] == parse("w^-1*w_x*cw - w*cw", odd=("c", "cw"))
+    w_inv = GradedPoly.gen("w", 0, -1, odd_syms=cw.odd_syms)
+    half = Fraction(1, 2)
+    assert half * total_x_derivative(cw * w_inv, ck.brst) - half * cw == -cw
+
+
+def test_ckdv_symmetry_fails_on_the_other_branch():
+    # cw_x = (w^-1 w_x + w) cw, the other sign of the w cw term, leaves one term
+    mk, ck = build_system("mkdv"), build_system("ckdv")
+    v_of_w = ckdv_substitution()
+    cw = GradedPoly.gen("cw", odd_syms=frozenset({"c", "cw"}))
+    wrong = ck.brst.xrules["cw"] + 2 * (GradedPoly.gen("w", odd_syms=cw.odd_syms) * cw)
+    rules = dataclasses.replace(ck.brst, xrules={"cw": wrong})
+    at_w = substitute_family(substitute_family(mk.brst.base["R"], "R", v_of_w), "cm", -cw)
+    residual = apply_derivation(v_of_w, rules) - at_w
+    assert len(residual) == 1
+
+
 def test_composed_even_sector_identity():
     mk, ck = build_system("mkdv"), build_system("ckdv")
     v_of_w = ckdv_substitution()
@@ -697,8 +723,32 @@ def test_slice_equations_embed_in_zero_curvature():
 
 def test_zero_curvature_shape_mismatch():
     z4, z8 = np.zeros(4), np.zeros(8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^grid size mismatch: "):
         zero_curvature_components(z4, z4, z4, z4, z8, z4, z4, z4, z4, 1.0)
+
+
+# The three residuals as numpy code, as they were typed in before they were
+# read off the bracket-built curvature: the oracle.
+
+def _zero_curvature_oracle(P, Q, R, S, T, u, R_t, S_t, T_t, length):
+    r1 = R_t - spectral_derivative(P, 1, length) - u * T - Q * S
+    r2 = S_t - spectral_derivative(u, 1, length) + 2 * P * S - 2 * u * R
+    r3 = T_t + spectral_derivative(Q, 1, length) - 2 * P * T - 2 * Q * R
+    return r1, r2, r3
+
+
+@pytest.mark.parametrize("seed", [10, 20, 30])
+def test_zero_curvature_matches_the_typed_residuals(seed):
+    # every one of the nine grids is smooth and nonzero, R, S, R_t and S_t too
+    length, n = 20.0, 256
+    x = length * np.arange(n) / n
+    grids = [_smooth(x, length, seed + k) for k in range(9)]
+    assert min(np.max(np.abs(g)) for g in grids) > 0.1
+    got = zero_curvature_components(*grids, length)
+    want = _zero_curvature_oracle(*grids, length)
+    for g, r in zip(got, want, strict=True):
+        assert g.shape == (n,)
+        assert np.max(np.abs(g - r)) <= 1e-12 * max(1.0, np.max(np.abs(r)))
 
 
 def test_reconstruction_matches_commutator_curvature():

@@ -426,6 +426,11 @@ def test_an_unknown_diagnostic_name_is_the_catalogs_key_error():
         evolve(st, kdv, 0.01, 1e-3, diagnostics=["H0", "Hx"])
     assert ei.value.args == ("system 'kdv' has no density 'Hx'; "
                              "available: H0, H1, H1g, H3, H5, Ht0, Ht1",)
+    # with several runs, the message names the run
+    with pytest.raises(KeyError) as ei:
+        evolve_many([(st, kdv, 0.01, 1, ["H0"]), (st, kdv, 0.01, 1, ["Hx"])], 1e-3)
+    assert ei.value.args == ("diagnostics of run 1 (kdv): system 'kdv' has no density 'Hx'; "
+                             "available: H0, H1, H1g, H3, H5, Ht0, Ht1",)
 
 
 def test_systems_without_complete_evolution_laws_cannot_run():
