@@ -43,7 +43,7 @@ print("odd gradient of", g, "   ->", odd_gradient(g, "c"))
 
 # A derivation is defined by its action on generators.  This one is odd
 # and nilpotent; apply_derivation extends it by the graded Leibniz rule.
-rules = DerivationRuleSet("demo", 1, {
+rules = DerivationRuleSet("demo", {
     "u": parse("u_x*c + 2*u*c_x + c_xxx", odd=("c",)),
     "c": parse("c*c_x", odd=("c",)),
 })

@@ -203,11 +203,6 @@ def s_mul(a, b):
     return int(c) if type(c) is Fraction and c.denominator == 1 else c
 
 
-def s_is_zero(a):
-    """Exact zero test; a ParamPoly is canonical, so never zero."""
-    return a == 0
-
-
 # ---------------------------------------------------------------------------
 # generators
 
@@ -277,7 +272,7 @@ def _merge_even(ev1, ev2):
     for g, e in ev2:
         if g in ev:
             e = s_add(ev[g], e)
-            if s_is_zero(e):
+            if e == 0:
                 del ev[g]
                 continue
         ev[g] = e
@@ -288,7 +283,7 @@ def _acc(acc, key, c):
     """acc[key] += c for a nonzero c, deleting the key when it cancels."""
     if key in acc:
         c = s_add(acc[key], c)
-        if s_is_zero(c):
+        if c == 0:
             del acc[key]
             return
     acc[key] = c
@@ -332,7 +327,7 @@ def _lowered(even, idx, coeff):
     """``even`` up to its idx-th factor g^e, with g^(e-1) there, and coeff*e."""
     g, e = even[idx]
     e1 = s_add(e, -1)
-    return even[:idx] + (() if s_is_zero(e1) else ((g, e1),)), coeff if e == 1 else s_mul(coeff, e)
+    return even[:idx] + (() if e1 == 0 else ((g, e1),)), coeff if e == 1 else s_mul(coeff, e)
 
 
 def _check_exponent(gen, e):
@@ -360,7 +355,7 @@ class GradedPoly:
     def __init__(self, terms=None, odd_syms=frozenset()):
         self.odd_syms, self._jets = frozenset(odd_syms), ()
         coeffs = ((key, as_scalar(c)) for key, c in (terms or {}).items())
-        self._terms = {key: c for key, c in coeffs if not s_is_zero(c)}
+        self._terms = {key: c for key, c in coeffs if c != 0}
 
     @classmethod
     def _of(cls, terms, odd_syms):
@@ -392,42 +387,10 @@ class GradedPoly:
                     return cls.zero(odd_syms)
                 raise ValueError(f"odd generator {_gen_str(g)} with exponent {exp}")
             return cls({((), (g,)): 1}, odd_syms)
-        if s_is_zero(exp):
+        if exp == 0:
             return cls.number(1, odd_syms)
         _check_exponent(g, exp)
         return cls({(((g, exp),), ()): 1}, odd_syms)
-
-    @classmethod
-    def from_terms(cls, triples, odd_syms=frozenset()):
-        """Build from (coeff, even_factors, odd_factor_sequence) triples.
-
-        Odd sequences may be unsorted; the permutation sign is absorbed and
-        repeated odd generators annihilate the term.
-        """
-        odd_syms = frozenset(odd_syms)
-        acc = {}
-        for coeff, even, odd in triples:
-            coeff = as_scalar(coeff)
-            ev = {}
-            for g, e in even:
-                g = _jet(g[0], g[1])
-                if _sym_is_odd(g[0], odd_syms):
-                    raise ValueError(f"odd symbol {g[0]} used as an even factor")
-                e = as_scalar(e)
-                if g in ev:
-                    e = s_add(ev[g], e)
-                ev[g] = e
-            ev = tuple(sorted((g, e) for g, e in ev.items() if not s_is_zero(e)))
-            for g, e in ev:
-                _check_exponent(g, e)
-            od, sign = _sort_odd(tuple(_jet(g[0], g[1]) for g in odd))
-            if od is None:
-                continue
-            for g in od:
-                if not _sym_is_odd(g[0], odd_syms):
-                    raise ValueError(f"even symbol {g[0]} used as an odd factor")
-            _acc(acc, (ev, od), coeff if sign > 0 else -coeff)
-        return cls(acc, odd_syms)
 
     # -- inspection ----------------------------------------------------------
 
@@ -501,7 +464,7 @@ class GradedPoly:
 
     def _scale(self, q):
         q = as_scalar(q)
-        if s_is_zero(q):
+        if q == 0:
             return GradedPoly.zero(self.odd_syms)
         # no zero divisors: the product of nonzero scalars is nonzero
         return GradedPoly._of({k: s_mul(c, q) for k, c in self._terms.items()}, self.odd_syms)
@@ -603,48 +566,25 @@ def to_string(p):
 
 @dataclass(frozen=True)
 class DerivationRuleSet:
-    """A derivation given by its action on zeroth-derivative generators.
+    """An odd derivation given by its action on zeroth-derivative generators;
+    it picks up a sign each time it passes an odd factor.
 
-    ``parity`` is 0 for an even derivation and 1 for an odd one (an odd
-    derivation picks up a sign each time it passes an odd factor).  The
-    derivation commutes with d/dx; images of derivative generators are
-    obtained by prolongation.  ``xrules`` carries explicit d/dx substitutions
-    for constrained generators (fields whose x-derivative is not a new jet
+    The derivation commutes with d/dx and d/dt: images of derivative
+    generators and of time markers without a rule of their own are obtained
+    by prolongation.  ``xrules`` carries explicit d/dx substitutions for
+    constrained generators (fields whose x-derivative is not a new jet
     generator but a polynomial, e.g. a covariantly constant ghost).
     """
 
     name: str
-    parity: int
     base: dict = field(default_factory=dict)
     xrules: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.parity not in (0, 1):
-            raise ValueError("parity must be 0 or 1")
 
     def odd_symbols(self):
         out = set()
         for img in list(self.base.values()) + list(self.xrules.values()):
             out |= img.odd_syms
         return frozenset(out)
-
-    def extended_with_markers(self, syms=None):
-        """Add rules for time markers: d(u_t) := d/dt of d(u).
-
-        Only valid for fields whose base image is itself marker free.
-        """
-        syms = list(self.base) if syms is None else list(syms)
-        base = dict(self.base)
-        for sym in syms:
-            img = self.base[sym]
-            if img.has_markers() and marker(sym) not in base:
-                raise ValueError(
-                    f"cannot prolong rule for '{sym}' in time: its image "
-                    "already contains time markers"
-                )
-            if not img.has_markers():
-                base[marker(sym)] = t_prolong(img)
-        return DerivationRuleSet(self.name + "+markers", self.parity, base, dict(self.xrules))
 
 
 def _derive(p, image_of, parity):
@@ -717,16 +657,22 @@ def _dx_power(p, k, xrules):
 
 
 def apply_derivation(p, d):
-    """Apply a :class:`DerivationRuleSet` to ``p``."""
+    """Apply a :class:`DerivationRuleSet` to ``p``.  A marker ``u_t`` without
+    a rule of its own maps to d/dt of u's image; a second time derivative in
+    that image raises."""
     odd_syms = _merged_odds(p, GradedPoly.zero(d.odd_symbols()))
 
     def image_of(g):
         sym, order = g
-        if sym not in d.base:
+        if sym in d.base:
+            img = d.base[sym]
+        elif base_symbol(sym) in d.base:  # a marker of a ruled field
+            img = t_prolong(d.base[base_symbol(sym)])
+        else:
             raise KeyError(f"derivation '{d.name}' has no rule for generator '{sym}'")
-        return _dx_power(d.base[sym], order, d.xrules or None)
+        return _dx_power(img, order, d.xrules or None)
 
-    return _derive(GradedPoly._of(p._terms, odd_syms), image_of, d.parity)
+    return _derive(GradedPoly._of(p._terms, odd_syms), image_of, parity=1)
 
 
 def t_prolong(p):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import GradedPoly, parameter
+from .graded import GradedPoly, base_symbol, parameter
 
 __all__ = ["parse", "ParseError", "is_name"]
 
@@ -77,7 +77,7 @@ class _Scanner:
         self.skip_ws()
         i = self.pos
         j = i
-        while j < len(self.text) and self.text[j].isdigit():
+        while j < len(self.text) and self.text[j].isdecimal():
             j += 1
         if j == i:
             return None
@@ -130,7 +130,7 @@ def _scan_generator(sc, base):
             order += n
             seen_x = True
             continue
-        if sc.pos < len(sc.text) and sc.text[sc.pos].isdigit():
+        if sc.pos < len(sc.text) and sc.text[sc.pos].isdecimal():
             n = sc.digits()
             if not (sc.pos < len(sc.text) and sc.text[sc.pos] == "x"):
                 raise ParseError("expected 'x' after derivative count", mark)
@@ -179,7 +179,7 @@ def _scalar(sc, params, what):
         v = _sum(sc, lambda: _scalar(sc, params, "a number or parameter name"))
         sc.expect(")")
         return v
-    if sc.peek().isdigit():
+    if sc.peek().isdecimal():
         return sc.number()
     nm = sc.name()
     if nm is None:
@@ -243,7 +243,7 @@ def parse(text, odd=()):
     if sc.peek():
         raise ParseError(f"unexpected character {sc.peek()!r}", sc.pos)
 
-    fields = gens_seen | {s.split("_t")[0] for s in gens_seen} | odd_syms
+    fields = gens_seen | {base_symbol(s) for s in gens_seen} | odd_syms
     clash = params & fields
     if clash:
         raise ParseError(

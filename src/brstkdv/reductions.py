@@ -67,7 +67,6 @@ from .graded import (
     base_symbol,
     marker,
     parameter,
-    s_is_zero,
     substitute_family,
     t_prolong,
     to_string,
@@ -218,7 +217,7 @@ def _t_family(beta, s, name="t-form"):
     """The gauge u = s T^beta, which leaves T and the ghost c."""
     odd = frozenset({"c"})
     laws = upsilon_rules().base
-    rules = DerivationRuleSet(name + "-brst", parity=1, base={"T": laws["T"], "c": laws["c"]})
+    rules = DerivationRuleSet(name + "-brst", base={"T": laws["T"], "c": laws["c"]})
     u = s * GradedPoly.gen("T", 0, beta, odd_syms=odd)
     h1 = GradedPoly.gen("T", 0, beta + 1, odd_syms=odd)
     densities = {
@@ -234,7 +233,7 @@ def _t_family(beta, s, name="t-form"):
 @lru_cache(maxsize=128)
 def _u_family(alpha, s):
     """The gauge s T = u^alpha, which leaves u and the ghost c."""
-    if s_is_zero(alpha) or isinstance(alpha, ParamPoly):
+    if alpha == 0 or isinstance(alpha, ParamPoly):
         raise ValueError("alpha must be a nonzero number: the flow divides by alpha")
     odd = frozenset({"c"})
     laws = upsilon_rules().base
@@ -249,8 +248,7 @@ def _u_family(alpha, s):
         at_zero = substitute_family(p, "T", GradedPoly.zero(odd))
         return lift * (s * at_zero + substitute_family(p - at_zero, "T", ua))
 
-    rules = DerivationRuleSet("kdv-brst", parity=1,
-                              base={"u": pull_back(laws["T"]), "c": laws["c"]})
+    rules = DerivationRuleSet("kdv-brst", base={"u": pull_back(laws["T"]), "c": laws["c"]})
     densities = {}
     if (alpha, s) == (1, 2):  # the t-form's densities at T = u/2, and two typed ones
         densities = {k: substitute_family(d.density, "T", Fraction(1, 2) * u)
@@ -270,7 +268,7 @@ def _mkdv():
     """Slice B's flow, symmetry and ghost flow at the Miura gauge u."""
     f, d_a1, u_law, c_law = _slice_laws(SLICE_B)
     half, odd = Fraction(1, 2), d_a1[2].odd_syms
-    rules = DerivationRuleSet("mkdv-brst", parity=1, base={"R": half * d_a1[0], "c": c_law},
+    rules = DerivationRuleSet("mkdv-brst", base={"R": half * d_a1[0], "c": c_law},
                               # no law for the covariantly constant cm is in scope
                               xrules={"cm": GradedPoly.gen("cm", 1, odd_syms=odd) - d_a1[2]})
     return _gauged("mkdv", {}, "R", GradedPoly.gen(marker("R"), odd_syms=odd) - half * f[0],
@@ -286,7 +284,7 @@ def _ckdv():
     v = ckdv_substitution()
     u = substitute_family(miura_substitution(), "R", v)
     cm_x = substitute_family(mkdv.brst.xrules["cm"], "R", v)
-    rules = DerivationRuleSet("ckdv-brst", parity=1,
+    rules = DerivationRuleSet("ckdv-brst",
                               base={"w": total_x_derivative(w * c) + cw, "c": mkdv.brst.base["c"]},
                               xrules={"cw": -substitute_family(cm_x, "cm", -cw)})
     return _gauged("ckdv", {}, "w", total_x_derivative(w * u), rules,
@@ -347,7 +345,7 @@ def upsilon_rules():
     """Odd symmetry of slice A: the ghost law, the T law and the u law,
     which keeps the ghost's time derivative as a marker."""
     _, d_a1, u_law, c_law = _slice_laws(SLICE_A)
-    return DerivationRuleSet("slice-brst", parity=1, base={"u": u_law, "T": -d_a1[2], "c": c_law})
+    return DerivationRuleSet("slice-brst", base={"u": u_law, "T": -d_a1[2], "c": c_law})
 
 
 @cache

@@ -185,4 +185,4 @@ def canonical_brst_rules(f=None):
     )
     base = {prefix + SUFFIX[lab]: poly
             for prefix, polys in rules for lab, poly in zip(BASIS, polys)}
-    return DerivationRuleSet("canonical-brst", parity=1, base=base)
+    return DerivationRuleSet("canonical-brst", base=base)

@@ -337,12 +337,6 @@ class _Stepper:
         self.length, self.n, self.dt = length, n, dt
         self.fields, self.where, self.spans, self.idle, by_row, lam = (), [], [], [], [], []
         for k, system in enumerate(systems):
-            missing = [f for f in system.even_fields + system.odd_fields
-                       if system.rhs.get(f) is None]
-            if missing:
-                raise ValueError(
-                    f"system {system.name!r} leaves {missing} without an evolution "
-                    "law and cannot be integrated")
             laws = {f: _compile_terms(system.rhs[f], system.odd_fields)
                     for f in system.evolving_fields()}
             # a ghost in zero[k] with a factor of itself in every term stays 0
@@ -468,6 +462,11 @@ def evolve_many(runs, dt):
     [(t0, length, n)] = grid
     ends, names, evaluators = [], [], []
     for (state, system, t_end, every, diagnostics), of in zip(runs, where):
+        missing = [f for f in system.even_fields + system.odd_fields
+                   if system.rhs.get(f) is None]
+        if missing:
+            raise ValueError(f"system {system.name!r}{of} leaves {missing} without an "
+                             "evolution law and cannot be integrated")
         missing = [f for f in system.evolving_fields() if f not in state.fields]
         if missing:
             raise ValueError(f"initial state{of} has no field {missing[0]!r}")

@@ -104,7 +104,7 @@ def check_nilpotency(structure=None):
         dd = apply_derivation(apply_derivation(
             GradedPoly.gen(sym, odd_syms=rules.odd_symbols()), rules), rules)
         metrics[f"canonical_{sym}"] = len(dd)
-    ghost = DerivationRuleSet("ghost-only", 1, base={"c": upsilon_rules().base["c"]})
+    ghost = DerivationRuleSet("ghost-only", base={"c": upsilon_rules().base["c"]})
     ddc = apply_derivation(apply_derivation(
         GradedPoly.gen("c", odd_syms=frozenset({"c"})), ghost), ghost)
     metrics["reduced_ghost"] = len(ddc)
@@ -131,7 +131,7 @@ def check_upsilon_covariance(advection_coeff=Fraction(2)):
     cx = GradedPoly.gen("c", 1, odd_syms=frozenset({"c"}))
     base = dict(upsilon_rules().base)
     base["T"] = base["T"] + (advection_coeff - 2) * (GradedPoly.gen("T") * cx)
-    rules = DerivationRuleSet("slice-brst", 1, base).extended_with_markers(["T", "c"])
+    rules = DerivationRuleSet("slice-brst", base)
     ups = upsilon_poly()
     diff = apply_derivation(ups, rules) - 2 * (ups * cx) - total_x_derivative(ups) * c
     dups = total_x_derivative(ups)
@@ -164,12 +164,11 @@ def check_system_invariance(system=None):
             raise ValueError(
                 f"system {sys_.name!r} has constrained odd generators without "
                 "transformation laws; the invariance check is out of scope")
-        rules = sys_.brst.extended_with_markers()
         label = sys_.name + "".join(
             f"_{k}_{v}" for k, v in sorted(sys_.parameters.items()))
         for f in sys_.evolving_fields():
-            res = GradedPoly.gen(marker(f), odd_syms=rules.odd_symbols()) - sys_.rhs[f]
-            red = reduce_on_shell(apply_derivation(res, rules), sys_)
+            res = GradedPoly.gen(marker(f), odd_syms=sys_.brst.odd_symbols()) - sys_.rhs[f]
+            red = reduce_on_shell(apply_derivation(res, sys_.brst), sys_)
             metrics[f"{label}_{f}"] = len(red)
     return _report(
         "check_system_invariance", metrics, 0.0,

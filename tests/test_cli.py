@@ -225,6 +225,14 @@ def test_unknown_density_prints_the_catalog_message_unquoted(capsys, tmp_path):
                    "available: H0, H1, H1g, H3, H5, Ht0, Ht1\n")
 
 
+def test_a_system_without_full_laws_is_refused_for_that_reason(capsys, tmp_path):
+    code, _, err = invoke(capsys, "simulate", "--system", "upsilon", "--initial", "1",
+                          "--out", str(tmp_path))
+    assert code == 2
+    assert err == ("simulate: system 'upsilon' leaves ['u', 'c'] without an evolution law "
+                   "and cannot be integrated\n")
+
+
 def test_family_flags_are_the_catalogs_parameters():
     from brstkdv.cli import _build_parser
     from brstkdv.reductions import _CATALOG, FAMILY_PARAMETERS

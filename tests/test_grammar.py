@@ -179,6 +179,10 @@ GOLDEN = [
     # a name declared odd is a field, whether or not it occurs as one
     ('odd: c; u^c', ("name(s) used both as scalar parameter and field: ['c']", 0)),
     ('odd: c; (c)*u', ("name(s) used both as scalar parameter and field: ['c']", 0)),
+    # digits beyond ASCII that int() cannot read are not digits here
+    ('u^²', ('expected an exponent', 2)),
+    ('²*u', ('expected a factor', 0)),
+    ('u_²x', ("malformed suffix after '_'", 1)),
 ]
 
 
@@ -201,17 +205,17 @@ coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
 
 @st.composite
 def random_polys(draw):
-    terms = []
+    odd = frozenset({"c"})
+    p = GradedPoly.zero(odd)
     for _ in range(draw(st.integers(0, 4))):
-        coeff = draw(coeffs)
-        even = tuple(
-            ((draw(st.sampled_from(["u", "T"])), draw(st.integers(0, 3))),
-             draw(st.integers(1, 3)))
-            for _ in range(draw(st.integers(0, 2)))
-        )
-        orders = draw(st.lists(st.integers(0, 3), max_size=2, unique=True))
-        terms.append((coeff, even, tuple(("c", o) for o in orders)))
-    return GradedPoly.from_terms(terms, odd_syms=frozenset({"c"}))
+        term = GradedPoly.number(draw(coeffs), odd)
+        for _ in range(draw(st.integers(0, 2))):
+            sym, order = draw(st.sampled_from(["u", "T"])), draw(st.integers(0, 3))
+            term = term * GradedPoly.gen(sym, order, draw(st.integers(1, 3)), odd_syms=odd)
+        for order in draw(st.lists(st.integers(0, 3), max_size=2, unique=True)):
+            term = term * GradedPoly.gen("c", order, odd_syms=odd)
+        p = p + term
+    return p
 
 
 @given(random_polys())

@@ -417,20 +417,45 @@ def test_catalog_manifest_headers():
 
 def test_kdv_flow_is_brst_invariant():
     kdv = build_system("kdv")
-    rules = kdv.brst.extended_with_markers()
     for f in ("u", "c"):
         res = GradedPoly.gen(marker(f), odd_syms=frozenset({"c"})) - kdv.rhs[f]
-        red = reduce_on_shell(apply_derivation(res, rules), kdv)
+        red = reduce_on_shell(apply_derivation(res, kdv.brst), kdv)
         assert red.is_zero, f
 
 
 def test_upsilon_covariance_weight_two():
-    rules = upsilon_rules().extended_with_markers(["T", "c"])
     ups = upsilon_poly()
     c = P("c")
     cx = P("c_x")
-    lhs = apply_derivation(ups, rules)
+    lhs = apply_derivation(ups, upsilon_rules())
     assert lhs == 2 * (ups * cx) + total_x_derivative(ups) * c
+
+
+_MARKER_FREE = [("kdv", {}), ("t-form", {"beta": parameter("beta"), "s": parameter("s")}),
+                ("harry-dym", {}), ("mkdv", {}), ("ckdv", {})]
+
+
+@pytest.mark.parametrize("name, kw", _MARKER_FREE, ids=[n for n, _ in _MARKER_FREE])
+def test_catalog_symmetries_prolong_in_t(name, kw):
+    # delta(f_t_xx) is D^2 of d/dt delta(f), with D taking the rule set's x
+    # rules (mkdv's delta R holds cm, ckdv's delta w holds cw)
+    brst = build_system(name, **kw).brst
+    for f, img in brst.base.items():
+        assert not img.has_markers()
+        want = t_prolong(img)
+        for _ in range(2):
+            want = total_x_derivative(want, brst.xrules)
+        got = apply_derivation(GradedPoly.gen(marker(f), 2, odd_syms=brst.odd_symbols()), brst)
+        assert got == want, f
+
+
+def test_the_slice_symmetry_reaches_no_second_time_derivative():
+    # the u law holds c_t: a polynomial that reaches u_t raises, one without does not
+    rules = upsilon_rules()
+    assert rules.base["u"].has_markers()
+    assert not apply_derivation(upsilon_poly() * P("u"), rules).is_zero
+    with pytest.raises(ValueError, match="second time derivative of 'c'"):
+        apply_derivation(upsilon_poly() * P("u_t"), rules)
 
 
 # --- conservation through variational gradients ---------------------------------

@@ -206,7 +206,6 @@ def test_canonical_rules_frozen_forms():
 
 def test_canonical_rules_parity():
     rules = canonical_brst_rules()
-    assert rules.parity == 1
     for sym in CANONICAL_EVEN:
         assert rules.base[sym].parity() == 1
     for sym in CANONICAL_ODD:

@@ -442,6 +442,19 @@ def test_systems_without_complete_evolution_laws_cannot_run():
         evolve(st, ups, 1e-3, 1e-3)
 
 
+def test_a_system_that_cannot_be_integrated_says_so_before_the_state_is_read():
+    ups, kdv, n = build_system("upsilon"), build_system("kdv"), 64
+    st = FieldState(0.0, 20.0, n, {"u": np.ones(n)})  # no T: not the problem
+    why = "leaves ['u', 'c'] without an evolution law and cannot be integrated"
+    with pytest.raises(ValueError) as ei:
+        evolve(st, ups, 1e-3, 1e-3)
+    assert ei.value.args == (f"system 'upsilon' {why}",)
+    ok = FieldState(0.0, 20.0, n, {"u": np.ones(n), "c": np.zeros(n)})
+    with pytest.raises(ValueError) as ei:
+        evolve_many([(ok, kdv, 1e-3, 1, []), (st, ups, 1e-3, 1, [])], 1e-3)
+    assert ei.value.args == (f"system 'upsilon' of run 1 (upsilon) {why}",)
+
+
 def test_blow_up_detection():
     kdv = build_system("kdv")
     n = 128
