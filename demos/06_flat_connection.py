@@ -29,12 +29,11 @@ metrics = check_zero_curvature(traj).metrics
 for label, key in zip("0+-", ("component_0", "component_plus", "component_minus")):
     print(f"max |curvature component {label}| along the run: {metrics[key]:.2e}")
 
-# One lifted snapshot: the sampled connection object with its slice
-# constraints built in.
+# One lifted snapshot: the sampled connection, A0 and A1 in one array,
+# with its slice constraints built in.
 mid = traj.states[5]
 lifted = FieldState(mid.t, length, n,
                     {"u": mid.fields["u"], "T": 0.5 * mid.fields["u"]})
-conn = reconstruct_connection(lifted, SLICE_A)
-print("\nconnection shapes:", conn.a0.shape, conn.a1.shape)
-print("gauge slice pins A1^0 =", conn.a1[0][0],
-      " A1^+ =", f"{conn.a1[1][0]:.5f}")
+a0, a1 = reconstruct_connection(lifted, SLICE_A)
+print("\nconnection shapes:", a0.shape, a1.shape)
+print("gauge slice pins A1^0 =", a1[0][0], " A1^+ =", f"{a1[1][0]:.5f}")

@@ -616,8 +616,11 @@ def total_x_derivative(p, rules=None):
 
     Each Leibniz term edits a key: g^e becomes e g^(e-1) times the next jet,
     which sorts right after it; an odd factor steps to its next jet in place.
+    The marker of a symbol with an x rule takes d/dt of that rule.
     """
     xrules = rules.xrules if isinstance(rules, DerivationRuleSet) else (rules or {})
+    if xrules:
+        xrules = {**{marker(s): t_prolong(r) for s, r in xrules.items()}, **xrules}
     acc = {}
     for (even, odd), coeff in p._terms.items():
         for idx, (g, _e) in enumerate(even):

@@ -12,8 +12,10 @@ The surface syntax matches :func:`brstkdv.graded.to_string` output::
 * ``^`` attaches an exponent: an integer, a fraction ``^1/2`` or ``^-2``, a
   bare parameter name, or a parenthesised scalar expression ``^(beta-1)``,
   each with an optional sign (``^-beta``, ``^-(beta)``);
-* parenthesised factors are *scalar* coefficients, e.g. ``(beta+1)*T_x``;
-  scalar names must not collide with field names used in the polynomial;
+* parenthesised factors are *scalar* coefficients, e.g. ``(beta+1)*T_x``,
+  where a name or a parenthesised scalar may carry sympy's integer power
+  and divisor (``(beta**2*s/2)*T``); scalar names must not collide with
+  field names used in the polynomial;
 * ``*`` is required between factors; ``+``/``-`` separate monomials.
 
 Derivative generators only accept positive integer exponents; zeroth-order
@@ -90,12 +92,16 @@ class _Scanner:
         if not (self.pos < len(self.text) and self.text[self.pos] == "/"):
             return Fraction(n)
         self.pos += 1
+        return Fraction(n, self.denominator())
+
+    def denominator(self):
+        """The nonzero integer after a '/'."""
         d = self.digits()
         if d is None:
             raise ParseError("expected denominator", self.pos)
         if d == 0:
             raise ParseError("zero denominator", self.pos)
-        return Fraction(n, d)
+        return d
 
 
 def _scan_generator(sc, base):
@@ -173,19 +179,30 @@ def _product(sc, atom):
 
 
 def _scalar(sc, params, what):
-    """A parenthesised scalar sum, a number or a parameter name; ``what``
-    names the expected item when there is none."""
+    """A number, or a parenthesised scalar sum or a parameter name with an
+    optional ``**<int>`` power and ``/<int>`` divisor, as sympy prints them;
+    ``what`` names the expected item when there is none."""
     if sc.take("("):
         v = _sum(sc, lambda: _scalar(sc, params, "a number or parameter name"))
         sc.expect(")")
-        return v
-    if sc.peek().isdecimal():
+    elif sc.peek().isdecimal():
         return sc.number()
-    nm = sc.name()
-    if nm is None:
-        raise ParseError(f"expected {what}", sc.pos)
-    params.add(nm)
-    return parameter(nm)
+    else:
+        nm = sc.name()
+        if nm is None:
+            raise ParseError(f"expected {what}", sc.pos)
+        params.add(nm)
+        v = parameter(nm)
+    if sc.text.startswith("**", sc.pos):
+        sc.pos += 2
+        n = sc.digits()
+        if n is None or n > 64:  # a short text must not expand without bound
+            raise ParseError("expected an integer power up to 64", sc.pos)
+        v = v ** n
+    if sc.text.startswith("/", sc.pos):
+        sc.pos += 1
+        v = v * Fraction(1, sc.denominator())
+    return v
 
 
 def _exponent(sc, params):

@@ -64,7 +64,6 @@ from .graded import (
     ParamPoly,
     apply_derivation,
     as_scalar,
-    base_symbol,
     marker,
     parameter,
     substitute_family,
@@ -75,7 +74,6 @@ from .graded import (
 from .grammar import is_name, parse
 from .sl2 import (
     E_WEIGHTS,
-    ConnectionGrid,
     commutator_components,
     curvature_residual,
     rescaled_table,
@@ -149,17 +147,6 @@ class EvolutionSystem:
     def __post_init__(self):
         for name in ("parameters", "rhs", "densities"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
-
-    @property
-    def symbolic_invariance(self):
-        """Whether the symmetry closes on the catalogued rules alone: each
-        generator of a rule image (a marker counting as its field) has a rule
-        and each field a flow.  Not so for mkdv/ckdv, whose cm and cw have
-        only x rules, or upsilon (u)."""
-        images = [*self.brst.base.values(), *self.brst.xrules.values()]
-        named = {base_symbol(sym) for img in images for sym in img.symbols()}
-        return named <= set(self.brst.base) and all(
-            self.rhs.get(f) is not None for f in self.even_fields + self.odd_fields)
 
     def evolving_fields(self):
         return tuple(f for f in self.even_fields + self.odd_fields
@@ -492,15 +479,15 @@ def zero_curvature_components(P, Q, R, S, T, u, R_t, S_t, T_t, length):
 
 def reconstruct_connection(state, gauge_slice):
     """Lift reduced data back to the sl(2,R) connection: the slice's A0 and
-    A1 triples (``slice_connection``) evaluated on the state's grids, in
-    the basis T_a of ``sl2`` (the E-basis rows scaled by 1, sqrt2, sqrt2).
+    A1 triples (``slice_connection``) evaluated on the state's grids, as one
+    (2, 3, N) array, A0 then A1, in the basis T_a of ``sl2`` (the E-basis
+    rows scaled by 1, sqrt2, sqrt2).
     On slice B, A0^- is not determined by the slice and is zero, and
     A0^0 = 2 R_xx - 4 R R_x + 2 u R is formed pointwise from spectral
     derivatives of R: exact at the grid points for R below Nyquist, where
     a spectral derivative of the grid u would carry the aliasing of R^2."""
     scale = np.sqrt(2.0) ** np.array(E_WEIGHTS * 2)[:, None]  # E_a = 2^(n_a/2) T_a
-    rows = _lift(gauge_slice)(state.fields, state.L) * scale
-    return ConnectionGrid(a0=rows[:3], a1=rows[3:])
+    return (_lift(gauge_slice)(state.fields, state.L) * scale).reshape(2, 3, -1)
 
 
 @cache

@@ -25,10 +25,7 @@ f_ab^d x^b y^d (the constraints, momentum and multiplier rules).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .graded import DerivationRuleSet, GradedPoly
 
@@ -47,7 +44,6 @@ __all__ = [
     "curvature_residual",
     "constraint_polynomials",
     "canonical_brst_rules",
-    "ConnectionGrid",
 ]
 
 BASIS = ("0", "+", "-")
@@ -135,14 +131,6 @@ def curvature_residual(dt_a1, dx_a0, a0, a1, f=None):
     """Components of dt A1 - dx A0 + [A0, A1], given the derivative grids."""
     quad = commutator_components(a0, a1, f=f)
     return [dt_a1[a] - dx_a0[a] + quad[a] for a in range(3)]
-
-
-@dataclass(frozen=True)
-class ConnectionGrid:
-    """Sampled connection: components indexed by basis position (0, +, -)."""
-
-    a0: np.ndarray  # shape (3, N)
-    a1: np.ndarray  # shape (3, N)
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,18 @@ soliton+ghost reference run (k=0.7, L=40, N=512, dt=1e-3, t=1).
 """
 
 import dataclasses
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import brstkdv.verify
 from brstkdv import parse
 from brstkdv.graded import reduce_on_shell, substitute_family, t_prolong
 from brstkdv.reductions import (
     build_system,
     ckdv_substitution,
     miura_substitution,
+    upsilon_rules,
 )
 from brstkdv.sl2 import structure_table
 from brstkdv.solver import evolve, soliton_initial
@@ -186,8 +187,13 @@ def test_nilpotency_check_detects_corrupted_bracket():
     assert check_nilpotency(structure=f).status == "fail"
 
 
-def test_covariance_check_detects_wrong_weight():
-    assert check_upsilon_covariance(advection_coeff=Fraction(1)).status == "fail"
+def test_covariance_check_detects_wrong_weight(monkeypatch):
+    # advection weight one for two in the T law
+    laws = upsilon_rules()
+    base = {**laws.base, "T": laws.base["T"] - parse("T*c_x", odd=("c",))}
+    monkeypatch.setattr(brstkdv.verify, "upsilon_rules",
+                        lambda: dataclasses.replace(laws, base=base))
+    assert check_upsilon_covariance().status == "fail"
 
 
 def test_invariance_check_detects_detuned_ghost_coefficient(kdv):

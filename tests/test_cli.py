@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brstkdv.cli import run
+from brstkdv.graded import odd_gradient, to_string
+from brstkdv.reductions import build_system
 
 
 def invoke(capsys, *argv):
@@ -92,6 +94,17 @@ def test_conserved_lists_densities(capsys):
     assert code == 0 and "H1" in out
     code, out, _ = invoke(capsys, "conserved", "--system", "ckdv")
     assert code == 0 and "no catalogued densities" in out
+
+
+def test_conserved_output_reads_back_as_a_density(capsys):
+    # the t-form's Ht1 at symbolic (beta, s), as printed, is euler's input
+    code, out, _ = invoke(capsys, "conserved", "--system", "t-form", "--beta", "beta", "--s", "s")
+    assert code == 0
+    [ht1] = [ln.split("] ", 1)[1] for ln in out.splitlines() if ln.startswith("Ht1 ")]
+    code, out, err = invoke(capsys, "euler", "--density", ht1, "--field", "c", "--odd", "c")
+    assert (code, err) == (0, "")
+    want = odd_gradient(build_system("t-form", beta="beta", s="s").densities["Ht1"].density, "c")
+    assert out == to_string(want) + "\n"
 
 
 def test_conserved_requires_system(capsys):

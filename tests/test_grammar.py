@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from brstkdv import GradedPoly, ParseError, parse, to_string
 from brstkdv.graded import parameter
+from brstkdv.reductions import build_system
 
 
 def test_simple_parse():
@@ -183,6 +184,18 @@ GOLDEN = [
     ('u^²', ('expected an exponent', 2)),
     ('²*u', ('expected a factor', 0)),
     ('u_²x', ("malformed suffix after '_'", 1)),
+    # sympy's printed coefficients: an integer power and divisor after a
+    # name or a parenthesised scalar
+    ('(beta**2*s/2)*u', '(beta**2*s/2)*u'),
+    ('(beta/2 + 1/2)*u', '(beta/2 + 1/2)*u'),
+    ('((beta+1)**2)*u', '(beta**2 + 2*beta + 1)*u'),
+    ('T^beta/2', 'T^(beta/2)'),
+    # a power or divisor needs its integer; a number literal takes no power
+    ('(beta**)*u', ('expected an integer power up to 64', 7)),
+    ('((beta+1)**65)*u', ('expected an integer power up to 64', 13)),
+    ('(beta/)*u', ('expected denominator', 6)),
+    ('(beta/0)*u', ('zero denominator', 7)),
+    ('(2**2)*u', ('expected a number or parameter name', 3)),
 ]
 
 
@@ -237,3 +250,14 @@ def test_signed_exponent_spellings_agree():
 def test_round_trip_markers():
     p = parse("T_t - 1/2*u_xxx - 2*u_x*T - u*T_x")
     assert parse(to_string(p)) == p
+
+
+def test_parametric_catalog_round_trips():
+    # every polynomial of the t-form at symbolic (beta, s) prints in the
+    # grammar: its flows, its rule images and its densities
+    tf = build_system("t-form", beta="beta", s="s")
+    polys = [*tf.rhs.values(), *tf.brst.base.values(),
+             *(d.density for d in tf.densities.values())]
+    assert len(polys) == 8
+    for p in polys:
+        assert parse(to_string(p), odd=("c",)) == p, to_string(p)

@@ -4,14 +4,13 @@ just as importantly, fail when the structure is deliberately corrupted."""
 import dataclasses
 import json
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import brstkdv.verify
 from brstkdv import parse
-from brstkdv.reductions import build_system
+from brstkdv.reductions import build_system, reconstruct_connection, upsilon_rules
 from brstkdv.sl2 import structure_table
 from brstkdv.solver import FieldState, _Stepper, evolve, evolve_many, spectral_derivative
 from brstkdv.verify import (
@@ -86,8 +85,36 @@ def test_gradient_ghost_argument_validation():
 
 
 def test_invariance_rejects_out_of_scope_systems():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no evolution rule to reduce marker 'cm_t'"):
         check_system_invariance(build_system("mkdv"))
+
+
+@pytest.mark.parametrize("name, params, unreduced", [
+    ("kdv", {"alpha": 1, "s": 2}, None),
+    ("kdv", {"alpha": -2, "s": 1}, None),
+    ("t-form", {"beta": 1, "s": 2}, None),
+    ("t-form", {"beta": "1/2", "s": 1}, None),
+    ("t-form", {"beta": "beta", "s": "s"}, None),
+    ("harry-dym", {}, None),
+    ("mkdv", {}, "cm_t"),  # cm has only an x rule
+    ("ckdv", {}, "cw_t"),  # cw has only an x rule
+    ("upsilon", {}, None),  # T's flow alone: u and c have none
+])
+def test_invariance_check_covers_the_catalog(name, params, unreduced):
+    sys_ = build_system(name, **params)
+    if unreduced:
+        with pytest.raises(ValueError, match=f"no evolution rule to reduce marker '{unreduced}'"):
+            check_system_invariance(sys_)
+        return
+    rep = check_system_invariance(sys_)
+    assert rep.status == "pass" and len(rep.metrics) == len(sys_.evolving_fields())
+    if "c" in sys_.evolving_fields():
+        # one odd generator without a rule of its own reaches its marker
+        base = dict(sys_.brst.base)
+        base["c"] = base["c"] + parse("c*cq", odd=("c", "cq"))
+        wrong = dataclasses.replace(sys_, brst=dataclasses.replace(sys_.brst, base=base))
+        with pytest.raises(ValueError, match="no evolution rule to reduce marker 'cq_t'"):
+            check_system_invariance(wrong)
 
 
 # --- mutation sensitivity -------------------------------------------------------
@@ -116,19 +143,27 @@ def test_gauge_slices_fail_for_a_corrupted_constant(a, b, c, failing):
     assert {k for k, v in rep.metrics.items() if v} == failing
 
 
-def test_gauge_slices_fail_for_a_detuned_modified_flow():
+def test_gauge_slices_fail_for_a_detuned_modified_flow(monkeypatch):
     # -5 R^2 R_x for -6 R^2 R_x: the Miura map no longer carries the slice-B
     # flow onto kdv's, and no structure table reaches this metric
     mk = build_system("mkdv")
     wrong = dataclasses.replace(mk, rhs={"R": parse("R_xxx - 5*R^2*R_x"), "c": mk.rhs["c"]})
-    rep = check_gauge_slices(mkdv=wrong)
+    monkeypatch.setattr(brstkdv.verify, "build_system",
+                        lambda name, **kw: wrong if name == "mkdv" else build_system(name, **kw))
+    rep = check_gauge_slices()
     assert rep.status == "fail"
     assert {k: v for k, v in rep.metrics.items() if v} == {"slice_b_miura": 3.0}
 
 
-def test_covariance_fails_for_wrong_advection_weight():
-    rep = check_upsilon_covariance(advection_coeff=Fraction(1))
+def test_covariance_fails_for_wrong_advection_weight(monkeypatch):
+    # T c_x for 2 T c_x in the T law: T no longer transforms with weight two
+    laws = upsilon_rules()
+    base = {**laws.base, "T": laws.base["T"] - parse("T*c_x", odd=("c",))}
+    monkeypatch.setattr(brstkdv.verify, "upsilon_rules",
+                        lambda: dataclasses.replace(laws, base=base))
+    rep = check_upsilon_covariance()
     assert rep.status == "fail"
+    assert rep.metrics["covariance_defect"] == 5.0
 
 
 def test_invariance_fails_for_detuned_ghost_flow():
@@ -137,6 +172,14 @@ def test_invariance_fails_for_detuned_ghost_flow():
         kdv, rhs={"u": kdv.rhs["u"], "c": parse("c_xxx + 2*u*c_x", odd=("c",))})
     rep = check_system_invariance(wrong)
     assert rep.status == "fail"
+
+
+def test_gradient_ghost_fails_for_a_non_conserved_density():
+    # the integral of u^3 is not constant under kdv, and its gradient 3 u^2
+    # does not solve the ghost flow
+    rep = check_gradient_ghost(density=parse("u^3"), system=build_system("kdv"))
+    assert rep.status == "fail"
+    assert rep.metrics == {"given_premise": 1.0, "given": 1.0}
 
 
 def test_conservation_fails_for_non_conserved_functional():
@@ -158,8 +201,14 @@ def test_conservation_fails_for_non_conserved_functional():
     assert rep_good.status == "pass"
 
 
-def test_zero_curvature_fails_off_the_gauge_slice():
-    rep = check_zero_curvature(gauge_scale=Fraction(1))
+def test_zero_curvature_fails_off_the_gauge_slice(monkeypatch):
+    def off_slice(state, gauge_slice):  # T = u instead of the slice's u/2
+        u = state.fields["u"]
+        return reconstruct_connection(
+            FieldState(state.t, state.L, state.N, {"u": u, "T": u}), gauge_slice)
+
+    monkeypatch.setattr(brstkdv.verify, "reconstruct_connection", off_slice)
+    rep = check_zero_curvature()
     assert rep.status == "fail"
     assert rep.metrics["component_minus"] > 1e-5
 
