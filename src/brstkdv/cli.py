@@ -29,7 +29,8 @@ from .reductions import (
 from .solver import (
     SolverError,
     _require_length,
-    evaluate,
+    _require_power_of_two,
+    evaluator,
     evolve,
     initial_state,
     soliton_initial,
@@ -88,18 +89,14 @@ def _grid(eff):
     length = _number(eff, "L")
     _require_length(length)
     n = _number(eff, "n", int)
-    return length, n, length * np.arange(n) / n
+    _require_power_of_two(n)
+    return length, n, np.arange(n) * (length / n)
 
 
 def _eval_expression(text, x, length):
     """Evaluate a grammar expression on the grid.  Besides numbers, the
     bound names are x (coordinate), cx = cos(2 pi x / L), and
     sx = sin(2 pi x / L); derivative suffixes are not allowed here."""
-    bind = {
-        "x": x,
-        "cx": np.cos(2 * np.pi * x / length),
-        "sx": np.sin(2 * np.pi * x / length),
-    }
     poly = parse(text)
     if any(odd for _, _, odd in poly.terms()):
         raise ValueError("initial-data expressions must be even")
@@ -107,11 +104,12 @@ def _eval_expression(text, x, length):
         if poly.max_order(sym) > 0:
             raise ValueError(
                 f"derivative generator {sym!r} is not allowed in initial data")
-        if sym not in bind:
+        if sym not in ("x", "cx", "sx"):
             raise ValueError(
                 f"unknown name {sym!r} in initial data; bound names: x, cx, sx")
     with np.errstate(all="ignore"):
-        values = evaluate(poly, bind, length)
+        z = 2 * np.pi * x / length
+        values = evaluator([poly])({"x": x, "cx": np.cos(z), "sx": np.sin(z)}, length)[0]
     if not np.all(np.isfinite(values)):
         raise ValueError(f"initial data {text!r} is not finite on the grid")
     return values

@@ -11,9 +11,9 @@ sides are compiled once into a plan that runs each stage as stacked passes:
 one irfft for all grids, one 2/3-rule filter round trip for all powers and
 one per product level, and one rfft for all terms; a kdv/mkdv/ckdv/Harry
 Dym step makes 8/16/24/24 FFT calls, and stacked runs make those of the
-costliest.  Every stage checks the positivity guards.  Quadrature, the
-step-size advisory and :func:`evaluate` share one unfiltered pointwise
-evaluator on stacked physical grids, compiled once by :func:`evaluator`.
+costliest.  Every stage checks the positivity guards.  Quadrature and the
+step-size advisory share one unfiltered pointwise evaluator on stacked
+physical grids, compiled once by :func:`evaluator`.
 Time stepping is RK4 with an exact integrating factor exp(t sum c (ik)^o)
 over each field's constant-coefficient linear terms c*f_(o x), any order o;
 a variable-coefficient dispersion (Harry Dym's T^(-1/2) T_xxx) stays in the
@@ -48,7 +48,6 @@ __all__ = [
     "spectral_derivative",
     "evolve",
     "evolve_many",
-    "evaluate",
     "evaluator",
     "evaluate_functional",
     "initial_state",
@@ -136,10 +135,7 @@ class FieldState:
 
     @property
     def x(self):
-        return self.L * np.arange(self.N) / self.N
-
-    def replace(self, **changes):
-        return dataclasses.replace(self, **changes)
+        return np.arange(self.N) * (self.L / self.N)
 
 
 @dataclass
@@ -487,6 +483,11 @@ def evolve_many(runs, dt):
         if twice:
             raise ValueError(f"diagnostic {twice[0]!r}{of} is given more than once")
         evaluators.append(evaluator(diagnostics))
+        for nm, d in zip(names[-1], diagnostics):
+            unread = sorted(getattr(d, "density", d).symbols() - set(state.fields))
+            if unread:
+                raise ValueError(f"diagnostic {nm!r}{of} reads field {unread[0]!r}, "
+                                 "which the state does not have")
     zero = [{f for f in state.fields if not state.fields[f].any()} for state, *_ in runs]
     live, stepper = [*range(len(runs))], _Stepper([r[1] for r in runs], length, n, dt, where, zero)
     grids = [state.fields[f] for (state, *_), rows in zip(runs, stepper.spans)
@@ -509,7 +510,8 @@ def evolve_many(runs, dt):
             if i % every == 0 or i == ends[k]:
                 fields = dict(zip(stepper.fields[rows], np.fft.irfft(hats[rows], n)))
                 fields.update((f, np.zeros(n)) for f in idle)
-                states[k].append(state.replace(t=t0 + i * dt, fields={**state.fields, **fields}))
+                fields = {**state.fields, **fields}
+                states[k].append(dataclasses.replace(state, t=t0 + i * dt, fields=fields))
         if i in ends and i < max(ends):  # the runs that end here leave the stack
             going = [j for j, k in enumerate(live) if ends[k] > i]
             hats = np.concatenate([hats[stepper.spans[j]] for j in going])
@@ -571,11 +573,6 @@ def evaluator(polys):
     return rows
 
 
-def evaluate(poly, fields, length):
-    """The values of ``poly`` on the grids ``fields``; see :func:`evaluator`."""
-    return evaluator([poly])(fields, length)[0]
-
-
 def evaluate_functional(density, state):
     """Trapezoid quadrature of a density over the periodic domain (exact
     mean * L on the equispaced grid).  Ghost generators are replaced by
@@ -584,7 +581,8 @@ def evaluate_functional(density, state):
 
 
 def soliton_initial(k, x0, system, length=40.0, n=512, ghost="gradient"):
-    """Localized initial data for the kdv/mkdv families.
+    """Localized initial data for the kdv/mkdv families; ``system`` is the
+    catalog name "kdv" or "mkdv".
 
     kdv: u = 4 k^2 sech^2(k (x - x0)), the traveling wave of
     u_t = 3 u u_x + u_xxx with speed -4k^2 (substituting A sech^2(kappa z),
@@ -601,13 +599,12 @@ def soliton_initial(k, x0, system, length=40.0, n=512, ghost="gradient"):
 
     ghost: as for :func:`initial_state`.
     """
-    name = system if isinstance(system, str) else system.name
-    if name not in ("kdv", "mkdv"):
-        raise ValueError(f"soliton data is defined for kdv/mkdv, not {name!r}")
-    sym, amplitude, power = ("u", 4.0 * k * k, 2) if name == "kdv" else ("R", k, 1)
+    if system not in ("kdv", "mkdv"):
+        raise ValueError(f"soliton data is defined for kdv/mkdv, not {system!r}")
+    sym, amplitude, power = ("u", 4.0 * k * k, 2) if system == "kdv" else ("R", k, 1)
     if not np.isfinite(amplitude):
         raise ValueError(f"soliton amplitude {amplitude!r} at k = {k!r} is not finite")
-    d = length * np.arange(n) / n - x0
+    d = np.arange(n) * (length / n) - x0
     z = d - length * np.round(d / length)
     with np.errstate(over="ignore"):
         profile = amplitude / np.cosh(k * z) ** power

@@ -61,10 +61,10 @@ __all__ = [
 class CheckReport:
     """Outcome of one verification check.
 
-    ``status``, read off the metrics, is "pass" iff every metric is at most
-    the tolerance, so a NaN metric fails; exact symbolic checks use tolerance
-    0.0 with monomial counts as metrics.  ``claim`` states the property being
-    checked in plain language.
+    ``status``, read off the metrics, is "pass" iff there is a metric and
+    every metric is at most the tolerance, so a NaN metric or none at all
+    fails; exact symbolic checks use tolerance 0.0 with monomial counts as
+    metrics.  ``claim`` states the property being checked in plain language.
     """
 
     check: str
@@ -74,7 +74,8 @@ class CheckReport:
 
     @property
     def status(self):
-        return "pass" if all(v <= self.tolerance for v in self.metrics.values()) else "fail"
+        metrics = self.metrics.values()
+        return "pass" if metrics and all(v <= self.tolerance for v in metrics) else "fail"
 
     def to_dict(self):
         return {
@@ -275,7 +276,7 @@ def _miura_runs():
     ``_T_END`` and recording their endpoints only, and nonvanishing w0 under
     the composed flow to ``_CKDV_T_END``, recorded every 10 steps.  No leg
     reads its ghost, which starts at zero, stays so and is not integrated."""
-    x = _LENGTH * np.arange(_N) / _N
+    x = np.arange(_N) * (_LENGTH / _N)
     R0 = 0.9 / np.cosh(0.8 * (x - _LENGTH / 2))
     w0 = 1.0 + 0.3 * np.cos(2 * np.pi * x / _LENGTH)
     specs = [("R", R0, "mkdv", _T_END, 10 ** 9),
@@ -305,23 +306,22 @@ def _snapshot_rates(states, values):
 
 
 def check_conservation(trajectory=None, densities=None, tolerance=1e-6):
-    """Max relative drift of each diagnostic along a trajectory (absolute
-    drift when the initial value is below 1e-8).
+    """Max relative drift of each named diagnostic along a trajectory
+    (absolute drift when the initial value is below 1e-8).
 
-    Default evidence: the coupled soliton+ghost run with kdv's odd
-    (brst-invariant) densities at tolerance 1e-6; pass tolerance=1e-8 with
-    the classical ones for the even sector.
+    ``densities`` are catalog names, by default kdv's odd (brst-invariant)
+    ones, held to tolerance 1e-6; pass tolerance=1e-8 with the classical
+    ones for the even sector.  Default evidence: the coupled soliton+ghost
+    run with those densities as diagnostics.
     """
+    names = _kdv_densities("brst-invariant") if densities is None else list(densities)
+    if not names:
+        raise ValueError("check_conservation needs at least one density name")
     if trajectory is None:
-        densities = _kdv_densities("brst-invariant") if densities is None else densities
-        trajectory = evolve_many([_soliton_run(densities)], _DT)[0]
-    if densities is None:
-        names = sorted(trajectory.diagnostics)
-    else:
-        names = [d if isinstance(d, str) else d.name for d in densities]
-        missing = [n for n in names if n not in trajectory.diagnostics]
-        if missing:
-            raise ValueError(f"trajectory lacks diagnostics {missing}")
+        trajectory = evolve_many([_soliton_run(names)], _DT)[0]
+    missing = [n for n in names if n not in trajectory.diagnostics]
+    if missing:
+        raise ValueError(f"trajectory lacks diagnostics {missing}")
     metrics = {}
     for n in names:
         vals = np.asarray(trajectory.diagnostics[n], dtype=float)

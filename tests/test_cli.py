@@ -640,22 +640,46 @@ def test_miura_usage_errors(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["simulate", "--soliton", "k=0.5"], id="simulate-without-system"),
-    pytest.param(["simulate", "--system", "kdv"], id="simulate-without-initial-data"),
-    pytest.param(["verify", "check_bogus"], id="verify-unknown-check"),
-    pytest.param(["miura", "--n", "16"], id="miura-without-initial"),
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["simulate", "--soliton", "k=0.5"], "--system is required",
+                 id="simulate-without-system"),
+    pytest.param(["simulate", "--system", "kdv"], "provide --soliton or --initial",
+                 id="simulate-without-initial-data"),
+    pytest.param(["verify", "check_bogus"], "unknown check 'check_bogus'",
+                 id="verify-unknown-check"),
+    pytest.param(["miura", "--n", "16"], "--initial expression is required",
+                 id="miura-without-initial"),
     pytest.param(["miura", "--initial", "0", "--n", "16", "--config", "{cfg}"],
-                 id="miura-unknown-direction"),
-    pytest.param(["conserved"], id="conserved-without-system"),
+                 "unknown direction 'bogus'", id="miura-unknown-direction"),
+    pytest.param(["conserved"], "--system is required", id="conserved-without-system"),
+    pytest.param(["simulate", "--system", "kdv", "--soliton", "x0=3"],
+                 "soliton spec must set k", id="soliton-without-k"),
+    pytest.param(["simulate", "--system", "kdv", "--soliton", "k=1,y=2"],
+                 "unknown soliton key 'y'", id="soliton-unknown-key"),
+    pytest.param(["simulate", "--system", "kdv", "--initial", "x_x"],
+                 "derivative generator 'x' is not allowed in initial data",
+                 id="initial-derivative"),
+    pytest.param(["simulate", "--system", "kdv", "--initial", "odd: c; c"],
+                 "initial-data expressions must be even", id="initial-odd"),
 ])
-def test_usage_errors_print_one_line_naming_the_command(capsys, tmp_path, argv):
+def test_usage_errors_print_one_line_naming_the_command(capsys, tmp_path, argv, message):
     cfg = tmp_path / "direction.cfg"
     cfg.write_text("direction=bogus\n")
     code, out, err = invoke(capsys, *(a.format(cfg=cfg) for a in argv))
     assert code == 2 and out == ""
-    assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
+    assert err.startswith(f"{argv[0]}: {message}") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_a_huge_domain_has_finite_grid_points(capsys):
+    # L * arange(n) / n wrote inf as two x coordinates, with overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(capsys, "miura", "--initial", "1", "--n", "4", "--L", "1e308")
+        assert (code, err) == (0, "") and "inf" not in out
+        # cos(2 pi x / L) overflows past x = L / (2 pi): no longer finite data
+        code, out, err = invoke(capsys, "miura", "--initial", "cx", "--n", "4", "--L", "1e308")
+    assert code == 2 and err == "miura: initial data 'cx' is not finite on the grid\n"
 
 
 @pytest.mark.parametrize("key, value, what", [

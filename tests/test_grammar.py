@@ -196,6 +196,8 @@ GOLDEN = [
     ('(beta/)*u', ('expected denominator', 6)),
     ('(beta/0)*u', ('zero denominator', 7)),
     ('(2**2)*u', ('expected a number or parameter name', 3)),
+    ('u_xa', ('malformed derivative suffix', 1)),
+    ('u_5xa', ('malformed derivative suffix', 1)),
 ]
 
 

@@ -23,7 +23,6 @@ from brstkdv.solver import (
     FieldState,
     SingularityError,
     Trajectory,
-    evaluate,
     evaluate_functional,
     evaluator,
     evolve,
@@ -127,8 +126,18 @@ def test_field_state_validation():
         FieldState(0.0, 10.0, 64, {"u": np.zeros(32)})
     st = FieldState(0.5, 10.0, 64, {"u": np.zeros(64)})
     assert st.x[0] == 0.0 and st.x[-1] == pytest.approx(10.0 * 63 / 64)
-    st2 = st.replace(t=1.0)
+    st2 = dataclasses.replace(st, t=1.0)
     assert st2.t == 1.0 and st2.L == st.L
+
+
+def test_grid_points_do_not_overflow():
+    # L * arange(N) / N overflowed to inf at L = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = FieldState(0.0, 1e308, 8, {}).x
+    assert np.isfinite(x).all() and x[-1] == 7 * (1e308 / 8)
+    for length in (40.0, 17.0, 2 * np.pi, 1e-3):  # the same bits for a power-of-two N
+        assert np.array_equal(FieldState(0.0, length, 64, {}).x, length * np.arange(64) / 64)
 
 
 @pytest.mark.parametrize("length", [-1.0, 0.0, float("inf"), float("nan")])
@@ -473,7 +482,7 @@ def test_blow_up_in_the_ghost_row_names_the_ghost():
     c = st.fields["c"].copy()
     c[0] = 1e308  # finite, but c_x overflows in the first step
     with pytest.raises(BlowUpError, match="field 'c'") as ei:
-        evolve(st.replace(fields={**st.fields, "c": c}), kdv, 0.01, 1e-3)
+        evolve(dataclasses.replace(st, fields={**st.fields, "c": c}), kdv, 0.01, 1e-3)
     assert ei.value.t == pytest.approx(1e-3)
 
 
@@ -486,7 +495,7 @@ def test_non_finite_initial_state_is_rejected_before_any_transform(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an FFT of the bad row would warn
         with pytest.raises(ValueError, match="initial field 'c' is not finite"):
-            evolve(st.replace(fields={**st.fields, "c": c}), kdv, 0.01, 1e-3)
+            evolve(dataclasses.replace(st, fields={**st.fields, "c": c}), kdv, 0.01, 1e-3)
 
 
 def test_a_missing_field_is_named_before_any_transform(monkeypatch):
@@ -500,8 +509,29 @@ def test_a_missing_field_is_named_before_any_transform(monkeypatch):
     with pytest.raises(ValueError, match=r"^initial state of run 1 \(kdv\) has no field 'c'$"):
         evolve_many([(other, mk, 0.01, 1, ()), (lone, kdv, 0.01, 1, ())], 1e-3)
     with pytest.raises(ValueError, match=r"^initial state of run 0 \(kdv\) has no field 'u'$"):
-        evolve_many([(other.replace(fields={"c": u}), kdv, 0.01, 1, ()),
+        evolve_many([(dataclasses.replace(other, fields={"c": u}), kdv, 0.01, 1, ()),
                      (other, mk, 0.01, 1, ())], 1e-3)
+
+
+def test_a_diagnostic_field_missing_from_the_state_is_named_before_any_step(monkeypatch):
+    kdv, h0 = build_system("kdv"), build_system("mkdv").density("H0")  # reads R
+    st = soliton_initial(0.7, 20.0, "kdv", 40.0, 64)
+    steps = []
+    monkeypatch.setattr(_Stepper, "advance", lambda self, hats, t: steps.append(t))
+    with pytest.raises(ValueError, match="^diagnostic 'H0' reads field 'R', "
+                                         "which the state does not have$"):
+        evolve(st, kdv, 1.0, 1e-3, diagnostics=[h0])
+    with pytest.raises(ValueError, match=r"^diagnostic 'H0' of run 1 \(kdv\) reads field 'R'"):
+        evolve_many([(st, kdv, 1.0, 1, ["H0"]), (st, kdv, 1.0, 1, [h0])], 1e-3)
+    assert steps == []
+
+
+def test_a_law_with_an_odd_generator_outside_the_ghosts_is_refused():
+    flow = dataclasses.replace(build_system("kdv"), rhs={
+        "u": P("u_xxx"), "c": parse("odd: c, d; c_xxx + u*d")})
+    st = soliton_initial(0.7, 20.0, "kdv", 40.0, 64)
+    with pytest.raises(ValueError, match="^odd generator 'd' is not a ghost field here$"):
+        evolve(st, flow, 0.01, 1e-3)
 
 
 def test_evaluate_matches_the_hand_typed_modified_flow():
@@ -510,9 +540,9 @@ def test_evaluate_matches_the_hand_typed_modified_flow():
     v = 0.9 / np.cosh(0.8 * (x - length / 2))
     rhs = build_system("mkdv").rhs["R"]  # R_xxx - 6 R^2 R_x
     want = spectral_derivative(v, 3, length) - 6 * v * v * spectral_derivative(v, 1, length)
-    assert np.max(np.abs(evaluate(rhs, {"R": v}, length) - want)) < 1e-12
+    assert np.max(np.abs(evaluator([rhs])({"R": v}, length)[0] - want)) < 1e-12
     with pytest.raises(KeyError, match="'R'"):
-        evaluate(rhs, {"u": v}, length)
+        evaluator([rhs])({"u": v}, length)[0]
 
 
 def test_evaluate_many_reads_each_grid_once(monkeypatch):
@@ -530,7 +560,7 @@ def test_evaluate_many_reads_each_grid_once(monkeypatch):
     assert sorted(calls) == [(1, (2, n)), (2, (1, n))]
     assert rows.shape == (5, n)
     for row, p in zip(rows, polys):
-        assert np.array_equal(row, evaluate(p, fields, length))
+        assert np.array_equal(row, evaluator([p])(fields, length)[0])
 
 
 def test_evaluator_reads_stacked_fields_row_by_row():
@@ -550,7 +580,7 @@ def test_fifth_and_higher_derivatives_read_on_grids():
     # the evaluator, and the advisory that reads u_5x as u_7x's amplitude
     n, length = 64, 2 * np.pi
     x = grid(length, n)
-    got = evaluate(parse("u_xxxxx"), {"u": np.sin(3 * x)}, length)
+    got = evaluator([parse("u_xxxxx")])({"u": np.sin(3 * x)}, length)[0]
     assert np.max(np.abs(got - 243 * np.cos(3 * x))) < 1e-7
     flow = dataclasses.replace(build_system("kdv"),
                                rhs={"u": P("u_5x*u_7x"), "c": P("c_xxx")})
@@ -776,7 +806,7 @@ def test_evolve_many_matches_each_runs_own_evolve(specs, n):
 def test_evolve_many_needs_one_grid_and_start_time(length, n, t):
     kdv = build_system("kdv")
     st = soliton_initial(0.5, 10.0, "kdv", 20.0, 64)
-    other = soliton_initial(0.5, 10.0, "kdv", length, n).replace(t=t)
+    other = dataclasses.replace(soliton_initial(0.5, 10.0, "kdv", length, n), t=t)
     with pytest.raises(ValueError, match="same t on the same L and N"):
         evolve_many([(st, kdv, 1.0, 1, ()), (other, kdv, 1.0, 1, ())], 1e-3)
 
@@ -876,8 +906,8 @@ def test_blow_ups_name_their_run_and_field_past_left_out_rows():
     ghostly = soliton_initial(0.5, 20.0, "kdv", 40.0, n)
     c, u = np.zeros(n), np.zeros(n)
     c[0] = u[0] = 1e308  # finite, but c_x and u*u_x overflow in the first step
-    bad_c = calm.replace(fields={**calm.fields, "c": c})
-    bad_u = calm.replace(fields={**calm.fields, "u": u})
+    bad_c = dataclasses.replace(calm, fields={**calm.fields, "c": c})
+    bad_u = dataclasses.replace(calm, fields={**calm.fields, "u": u})
     for states, message in [([calm, bad_c], r"field 'c' of run 1 \(kdv\)"),
                             ([calm, ghostly, calm, bad_u], r"field 'u' of run 3 \(kdv\)"),
                             ([ghostly, bad_u, calm], r"field 'u' of run 1 \(kdv\)")]:
@@ -1153,6 +1183,6 @@ def test_evaluator_rejects_fields_of_unequal_shape():
     # a (1,) grid used to broadcast against the (8,) one
     fields = {"u": np.arange(8.0), "w": np.array([2.0])}
     with pytest.raises(ValueError, match=r"^fields of unequal shape: 'u' \(8,\), 'w' \(1,\)$"):
-        evaluate(parse("u*w"), fields, 1.0)
+        evaluator([parse("u*w")])(fields, 1.0)[0]
     with pytest.raises(ValueError, match="unequal shape"):
         evaluator([parse("u")])({"u": np.zeros((2, 8)), "c": np.zeros(8)}, 1.0)

@@ -12,7 +12,15 @@ import brstkdv.verify
 from brstkdv import parse
 from brstkdv.reductions import build_system, reconstruct_connection, upsilon_rules
 from brstkdv.sl2 import structure_table
-from brstkdv.solver import FieldState, _Stepper, evolve, evolve_many, spectral_derivative
+from brstkdv.solver import (
+    FieldState,
+    Trajectory,
+    _Stepper,
+    evolve,
+    evolve_many,
+    soliton_initial,
+    spectral_derivative,
+)
 from brstkdv.verify import (
     CHECKS,
     CheckReport,
@@ -253,11 +261,31 @@ def test_miura_chain_fails_for_wrong_ckdv_map(monkeypatch):
 
 def test_conservation_requires_recorded_diagnostics():
     kdv = build_system("kdv")
-    from brstkdv.solver import soliton_initial
     st = soliton_initial(0.5, 20.0, "kdv", 40.0, 128)
     traj = evolve(st, kdv, 0.01, 1e-3, diagnostics=[kdv.density("H0")])
     with pytest.raises(ValueError):
         check_conservation(traj, ["H5"])
+    one = Trajectory([st], {"H0": traj.diagnostics["H0"][:1]})
+    with pytest.raises(ValueError, match="^need at least two recorded snapshots$"):
+        check_conservation(one, ["H0"])
+
+
+def test_conservation_needs_a_density_name():
+    # given no names, a trajectory without diagnostics passed on no metrics
+    traj = evolve(soliton_initial(0.7, 20.0, "kdv"), build_system("kdv"), 0.01, 1e-3)
+    with pytest.raises(ValueError, match="^check_conservation needs at least one density name$"):
+        check_conservation(traj, [])
+    with pytest.raises(ValueError, match=r"^trajectory lacks diagnostics "
+                                         r"\['H1g', 'H3', 'H5', 'Ht0', 'Ht1'\]$"):
+        check_conservation(traj)
+
+
+def test_time_stencil_needs_five_equispaced_snapshots():
+    states = [FieldState(t, 1.0, 4, {}) for t in (0.0, 0.1, 0.2, 0.3, 0.5)]
+    with pytest.raises(ValueError, match="^need at least five snapshots for the time stencil$"):
+        list(brstkdv.verify._snapshot_rates(states[:4], range(4)))
+    with pytest.raises(ValueError, match="^snapshots must be equispaced in time$"):
+        list(brstkdv.verify._snapshot_rates(states, range(5)))
 
 
 # --- report plumbing --------------------------------------------------------------
@@ -275,7 +303,7 @@ def test_status_threshold_semantics():
     def status(*metrics):
         return CheckReport("x", dict(enumerate(metrics)), 1.0, "demo").status
 
-    assert status() == "pass"
+    assert status() == "fail"  # no metric is no evidence
     assert status(0.5) == status(1.0) == status(0.5, 1.0) == "pass"
     assert status(1.0 + 1e-12) == status(0.5, 2.0) == "fail"
     assert status(float("nan")) == status(0.5, float("nan")) == "fail"
