@@ -28,6 +28,7 @@ from .reductions import (
 )
 from .solver import (
     SolverError,
+    _grid_points,
     _require_length,
     _require_power_of_two,
     evaluator,
@@ -90,7 +91,7 @@ def _grid(eff):
     _require_length(length)
     n = _number(eff, "n", int)
     _require_power_of_two(n)
-    return length, n, np.arange(n) * (length / n)
+    return length, n, _grid_points(length, n)
 
 
 def _eval_expression(text, x, length):

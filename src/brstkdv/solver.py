@@ -6,14 +6,14 @@ unpaired Nyquist mode dropped for odd orders.  The stepper holds the
 spectra of the evolving fields of one or more runs as the rows of one
 (sum F, N/2+1) array, so each RK stage is one array expression for all of
 them: :func:`evolve_many` integrates runs on a shared grid in lockstep, each
-to its own end, and :func:`evolve` is its one-run case.  The right-hand
-sides are compiled once into a plan that runs each stage as stacked passes:
-one irfft for all grids, one 2/3-rule filter round trip for all powers and
-one per product level, and one rfft for all terms; a kdv/mkdv/ckdv/Harry
-Dym step makes 8/16/24/24 FFT calls, and stacked runs make those of the
-costliest.  Every stage checks the positivity guards.  Quadrature and the
-step-size advisory share one unfiltered pointwise evaluator on stacked
-physical grids, compiled once by :func:`evaluator`.
+to its own end, and :func:`evolve` is its one-run case.  Polynomials are
+compiled once into a term table whose one product pass raises each power
+once and multiplies level by level.  An RK stage makes it with the 2/3
+rule: one irfft for all grids, one filter round trip for all powers and one
+per product level, and one rfft for all terms, so a kdv/mkdv/ckdv/Harry Dym
+step makes 8/16/24/24 FFT calls (stacked runs: those of the costliest), and
+each stage checks the positivity guards.  Quadrature (:func:`evaluator`) and
+the step-size advisory make it unfiltered and sum the terms on the grids.
 Time stepping is RK4 with an exact integrating factor exp(t sum c (ik)^o)
 over each field's constant-coefficient linear terms c*f_(o x), any order o;
 a variable-coefficient dispersion (Harry Dym's T^(-1/2) T_xxx) stays in the
@@ -56,9 +56,9 @@ __all__ = [
 
 _RK4_IMAG_LIMIT = 2.0 * np.sqrt(2.0)
 _FLOOR = 1e-6  # positivity / nonvanishing floor of fractional and negative powers
-# snapshots per diagnostics pass, for peak RSS: in the default simulate run,
-# all 101 at once add ~30%, 8 add 0.6 MB and 4 add 0.2 MB at about 8's speed
-_BLOCK = 4
+# snapshots per diagnostics pass, for peak RSS: the pass holds every term's
+# product at once; in the default simulate run 4 add 0.5 MB, 2 add 0.13 MB
+_BLOCK = 2
 
 
 class SolverError(RuntimeError):
@@ -103,6 +103,11 @@ def _multiplier(n, length, order):
     return mult
 
 
+def _grid_points(length, n):
+    """The n grid points of [0, length), finite up to the largest float length."""
+    return np.arange(n) * (length / n)
+
+
 def spectral_derivative(f, order, length):
     """Fourier differentiation along the last axis; any int order >= 1."""
     if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
@@ -135,7 +140,7 @@ class FieldState:
 
     @property
     def x(self):
-        return np.arange(self.N) * (self.L / self.N)
+        return _grid_points(self.L, self.N)
 
 
 @dataclass
@@ -181,7 +186,7 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# compiling polynomials to spectral evaluation plans
+# compiling polynomials to term tables
 
 def _number(value, what):
     try:
@@ -217,29 +222,18 @@ def _compile_terms(poly, odd_fields):
     return tuple(out)
 
 
-def _grids(terms, fields, length):
-    """Physical grids of every (field, order) the compiled terms read, one
-    derivative call per order on the stacked (..., N) fields."""
-    keys = sorted({x[:2] for _, fs in terms for x in fs})
-    missing = sorted({s for s, _ in keys} - set(fields))
+def _grids(reads, fields, length):
+    """The physical grids of the (field, order) pairs ``reads``, stacked in
+    that order, one derivative call per order on the stacked (..., N) fields."""
+    missing = sorted({s for s, _ in reads} - set(fields))
     if missing:
         raise KeyError(f"no field {missing[0]!r} in state")
-    grids = {(s, o): fields[s] for s, o in keys if not o}
-    for order in sorted({o for _, o in keys} - {0}):
-        read = [k for k in keys if k[1] == order]
+    grids = {(s, o): fields[s] for s, o in reads if not o}
+    for order in sorted({o for _, o in reads} - {0}):
+        read = [k for k in reads if k[1] == order]
         grids.update(zip(read, spectral_derivative(
             np.stack([fields[s] for s, _ in read]), order, length)))
-    return grids
-
-
-def _pointwise(terms, grids, out):
-    """Add coeff * prod grid^e over compiled terms, unfiltered, into ``out``."""
-    for coeff, fs in terms:
-        acc = 1.0
-        for s, o, e in fs:
-            acc = acc * _raise(grids[s, o], e)
-        out += coeff * acc
-    return out
+    return np.array([grids[k] for k in reads])
 
 
 def _raise(g, e):
@@ -252,71 +246,54 @@ def _raise(g, e):
     return 1.0 / p if e < 0 else p
 
 
-class _Plan:
-    """Compiled right-hand sides, evaluated from rfft data with the 2/3 rule.
+class _Terms:
+    """The compiled-term table of ``rows`` of (coeff, factors) pairs, each
+    factor (key, order, exponent) keyed by the field it reads: the sorted
+    (key, order) ``reads``, then the distinct ``powers`` other than 1.  The
+    products are formed longest first, so those that reach level j are a
+    prefix: ``first`` holds their first factors, ``levels`` per level j
+    their factors j and how many go on, ``coeffs`` their coefficients.
+    ``adds`` is (row, product index or None for a constant, coeff) in each
+    row's own term order."""
 
-    ``terms`` holds one tuple of (coeff, factors) pairs per row of the
-    stacked state, with each factor keyed (row, order, exponent) by the row
-    it reads.  An evaluation is a fixed sequence of stacked passes over index
-    tables built here: one irfft reads every (row, order) grid; one round trip
-    filters every power other than 1; product level j multiplies each term
-    with more than j factors by its factor j, and one round trip filters
-    those that go on past level j; one rfft takes all terms to spectral
-    space to be masked, scaled and added to their rows.  A lone linear
-    factor is a product of one factor, and a constant adds to the mean mode
-    with no FFT.
-    """
-
-    def __init__(self, terms, n, length):
-        self.terms, self.n = terms, n
-        self.mask = np.arange(n // 2 + 1) <= n // 3  # the 2/3 rule
-        every = [(r, c, fs) for r, ts in enumerate(terms) for c, fs in ts]
-        # the products, longest first, so the terms that reach a level are a prefix
+    def __init__(self, rows):
+        self.rows = rows
+        every = [(r, c, fs) for r, ts in enumerate(rows) for c, fs in ts]
         order = sorted((k for k, t in enumerate(every) if t[2]),
                        key=lambda k: -len(every[k][2]))
         formed = [every[k][2] for k in order]
         self.reads = sorted({x[:2] for fs in formed for x in fs})
         self.powers = sorted({x for fs in formed for x in fs if x[2] != 1.0})
-        self.read_rows = np.array([r for r, _ in self.reads], dtype=int)
-        self.read_mult = np.array([_multiplier(n, length, o)
-                                   for _, o in self.reads]).reshape(-1, n // 2 + 1)
         slot = {x: i for i, x in enumerate(self.reads + self.powers)}
         self.raise_from = [(slot[x[:2]], x[2]) for x in self.powers]
         index = [[slot[x[:2] if x[2] == 1.0 else x] for x in fs] for fs in formed]
         self.first = np.array([ix[0] for ix in index], dtype=int)
-        # per level j: factor j of the terms that reach it, how many go on past
         self.levels = [(np.array([ix[j] for ix in index if len(ix) > j]),
                         sum(len(ix) > j + 1 for ix in index))
                        for j in range(1, max(map(len, index), default=1))]
-        self.scale = np.array([every[k][1] for k in order])[:, None] * self.mask
-        # each row adds its terms in the order given
-        self.adds = [(every[k][0], order.index(k)) for k in sorted(order)]
-        self.const = [(r, c) for r, c, fs in every if not fs]
+        self.coeffs = np.array([every[k][1] for k in order])
+        self.adds = [(r, order.index(k) if fs else None, c) for k, (r, c, fs) in enumerate(every)]
 
-    def _filter(self, a):
-        return np.fft.irfft(np.fft.rfft(a) * self.mask, self.n)
-
-    def grids(self, hats):
-        """The (row, order) grids the plan reads, one row each in reads order."""
-        return np.fft.irfft(hats[self.read_rows] * self.read_mult, self.n)
-
-    def __call__(self, grids):
-        """The rfft of every compiled right-hand side, one row each."""
-        vals = grids
+    def products(self, vals, filt=None):
+        """Every product on ``vals`` (the grids in ``reads`` order), longest
+        first; ``filt`` (the 2/3 rule), if given, takes the powers and, after
+        each level, the terms that go on past it."""
         if self.powers:
-            raised = np.stack([_raise(grids[i], e) for i, e in self.raise_from])
-            vals = np.concatenate((grids, self._filter(raised)))
+            raised = np.stack([_raise(vals[i], e) for i, e in self.raise_from])
+            vals = np.concatenate((vals, filt(raised) if filt else raised))
         acc = vals[self.first]
         for idx, keep in self.levels:
             acc[:len(idx)] *= vals[idx]
-            if keep:
-                acc[:keep] = self._filter(acc[:keep])
-        spec = np.fft.rfft(acc) * self.scale
-        out = np.zeros((len(self.terms), self.n // 2 + 1), dtype=complex)
-        for r, i in self.adds:
-            out[r] += spec[i]
-        for r, c in self.const:
-            out[r, 0] += c * self.n
+            if keep and filt:
+                acc[:keep] = filt(acc[:keep])
+        return acc
+
+    def sums(self, vals, shape):
+        """Each row's unfiltered sum on grids of ``shape``, in term order."""
+        prods = self.products(vals)
+        out = np.zeros((len(self.rows),) + shape)
+        for r, k, c in self.adds:
+            out[r] += c if k is None else c * prods[k]
         return out
 
 
@@ -326,7 +303,7 @@ class _Plan:
 class _Stepper:
     """IF-RK4 for one or more systems: the spectra of each one's evolving
     fields, less the ``idle`` ghosts that stay zero, are the rows of one
-    stacked array read by one plan; errors name rows by ``where``."""
+    stacked array read by one term table; errors name rows by ``where``."""
 
     def __init__(self, systems, length, n, dt, where=None, zero=None):
         _require_power_of_two(n)
@@ -342,7 +319,7 @@ class _Stepper:
             row = {f: len(self.fields) + j for j, f in enumerate(fields)}
             for f in fields:
                 # a constant-coefficient linear term in f itself, of any
-                # order, goes to the integrating factor, the rest to the plan
+                # order, goes to the integrating factor, the rest to the table
                 lam.append(np.zeros(n // 2 + 1, dtype=complex))
                 rest = []
                 for c, fs in laws[f]:
@@ -355,12 +332,19 @@ class _Stepper:
             self.idle.append(idle)
             self.fields += fields
             self.where += [where[k] if where else ""] * len(fields)
-        self.plan = _Plan(by_row, n, length)
+        self.terms = t = _Terms(by_row)
+        self.mask = np.arange(n // 2 + 1) <= n // 3  # the 2/3 rule
+        self.read_rows = np.array([r for r, _ in t.reads], dtype=int)
+        self.read_mult = np.array([_multiplier(n, length, o)
+                                   for _, o in t.reads]).reshape(-1, n // 2 + 1)
+        self.scale = t.coeffs[:, None] * self.mask
+        self.adds = [(r, k) for r, k, _ in t.adds if k is not None]
+        self.consts = [(r, c * n) for r, k, c in t.adds if k is None]
         # an undifferentiated fractional power needs a positive base and a
         # negative one a nonzero base: row -> (grid index, must be positive)
-        frac = {r for r, o, e in self.plan.powers if not o and e != int(e)}
-        self.guarded = {r: (self.plan.reads.index((r, 0)), r in frac)
-                        for r, o, e in self.plan.powers if not o and (e < 0 or r in frac)}
+        frac = {r for r, o, e in t.powers if not o and e != int(e)}
+        self.guarded = {r: (t.reads.index((r, 0)), r in frac)
+                        for r, o, e in t.powers if not o and (e < 0 or r in frac)}
         with np.errstate(over="ignore", invalid="ignore"):  # inf blows up at t = dt
             self.E, self.E2 = (np.exp(h * dt * np.array(lam)) for h in (1.0, 0.5))
             # the RK4 weights folded into the factors, once
@@ -379,11 +363,22 @@ class _Stepper:
                 raise SingularityError(f"{what}{self.where[r]} reached {m:.3e} <= {kind} "
                                        f"floor {_FLOOR:.1e} at t = {t:.6g}")
 
+    def _filter(self, a):
+        return np.fft.irfft(np.fft.rfft(a) * self.mask, self.n)
+
     def nonlinear_hat(self, hats, t):
-        grids = self.plan.grids(hats)
+        """The rfft of every row's terms at one RK stage, the products formed
+        with the 2/3 rule from the guarded grids; constants add to mode 0."""
+        grids = np.fft.irfft(hats[self.read_rows] * self.read_mult, self.n)
         if self.guarded:
             self._check_guards({r: grids[i] for r, (i, _) in self.guarded.items()}, t)
-        return self.plan(grids)
+        spec = np.fft.rfft(self.terms.products(grids, self._filter)) * self.scale
+        out = np.zeros((len(self.fields), self.n // 2 + 1), dtype=complex)
+        for r, k in self.adds:
+            out[r] += spec[k]
+        for r, c in self.consts:
+            out[r, 0] += c
+        return out
 
     def advance(self, hats, t):
         """One integrating-factor RK4 step in spectral space.
@@ -402,23 +397,23 @@ class _Stepper:
             return e_hats + self.sixth_E * a + self.third_E2 * (b + c) + dt / 6.0 * d
 
     def cfl_advisory(self, rows):
-        """Warn for each row whose stiffest plan term looks unstable on the
+        """Warn for each row whose stiffest table term looks unstable on the
         initial field ``rows``: a term's stiff factor is its highest derivative
         of the row's own field, of order m >= 3, and its bound dt * |coeff *
         other factors| * kmax^m.  The warning points at evolve's caller."""
         kmax = 2.0 * np.pi / self.length * (self.n // 3)
         # (row, m, |coeff| and the factors other than the stiff one) per term
         stiff = [(r, m, (abs(c), tuple(x for x in fs if x[:2] != (r, m))))
-                 for r, terms in enumerate(self.plan.terms) for c, fs in terms
+                 for r, terms in enumerate(self.terms.rows) for c, fs in terms
                  for m in [max((o for s, o, _ in fs if s == r), default=0)] if m >= 3]
-        grids = _grids([t for *_, t in stiff], dict(enumerate(rows)), self.length)
+        table = _Terms([(t,) for *_, t in stiff])
         # |x^e| via |x|^e: fractional e on negative data would NaN
-        grids = {k: np.abs(g) for k, g in grids.items()}
+        grids = np.abs(_grids(table.reads, dict(enumerate(rows)), self.length))
         worst = {}
-        for r, m, t in stiff:
+        for (r, m, _), amp in zip(stiff, table.sums(grids, (self.n,))):
             # a product overflows to inf where a float ** raises
-            amp = float(np.max(_pointwise([t], grids, np.zeros(self.n))))
-            worst[r] = max(worst.get(r, (0.0, m)), (self.dt * amp * math.prod([kmax] * m), m))
+            bound = self.dt * float(np.max(amp)) * math.prod([kmax] * m)
+            worst[r] = max(worst.get(r, (0.0, m)), (bound, m))
         for r, (bound, m) in worst.items():
             if bound > _RK4_IMAG_LIMIT:
                 frame, level = sys._getframe(1), 2  # the first frame outside this module
@@ -557,19 +552,14 @@ def evaluator(polys):
     unfiltered, all read from one set of grids.  Odd generators read the
     coefficient arrays of their ghost fields."""
     polys = [p.density if hasattr(p, "density") else p for p in polys]
-    compiled = [_compile_terms(p, {base_symbol(s) for s in p.odd_syms}) for p in polys]
-    read = [t for terms in compiled for t in terms]
+    table = _Terms([_compile_terms(p, {base_symbol(s) for s in p.odd_syms}) for p in polys])
 
     def rows(fields, length):
         shapes = {s: np.shape(f) for s, f in sorted(fields.items())}
         if len(set(shapes.values())) > 1:
             raise ValueError("fields of unequal shape: " + ", ".join(
                 f"{s!r} {shape}" for s, shape in shapes.items()))
-        grids = _grids(read, fields, length)
-        out = np.zeros((len(compiled),) + next(iter(shapes.values())))
-        for terms, row in zip(compiled, out):
-            _pointwise(terms, grids, row)
-        return out
+        return table.sums(_grids(table.reads, fields, length), next(iter(shapes.values())))
     return rows
 
 
@@ -604,7 +594,7 @@ def soliton_initial(k, x0, system, length=40.0, n=512, ghost="gradient"):
     sym, amplitude, power = ("u", 4.0 * k * k, 2) if system == "kdv" else ("R", k, 1)
     if not np.isfinite(amplitude):
         raise ValueError(f"soliton amplitude {amplitude!r} at k = {k!r} is not finite")
-    d = np.arange(n) * (length / n) - x0
+    d = _grid_points(length, n) - x0
     z = d - length * np.round(d / length)
     with np.errstate(over="ignore"):
         profile = amplitude / np.cosh(k * z) ** power

@@ -40,7 +40,8 @@ from .reductions import (
     upsilon_rules,
 )
 from .sl2 import CANONICAL_FIELDS, canonical_brst_rules, curvature_residual
-from .solver import FieldState, evaluator, evolve_many, soliton_initial, spectral_derivative
+from .solver import (FieldState, _grid_points, evaluator, evolve_many, soliton_initial,
+                     spectral_derivative)
 
 __all__ = [
     "CheckReport",
@@ -276,7 +277,7 @@ def _miura_runs():
     ``_T_END`` and recording their endpoints only, and nonvanishing w0 under
     the composed flow to ``_CKDV_T_END``, recorded every 10 steps.  No leg
     reads its ghost, which starts at zero, stays so and is not integrated."""
-    x = np.arange(_N) * (_LENGTH / _N)
+    x = _grid_points(_LENGTH, _N)
     R0 = 0.9 / np.cosh(0.8 * (x - _LENGTH / 2))
     w0 = 1.0 + 0.3 * np.cos(2 * np.pi * x / _LENGTH)
     specs = [("R", R0, "mkdv", _T_END, 10 ** 9),
@@ -314,6 +315,8 @@ def check_conservation(trajectory=None, densities=None, tolerance=1e-6):
     ones for the even sector.  Default evidence: the coupled soliton+ghost
     run with those densities as diagnostics.
     """
+    if isinstance(densities, str):
+        raise ValueError(f"densities is a sequence of names, not the string {densities!r}")
     names = _kdv_densities("brst-invariant") if densities is None else list(densities)
     if not names:
         raise ValueError("check_conservation needs at least one density name")

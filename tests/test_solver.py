@@ -18,6 +18,7 @@ from brstkdv.graded import GradedPoly
 from brstkdv import solver
 from brstkdv.reductions import build_system
 from brstkdv.solver import (
+    _raise,
     _Stepper,
     BlowUpError,
     FieldState,
@@ -106,9 +107,9 @@ def test_derivative_rejects_bad_length(length):
 
 
 def test_dealias_projects_high_modes():
-    # the 2/3-rule filter every plan applies to powers and products
+    # the 2/3-rule filter every RK stage applies to powers and products
     length, n = 10.0, 128
-    dealias = solver._Plan(((),), n, length)._filter
+    dealias = _Stepper([build_system("kdv")], length, n, 1e-3)._filter
     x = grid(length, n)
     low = np.cos(2 * np.pi * 5 * x / length)
     high = np.cos(2 * np.pi * (n // 3 + 4) * x / length)
@@ -350,12 +351,12 @@ def test_evolve_diagnostics_are_the_quadrature_of_each_snapshot():
 
 
 def test_diagnostics_over_several_blocks_match_each_snapshot():
-    # 26 snapshots: several full blocks of stacked snapshots and a short one
+    # 25 snapshots: several full blocks of stacked snapshots and a short one
     kdv = build_system("kdv")
     st = soliton_initial(0.6, 20.0, "kdv", 40.0, 128)
     dens = [kdv.density(nm) for nm in sorted(kdv.densities)]
-    traj = evolve(st, kdv, 0.05, 1e-3, record_every=2, diagnostics=dens)
-    assert len(traj.states) == 26 > 3 * solver._BLOCK
+    traj = evolve(st, kdv, 0.048, 1e-3, record_every=2, diagnostics=dens)
+    assert len(traj.states) == 25 > 3 * solver._BLOCK and 25 % solver._BLOCK
     for d in dens:
         assert traj.diagnostics[d.name] == [evaluate_functional(d, s) for s in traj.states]
 
@@ -606,6 +607,56 @@ def test_evaluator_compiles_once(monkeypatch):
     assert all(np.array_equal(r, evaluator(polys)(fields, length)) for r in rows)
 
 
+def ref_pointwise(terms, grids, out):
+    """Add coeff * prod grid^e over compiled terms, unfiltered, into ``out``."""
+    for coeff, fs in terms:
+        acc = 1.0
+        for s, o, e in fs:
+            acc = acc * _raise(grids[s, o], e)
+        out += coeff * acc
+    return out
+
+
+# a derivative takes only the positive ones; 9 takes np.power
+_EXPONENTS = (-2, -1, Fraction(1, 2), 1, 2, 3, 9)
+
+
+@st.composite
+def evaluated_polys(draw):
+    """A ghost-linear polynomial in u, T and the ghost c (derivatives up to
+    the 5th), or a constant alone; the constant always sorts first."""
+    q = st.fractions(-4, 4, max_denominator=4).filter(bool)
+    if draw(st.booleans()) and draw(st.booleans()):
+        return GradedPoly.number(draw(q), {"c"})
+    poly = GradedPoly.number(draw(q), {"c"}) if draw(st.booleans()) else GradedPoly.zero({"c"})
+    for _ in range(draw(st.integers(1, 4))):
+        term = GradedPoly.number(draw(q), {"c"})
+        for _ in range(draw(st.integers(1, 3))):
+            order = draw(st.integers(0, 5))
+            e = draw(st.sampled_from(_EXPONENTS[3:] if order else _EXPONENTS))
+            term = term * GradedPoly.gen(draw(st.sampled_from(["u", "T"])), order, e, {"c"})
+        if draw(st.booleans()):
+            term = term * GradedPoly.gen("c", draw(st.integers(0, 5)), 1, {"c"})
+        poly = poly + term
+    return poly
+
+
+@settings(max_examples=60)
+@given(st.lists(evaluated_polys(), min_size=1, max_size=4), st.sampled_from([(16,), (3, 16)]),
+       st.integers(0, 2 ** 32 - 1))
+def test_evaluator_matches_the_pointwise_loop_bit_for_bit(polys, shape, seed):
+    # the per-term loop the compiled-term table replaced, read from the same
+    # grids: each row sums its terms, its constant first, unfiltered
+    rng = np.random.default_rng(seed)
+    fields = {s: rng.uniform(0.5, 2.0, shape) for s in ("u", "T", "c")}
+    length = 7.0
+    compiled = [solver._compile_terms(p, {"c"}) for p in polys]
+    keys = sorted({x[:2] for terms in compiled for _, fs in terms for x in fs})
+    grids = dict(zip(keys, solver._grids(keys, fields, length)))
+    want = np.array([ref_pointwise(terms, grids, np.zeros(shape)) for terms in compiled])
+    assert evaluator(polys)(fields, length).tobytes() == want.tobytes()
+
+
 def test_positivity_guard_fires():
     hd = build_system("harry-dym")
     n = 128
@@ -698,7 +749,7 @@ def test_growing_linear_mode_blows_up_without_numpy_warnings():
 
 
 def test_cfl_advisory_reads_each_terms_own_order():
-    # u^2*u_5x stays in the plan: its bound is dt*max(u^2)*kmax^5 with
+    # u^2*u_5x stays in the term table: its bound is dt*max(u^2)*kmax^5 with
     # kmax = 21 on 64 points of [0, 2 pi)
     kdv = build_system("kdv")
     flow = dataclasses.replace(kdv, rhs={"u": P("u^2*u_xxxxx"), "c": P("c_xxxxx")})
@@ -952,7 +1003,7 @@ def test_mkdv_short_run_conserves_classical_densities():
     assert np.max(np.abs(h1 - h1[0])) / abs(h1[0]) < 1e-9
 
 
-# --- the compiled evaluation plan -------------------------------------------------
+# --- the compiled term table, filtered --------------------------------------------
 
 def _reference_nonlinear_hat(system, state):
     """The physical-space evaluator: read each grid with (ik)^order, filter
@@ -989,7 +1040,7 @@ def _reference_nonlinear_hat(system, state):
     return out
 
 
-# no catalog plan has a constant, more than three factors or a linear term
+# no catalog system has a constant, more than three factors or a linear term
 # in another row's field: a constant 1/3, four-factor products (two filtered
 # levels) and rows that mix two and four factors, beside the self terms c_x
 # and -u_xxx that go to the integrating factor; then two even fields, each

@@ -280,6 +280,16 @@ def test_conservation_needs_a_density_name():
         check_conservation(traj)
 
 
+def test_conservation_refuses_a_bare_string_of_densities():
+    # a bare string is not read as the one-letter names "H" and "0"
+    traj = evolve(soliton_initial(0.7, 20.0, "kdv"), build_system("kdv"), 0.01, 1e-3,
+                  diagnostics=["H0"])
+    for trajectory in (traj, None):  # refused before any default run
+        with pytest.raises(ValueError, match="^densities is a sequence of names, "
+                                             "not the string 'H0'$"):
+            check_conservation(trajectory, "H0")
+
+
 def test_time_stencil_needs_five_equispaced_snapshots():
     states = [FieldState(t, 1.0, 4, {}) for t in (0.0, 0.1, 0.2, 0.3, 0.5)]
     with pytest.raises(ValueError, match="^need at least five snapshots for the time stencil$"):
