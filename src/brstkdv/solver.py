@@ -8,12 +8,13 @@ spectra of the evolving fields of one or more runs as the rows of one
 them: :func:`evolve_many` integrates runs on a shared grid in lockstep, each
 to its own end, and :func:`evolve` is its one-run case.  Polynomials are
 compiled once into a term table whose one product pass raises each power
-once and multiplies level by level.  An RK stage makes it with the 2/3
-rule: one irfft for all grids, one filter round trip for all powers and one
-per product level, and one rfft for all terms, so a kdv/mkdv/ckdv/Harry Dym
-step makes 8/16/24/24 FFT calls (stacked runs: those of the costliest), and
-each stage checks the positivity guards.  Quadrature (:func:`evaluator`) and
-the step-size advisory make it unfiltered and sum the terms on the grids.
+once and multiplies level by level, pointwise.  An RK stage makes one irfft
+for all grids, that pass, and one rfft for all terms, whose modes above N/3
+it then drops: the 2/3 rule, applied once per stage to the whole right-hand
+side.  So every step makes 8 FFT calls, however many runs are stacked and
+whatever their systems, and each stage checks the positivity guards.
+Quadrature (:func:`evaluator`) and the step-size advisory make the same pass
+and sum the terms on the grids.
 Time stepping is RK4 with an exact integrating factor exp(t sum c (ik)^o)
 over each field's constant-coefficient linear terms c*f_(o x), any order o;
 a variable-coefficient dispersion (Harry Dym's T^(-1/2) T_xxx) stays in the
@@ -252,7 +253,7 @@ class _Terms:
     (key, order) ``reads``, then the distinct ``powers`` other than 1.  The
     products are formed longest first, so those that reach level j are a
     prefix: ``first`` holds their first factors, ``levels`` per level j
-    their factors j and how many go on, ``coeffs`` their coefficients.
+    their factors j, ``coeffs`` their coefficients.
     ``adds`` is (row, product index or None for a constant, coeff) in each
     row's own term order."""
 
@@ -268,28 +269,24 @@ class _Terms:
         self.raise_from = [(slot[x[:2]], x[2]) for x in self.powers]
         index = [[slot[x[:2] if x[2] == 1.0 else x] for x in fs] for fs in formed]
         self.first = np.array([ix[0] for ix in index], dtype=int)
-        self.levels = [(np.array([ix[j] for ix in index if len(ix) > j]),
-                        sum(len(ix) > j + 1 for ix in index))
+        self.levels = [np.array([ix[j] for ix in index if len(ix) > j])
                        for j in range(1, max(map(len, index), default=1))]
         self.coeffs = np.array([every[k][1] for k in order])
         self.adds = [(r, order.index(k) if fs else None, c) for k, (r, c, fs) in enumerate(every)]
 
-    def products(self, vals, filt=None):
+    def products(self, vals):
         """Every product on ``vals`` (the grids in ``reads`` order), longest
-        first; ``filt`` (the 2/3 rule), if given, takes the powers and, after
-        each level, the terms that go on past it."""
+        first, pointwise: nothing is truncated between the factors."""
         if self.powers:
-            raised = np.stack([_raise(vals[i], e) for i, e in self.raise_from])
-            vals = np.concatenate((vals, filt(raised) if filt else raised))
+            vals = np.concatenate((vals, np.stack([_raise(vals[i], e)
+                                                   for i, e in self.raise_from])))
         acc = vals[self.first]
-        for idx, keep in self.levels:
+        for idx in self.levels:
             acc[:len(idx)] *= vals[idx]
-            if keep and filt:
-                acc[:keep] = filt(acc[:keep])
         return acc
 
     def sums(self, vals, shape):
-        """Each row's unfiltered sum on grids of ``shape``, in term order."""
+        """Each row's sum on grids of ``shape``, in term order."""
         prods = self.products(vals)
         out = np.zeros((len(self.rows),) + shape)
         for r, k, c in self.adds:
@@ -333,7 +330,8 @@ class _Stepper:
             self.fields += fields
             self.where += [where[k] if where else ""] * len(fields)
         self.terms = t = _Terms(by_row)
-        self.mask = np.arange(n // 2 + 1) <= n // 3  # the 2/3 rule
+        self.cutoff = n // 3  # the 2/3 rule: the highest mode a stage keeps
+        self.mask = np.arange(n // 2 + 1) <= self.cutoff
         self.read_rows = np.array([r for r, _ in t.reads], dtype=int)
         self.read_mult = np.array([_multiplier(n, length, o)
                                    for _, o in t.reads]).reshape(-1, n // 2 + 1)
@@ -363,16 +361,15 @@ class _Stepper:
                 raise SingularityError(f"{what}{self.where[r]} reached {m:.3e} <= {kind} "
                                        f"floor {_FLOOR:.1e} at t = {t:.6g}")
 
-    def _filter(self, a):
-        return np.fft.irfft(np.fft.rfft(a) * self.mask, self.n)
-
     def nonlinear_hat(self, hats, t):
-        """The rfft of every row's terms at one RK stage, the products formed
-        with the 2/3 rule from the guarded grids; constants add to mode 0."""
+        """The rfft of every row's terms at one RK stage, truncated once by
+        the 2/3 rule: the products are formed pointwise on the guarded grids,
+        and ``scale`` zeroes every mode above the cutoff of their one rfft
+        as it applies the coefficients; constants add to mode 0."""
         grids = np.fft.irfft(hats[self.read_rows] * self.read_mult, self.n)
         if self.guarded:
             self._check_guards({r: grids[i] for r, (i, _) in self.guarded.items()}, t)
-        spec = np.fft.rfft(self.terms.products(grids, self._filter)) * self.scale
+        spec = np.fft.rfft(self.terms.products(grids)) * self.scale
         out = np.zeros((len(self.fields), self.n // 2 + 1), dtype=complex)
         for r, k in self.adds:
             out[r] += spec[k]
@@ -401,7 +398,7 @@ class _Stepper:
         initial field ``rows``: a term's stiff factor is its highest derivative
         of the row's own field, of order m >= 3, and its bound dt * |coeff *
         other factors| * kmax^m.  The warning points at evolve's caller."""
-        kmax = 2.0 * np.pi / self.length * (self.n // 3)
+        kmax = 2.0 * np.pi / self.length * self.cutoff
         # (row, m, |coeff| and the factors other than the stiff one) per term
         stiff = [(r, m, (abs(c), tuple(x for x in fs if x[:2] != (r, m))))
                  for r, terms in enumerate(self.terms.rows) for c, fs in terms
@@ -436,8 +433,8 @@ def evolve_many(runs, dt):
     """:func:`evolve` of runs ``(state, system, t_end, record_every,
     diagnostics)`` that start at the same t on the same L and N, in lockstep
     on one stacked spectral state.  A run leaves the stack at its own last
-    step, so a step costs about the FFT calls of the costliest run still
-    going, and each trajectory is bit for bit the run's own :func:`evolve`.
+    step, a step makes 8 FFT calls for all the runs still going, and each
+    trajectory is bit for bit the run's own :func:`evolve`.
     A diagnostic named by a string is the run's ``system.density(name)``.
     Errors name the run by its index in ``runs`` when there are several."""
     where = [f" of run {i} ({run[1].name})" if len(runs) > 1 else ""
@@ -466,7 +463,7 @@ def evolve_many(runs, dt):
         if t_end <= t0:
             raise ValueError(f"t_end{of} must exceed the initial time")
         ends.append(int(round((t_end - t0) / dt)))
-        if abs(ends[-1] * dt - (t_end - t0)) > 1e-9 * max(1.0, abs(t_end)):
+        if ends[-1] < 1 or abs(ends[-1] * dt - (t_end - t0)) > 1e-9 * (t_end - t0):
             raise ValueError(f"t_end - t{of} must be an integer number of steps")
         if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
             raise ValueError(f"record_every{of} must be an int >= 1, got {every!r}")

@@ -343,6 +343,14 @@ def test_simulate_t_end_must_be_finite(capsys, tmp_path, t_end):
     assert err == f"simulate: t_end must be finite, got {t_end}\n"
 
 
+def test_simulate_t_end_below_one_step_is_one_usage_line(capsys, tmp_path):
+    # 1e-12 rounds to zero steps of the default dt 1e-3: no run, not 1 snapshot
+    code, _, err = invoke(capsys, "simulate", "--system", "kdv", "--soliton", "k=0.7",
+                          "--t-end", "1e-12", "--out", str(tmp_path))
+    assert code == 2
+    assert err == "simulate: t_end - t must be an integer number of steps\n"
+
+
 # Numeric flags: valid values, and 0, negative, nan and inf for each.  The
 # valid ones keep every run at 50 steps or fewer on 32 points or fewer; a
 # huge finite t_end such as 1e300 is left out, as it is a valid run that

@@ -107,15 +107,23 @@ def test_derivative_rejects_bad_length(length):
 
 
 def test_dealias_projects_high_modes():
-    # the 2/3-rule filter every RK stage applies to powers and products
-    length, n = 10.0, 128
-    dealias = _Stepper([build_system("kdv")], length, n, 1e-3)._filter
-    x = grid(length, n)
-    low = np.cos(2 * np.pi * 5 * x / length)
-    high = np.cos(2 * np.pi * (n // 3 + 4) * x / length)
-    assert np.max(np.abs(dealias(low) - low)) < 1e-12
-    assert np.max(np.abs(dealias(high))) < 1e-12
-    assert np.max(np.abs(dealias(low + high) - low)) < 1e-12
+    # the 2/3 rule is an RK stage's one truncation: for every catalog flow,
+    # each row's spectrum is exactly zero above mode N/3, though the
+    # products reach mode N/2
+    length, n = 20.0, 128
+    z = 2 * np.pi * grid(length, n) / length
+    f = 1.0 + 0.3 * np.cos(z) + 0.05 * np.cos(30 * z) + 0.01 * np.sin(60 * z)
+    c = 0.5 * np.sin(z) + 0.05 * np.cos(45 * z)
+    for system in [build_system(name) for name in ("kdv", "mkdv", "ckdv", "harry-dym")] + [
+            build_system("t-form", beta=-2, s=2)]:
+        stepper = _Stepper([system], length, n, 1e-3)
+        hats = np.fft.rfft([f, c])
+        out = stepper.nonlinear_hat(hats, 0.0)
+        assert np.all(out[:, n // 3 + 1:] == 0), system.name
+        assert np.all(np.abs(out[:, 1:n // 3 + 1]).max(axis=1) > 0), system.name
+        grids = np.fft.irfft(hats[stepper.read_rows] * stepper.read_mult, n)
+        raw = np.fft.rfft(stepper.terms.products(grids))
+        assert np.abs(raw[:, n // 3 + 1:]).max() > 1e-3 * np.abs(raw).max(), system.name
 
 
 # --- states and trajectories ------------------------------------------------------
@@ -376,6 +384,18 @@ def test_evolve_validation():
         evolve(st, kdv, 0.0, 1e-3)
     with pytest.raises(ValueError):
         evolve(st, kdv, 0.1005, 1e-3)  # not an integer number of steps
+
+
+@pytest.mark.parametrize("t_end, dt", [
+    pytest.param(2.5e-10, 1e-10, id="half-a-step-short"),
+    pytest.param(1e-12, 1e-3, id="no-step"),
+])
+def test_evolve_measures_the_span_in_steps(t_end, dt):
+    # a tolerance scaled to max(1, |t_end|) once took 2.5 steps as 2 and
+    # a span far below one step as none
+    st = soliton_initial(0.7, 20.0, "kdv", 40.0, 64)
+    with pytest.raises(ValueError, match="t_end - t must be an integer number of steps"):
+        evolve(st, build_system("kdv"), t_end, dt)
 
 
 def test_evolve_rejects_negative_dt():
@@ -1003,13 +1023,13 @@ def test_mkdv_short_run_conserves_classical_densities():
     assert np.max(np.abs(h1 - h1[0])) / abs(h1[0]) < 1e-9
 
 
-# --- the compiled term table, filtered --------------------------------------------
+# --- the compiled term table, truncated once ---------------------------------------
 
 def _reference_nonlinear_hat(system, state):
-    """The physical-space evaluator: read each grid with (ik)^order, filter
-    each power other than 1 and each product, sum the terms on the grid and
-    take one rfft.  Every constant-coefficient linear term in the row's own
-    field belongs to the integrating factor and is left out."""
+    """The physical-space evaluator: read each grid with (ik)^order, form
+    each term pointwise, sum the terms on the grid, take one rfft and keep
+    the modes up to N/3.  Every constant-coefficient linear term in the
+    row's own field belongs to the integrating factor and is left out."""
     n, length = state.N, state.L
     k = 2 * np.pi / length * np.fft.rfftfreq(n, d=1.0 / n)
     mask = np.arange(n // 2 + 1) <= n // 3
@@ -1020,9 +1040,6 @@ def _reference_nonlinear_hat(system, state):
             mult[-1] = 0.0
         return np.fft.irfft(np.fft.rfft(state.fields[sym]) * mult, n)
 
-    def filt(a):
-        return np.fft.irfft(np.fft.rfft(a) * mask, n)
-
     out = {}
     for f in system.evolving_fields():
         val = np.zeros(n)
@@ -1032,16 +1049,15 @@ def _reference_nonlinear_hat(system, state):
             if len(factors) == 1 and factors[0][::2] == (f, 1.0):
                 continue
             acc = 1.0
-            for i, (sym, order, e) in enumerate(factors):
-                g = grid(sym, order) if e == 1.0 else filt(grid(sym, order) ** e)
-                acc = g if i == 0 else filt(acc * g)
+            for sym, order, e in factors:
+                acc = acc * grid(sym, order) ** e
             val += float(coeff) * acc
-        out[f] = np.fft.rfft(val)
+        out[f] = np.fft.rfft(val) * mask
     return out
 
 
 # no catalog system has a constant, more than three factors or a linear term
-# in another row's field: a constant 1/3, four-factor products (two filtered
+# in another row's field: a constant 1/3, four-factor products (three product
 # levels) and rows that mix two and four factors, beside the self terms c_x
 # and -u_xxx that go to the integrating factor; then two even fields, each
 # row a lone linear factor of the other, which takes the product path
@@ -1065,9 +1081,9 @@ _CROSS = SimpleNamespace(
     pytest.param(_STUB, id="stub"),
     pytest.param(_CROSS, id="cross-row"),
 ])
-def test_plan_matches_physical_space_evaluator(system):
+def test_rk_stage_matches_physical_space_reference(system):
     # band-limited data whose mode 25 puts products above the N/3 cutoff,
-    # so the filtering order matters
+    # so a truncation between the factors would show
     n, length = 128, 20.0
     z = 2 * np.pi * grid(length, n) / length
     f = 1.0 + 0.3 * np.cos(z) + 0.2 * np.sin(2 * z) + 0.05 * np.cos(25 * z)
@@ -1102,35 +1118,40 @@ def _ffts_per_step(monkeypatch, systems, states):
     return len(calls)
 
 
-# per RK stage: one irfft reads every (field, order) grid, one rfft/irfft
-# round trip filters all powers, one round trip per product level filters
-# the terms that go on past it, and one rfft takes every term to spectral
-# space; the constant-coefficient dispersion never reaches the grid
-#   kdv:       grids | no powers | u*u_x, u*c_x end at level 1 | rfft = 2
-#   mkdv:      grids | R^2 | three two-factor terms | rfft = 4
-#   ckdv:      grids | w^-2, w^-1, w^2, w_x^2, w_x^3 | three three-factor
-#              terms filtered at level 1 | rfft = 6
-#   harry-dym: grids | T^-2.5, T^-1.5, T^-0.5, T^0.5, T_x^3 | T^-1.5*T_x
-#              filtered at level 1 | rfft = 6
-@pytest.mark.parametrize("name, ceiling", [
-    pytest.param(name, ceiling, id=name)
-    for name, ceiling in [("kdv", 8), ("mkdv", 16), ("ckdv", 24), ("harry-dym", 24)]])
-def test_step_fft_count(monkeypatch, name, ceiling):
+# per RK stage: one irfft reads every (field, order) grid and one rfft takes
+# every term, formed pointwise, to spectral space, where the 2/3 mask is the
+# one truncation; the constant-coefficient dispersion never reaches the grid,
+# so every system's step makes 4 * 2 calls
+@pytest.mark.parametrize("name", ["kdv", "mkdv", "ckdv", "harry-dym"])
+def test_step_fft_count(monkeypatch, name):
     system = build_system(name)
     n = 128
     f = 1.0 + 0.3 * np.cos(2 * np.pi * grid(40.0, n) / 40.0)
     st = FieldState(0.0, 40.0, n, {system.even_fields[0]: f, "c": np.zeros(n)})
-    assert 0 < _ffts_per_step(monkeypatch, [system], [st]) <= ceiling
+    assert 0 < _ffts_per_step(monkeypatch, [system], [st]) <= 8
 
 
 def test_stacked_runs_step_on_the_fft_calls_of_the_costliest(monkeypatch):
-    # kdv + kdv + mkdv in one stepper: mkdv's 16 calls carry the kdv rows too
+    # kdv + kdv + mkdv in one stepper: each stage's two calls carry every row
     n = 128
     f = 1.0 + 0.3 * np.cos(2 * np.pi * grid(40.0, n) / 40.0)
     systems = [build_system(nm) for nm in ("kdv", "kdv", "mkdv")]
     states = [FieldState(0.0, 40.0, n, {s.even_fields[0]: f, "c": np.zeros(n)})
               for s in systems]
-    assert _ffts_per_step(monkeypatch, systems, states) <= 16
+    assert _ffts_per_step(monkeypatch, systems, states) <= 8
+
+
+def test_one_truncation_keeps_the_mass_of_under_resolved_mkdv():
+    # N = 128 resolves neither the sech nor the cos(6 pi x / L) product
+    # modes; filtering R^2 before multiplying by R_x lets the integral of R
+    # drift by 1.1e-5 by t = 0.5, one mask per stage by 2.4e-8
+    n, length = 128, 40.0
+    x = grid(length, n)
+    r = 1.5 / np.cosh(1.5 * (x - 20.0)) + 0.3 * np.cos(6 * np.pi * x / length)
+    st = solver.initial_state("R", r, length, ghost="none")
+    traj = evolve(st, build_system("mkdv"), 0.5, 2e-4, record_every=2500, diagnostics=["H0"])
+    h0 = traj.diagnostics["H0"]
+    assert abs(h0[-1] - h0[0]) < 1e-6
 
 
 def test_symbolic_family_parameter_fails_loudly():
