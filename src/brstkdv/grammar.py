@@ -15,7 +15,8 @@ The surface syntax matches :func:`brstkdv.graded.to_string` output::
 * parenthesised factors are *scalar* coefficients, e.g. ``(beta+1)*T_x``,
   where a name or a parenthesised scalar may carry sympy's integer power
   and divisor (``(beta**2*s/2)*T``); scalar names must not collide with
-  field names used in the polynomial;
+  field names used in the polynomial; parentheses nest at most 64 deep, and
+  a ``**`` power is at most 64;
 * ``*`` is required between factors; ``+``/``-`` separate monomials.
 
 Derivative generators only accept positive integer exponents; zeroth-order
@@ -44,6 +45,7 @@ class _Scanner:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0  # of the open scalar parentheses
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
@@ -183,8 +185,12 @@ def _scalar(sc, params, what):
     optional ``**<int>`` power and ``/<int>`` divisor, as sympy prints them;
     ``what`` names the expected item when there is none."""
     if sc.take("("):
+        if sc.depth == 64:  # each level is a few Python frames
+            raise ParseError("parentheses nest deeper than 64", sc.pos - 1)
+        sc.depth += 1
         v = _sum(sc, lambda: _scalar(sc, params, "a number or parameter name"))
         sc.expect(")")
+        sc.depth -= 1
     elif sc.peek().isdecimal():
         return sc.number()
     else:

@@ -57,9 +57,6 @@ __all__ = [
 
 _RK4_IMAG_LIMIT = 2.0 * np.sqrt(2.0)
 _FLOOR = 1e-6  # positivity / nonvanishing floor of fractional and negative powers
-# snapshots per diagnostics pass, for peak RSS: the pass holds every term's
-# product at once; in the default simulate run 4 add 0.5 MB, 2 add 0.13 MB
-_BLOCK = 2
 
 
 class SolverError(RuntimeError):
@@ -197,6 +194,8 @@ def _number(value, what):
         raise ValueError(
             f"{what} {value} is not numeric (free symbols: {free or 'none'}); "
             "only numbers can be evaluated on a grid") from None
+    except OverflowError:  # beyond float range; its digits may be too many to print
+        raise ValueError(f"{what} is too large to evaluate on a grid") from None
 
 
 def _compile_terms(poly, odd_fields):
@@ -462,7 +461,10 @@ def evolve_many(runs, dt):
             raise ValueError(f"t_end{of} must be finite, got {t_end!r}")
         if t_end <= t0:
             raise ValueError(f"t_end{of} must exceed the initial time")
-        ends.append(int(round((t_end - t0) / dt)))
+        steps = (t_end - t0) / dt
+        if not math.isfinite(steps):
+            raise ValueError(f"dt {dt!r} is too small: (t_end - t){of} / dt overflows")
+        ends.append(int(round(steps)))
         if ends[-1] < 1 or abs(ends[-1] * dt - (t_end - t0)) > 1e-9 * (t_end - t0):
             raise ValueError(f"t_end - t{of} must be an integer number of steps")
         if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
@@ -532,13 +534,9 @@ def _diagnostics(system, diags, of):
 
 def _quadrature(values, states):
     """Mean * L of each row of an :func:`evaluator` on ``states``, one list
-    per row, ``_BLOCK`` stacked states at a time."""
-    length, blocks = states[0].L, []
-    for b in range(0, len(states), _BLOCK):
-        block = states[b:b + _BLOCK]
-        fields = {k: np.stack([s.fields[k] for s in block]) for k in block[0].fields}
-        blocks.append(np.mean(values(fields, length), axis=-1) * length)
-    return np.concatenate(blocks, axis=1).tolist()
+    per row, one call on each state's own fields: one snapshot's products
+    are held at a time."""
+    return np.transpose([np.mean(values(s.fields, s.L), axis=-1) * s.L for s in states]).tolist()
 
 
 def evaluator(polys):

@@ -679,6 +679,39 @@ def test_usage_errors_print_one_line_naming_the_command(capsys, tmp_path, argv, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["simulate", "--system", "kdv", "--alpha", "1e400", "--s", "1"], "exponent"),
+    (["simulate", "--system", "t-form", "--beta", "1e400", "--s", "1"], "exponent"),
+    (["miura", "--n", "8", "--initial", "1" + "0" * 310 + "*x"], "coefficient"),
+], ids=["kdv-alpha", "t-form-beta", "miura-initial"])
+def test_exact_values_beyond_float_range_exit_2(capsys, tmp_path, argv, what):
+    # float() of the exact value raised OverflowError, a traceback
+    if argv[0] == "simulate":
+        argv = argv + ["--initial", "1+3/10*cx", "--t-end", "0.001"]
+    out = tmp_path / "out"
+    code, stdout, err = invoke(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (2, "") and not out.exists()
+    assert err == f"{argv[0]}: {what} is too large to evaluate on a grid\n"
+
+
+@pytest.mark.parametrize("extra", [["--dt", "1e-320"], ["--dt", "1e-300", "--t-end", "1e10"]],
+                         ids=["dt-1e-320", "t-end-1e10"])
+def test_a_step_count_beyond_float_range_exits_2(capsys, tmp_path, extra):
+    out = tmp_path / "out"
+    code, stdout, err = invoke(capsys, "simulate", "--system", "kdv", "--soliton", "k=0.7",
+                               *extra, "--out", str(out))
+    assert (code, stdout) == (2, "") and not out.exists()
+    assert err == f"simulate: dt {float(extra[1])!r} is too small: (t_end - t) / dt overflows\n"
+
+
+def test_deep_parentheses_exit_2(capsys):
+    # 250 levels overflowed the interpreter's recursion limit
+    density = "(" * 250 + "1" + ")" * 250 + "*u"
+    code, out, err = invoke(capsys, "euler", "--density", density, "--field", "u")
+    assert (code, out) == (2, "")
+    assert err == "euler: parentheses nest deeper than 64 (at position 64)\n"
+
+
 def test_a_huge_domain_has_finite_grid_points(capsys):
     # L * arange(n) / n wrote inf as two x coordinates, with overflow warnings
     with warnings.catch_warnings():

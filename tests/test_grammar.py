@@ -201,6 +201,20 @@ GOLDEN = [
 ]
 
 
+def test_parentheses_nest_at_most_64_deep():
+    assert to_string(parse("(" * 64 + "2" + ")" * 64 + "*u")) == "2*u"
+    assert to_string(parse("u^" + "(" * 64 + "2" + ")" * 64)) == "u^2"
+    for text in ["(" * 65 + "2" + ")" * 65 + "*u", "u^" + "(" * 65 + "2" + ")" * 65]:
+        with pytest.raises(ParseError) as ei:
+            parse(text)
+        # at the first parenthesis past the cap
+        assert ei.value.position == text.index("(") + 64
+        assert str(ei.value).startswith("parentheses nest deeper than 64")
+    # far below the interpreter's recursion limit, which 250 levels reached
+    with pytest.raises(ParseError, match="deeper than 64"):
+        parse("(" * 250 + "1" + ")" * 250 + "*u")
+
+
 @pytest.mark.parametrize("text, expected", GOLDEN)
 def test_golden_parse(text, expected):
     if isinstance(expected, str):

@@ -4,6 +4,7 @@ guards, and trajectory export."""
 import dataclasses
 import json
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -349,24 +350,44 @@ def test_evolve_compiles_each_density_once(monkeypatch):
     assert len(calls) == 9
 
 
-def test_evolve_diagnostics_are_the_quadrature_of_each_snapshot():
+@pytest.mark.parametrize("t_end, every, snapshots", [
+    pytest.param(0.05, 10, 6, id="6-snapshots"),
+    pytest.param(0.048, 2, 25, id="25-snapshots"),
+])
+def test_evolve_diagnostics_are_the_quadrature_of_each_snapshot(t_end, every, snapshots):
     kdv = build_system("kdv")
     st = soliton_initial(0.6, 20.0, "kdv", 40.0, 128)
     dens = [kdv.density(nm) for nm in sorted(kdv.densities)]
-    traj = evolve(st, kdv, 0.05, 1e-3, record_every=10, diagnostics=dens)
+    traj = evolve(st, kdv, t_end, 1e-3, record_every=every, diagnostics=dens)
+    assert len(traj.states) == snapshots
     for d in dens:
         assert traj.diagnostics[d.name] == [evaluate_functional(d, s) for s in traj.states]
 
 
-def test_diagnostics_over_several_blocks_match_each_snapshot():
-    # 25 snapshots: several full blocks of stacked snapshots and a short one
+def traced_peak(call):
+    """The peak of the memory that ``call()`` allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_diagnostics_pass_holds_one_snapshot_at_a_time():
+    # the default simulate run's soliton and densities: the pass over every
+    # recorded snapshot peaks at what one snapshot's evaluator call holds
     kdv = build_system("kdv")
-    st = soliton_initial(0.6, 20.0, "kdv", 40.0, 128)
     dens = [kdv.density(nm) for nm in sorted(kdv.densities)]
-    traj = evolve(st, kdv, 0.048, 1e-3, record_every=2, diagnostics=dens)
-    assert len(traj.states) == 25 > 3 * solver._BLOCK and 25 % solver._BLOCK
-    for d in dens:
-        assert traj.diagnostics[d.name] == [evaluate_functional(d, s) for s in traj.states]
+    traj = evolve(soliton_initial(0.7, 20.0, "kdv", 40.0, 512), kdv, 0.1, 1e-3, record_every=10)
+    values, first = evaluator(dens), traj.states[0]
+    values(first.fields, first.L)  # fills the multiplier cache
+    one = traced_peak(lambda: values(first.fields, first.L))
+    every = traced_peak(lambda: solver._quadrature(values, traj.states))
+    assert len(dens) == 7 and len(traj.states) == 11
+    assert every < 1.5 * one
 
 
 def test_evolve_rejects_duplicate_diagnostic_names():
@@ -395,6 +416,14 @@ def test_evolve_measures_the_span_in_steps(t_end, dt):
     # a span far below one step as none
     st = soliton_initial(0.7, 20.0, "kdv", 40.0, 64)
     with pytest.raises(ValueError, match="t_end - t must be an integer number of steps"):
+        evolve(st, build_system("kdv"), t_end, dt)
+
+
+@pytest.mark.parametrize("t_end, dt", [(1.0, 1e-320), (1e10, 1e-300)])
+def test_evolve_rejects_a_step_count_beyond_float_range(t_end, dt):
+    # (t_end - t) / dt overflowed to inf, which int() cannot round
+    st = soliton_initial(0.7, 20.0, "kdv", 40.0, 64)
+    with pytest.raises(ValueError, match=r"dt .* is too small: \(t_end - t\) / dt overflows"):
         evolve(st, build_system("kdv"), t_end, dt)
 
 
@@ -1162,6 +1191,19 @@ def test_symbolic_family_parameter_fails_loudly():
         evolve(st, tf, 0.01, 1e-3)
     with pytest.raises(ValueError, match="beta"):
         evaluate_functional(tf.density("H1"), st)
+
+
+@pytest.mark.parametrize("poly, what", [
+    pytest.param(P("u") * 10 ** 400, "coefficient", id="coefficient"),
+    # more digits than Python prints: the message must not format them
+    pytest.param(P("u") * 10 ** 5000, "coefficient", id="coefficient-5001-digits"),
+    pytest.param(P(f"u^{10 ** 400}"), "exponent", id="exponent"),
+    pytest.param(P(f"u^(-{10 ** 400})"), "exponent", id="negative-exponent"),
+])
+def test_exact_values_beyond_float_range_fail_loudly(poly, what):
+    st = soliton_initial(0.7, 20.0, "kdv", 40.0, 64)
+    with pytest.raises(ValueError, match=f"^{what} is too large to evaluate on a grid$"):
+        evaluate_functional(poly, st)
 
 
 # --- initial data ----------------------------------------------------------------
