@@ -60,7 +60,7 @@ mapped = miura_map(trajR.states[-1].fields["R"], length)
 err = np.max(np.abs(mapped - trajU.states[-1].fields["u"]))
 print(f"map-then-evolve vs evolve-then-map at t={t_end}: L_inf = {err:.2e}")
 
-# The composed map needs nonvanishing data; a positivity guard trips on
+# The composed map needs nonvanishing data; the evaluator's guard trips on
 # anything that crosses zero.  The composed run stays away from zero.
 w = trajW.states[-1].fields["w"]
 print(f"composed flow ended at t = {trajW.states[-1].t}")

@@ -27,6 +27,7 @@ from .reductions import (
     miura_map,
 )
 from .solver import (
+    SingularityError,
     SolverError,
     _grid_points,
     _require_length,
@@ -110,7 +111,11 @@ def _eval_expression(text, x, length):
                 f"unknown name {sym!r} in initial data; bound names: x, cx, sx")
     with np.errstate(all="ignore"):
         z = 2 * np.pi * x / length
-        values = evaluator([poly])({"x": x, "cx": np.cos(z), "sx": np.sin(z)}, length)[0]
+        try:
+            values = evaluator([poly])({"x": x, "cx": np.cos(z), "sx": np.sin(z)}, length)[0]
+        except SingularityError as exc:
+            raise ValueError(f"initial data {text!r} leaves the domain of its "
+                             f"powers: {exc}") from None
     if not np.all(np.isfinite(values)):
         raise ValueError(f"initial data {text!r} is not finite on the grid")
     return values

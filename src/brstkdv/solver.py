@@ -12,9 +12,9 @@ once and multiplies level by level, pointwise.  An RK stage makes one irfft
 for all grids, that pass, and one rfft for all terms, whose modes above N/3
 it then drops: the 2/3 rule, applied once per stage to the whole right-hand
 side.  So every step makes 8 FFT calls, however many runs are stacked and
-whatever their systems, and each stage checks the positivity guards.
-Quadrature (:func:`evaluator`) and the step-size advisory make the same pass
-and sum the terms on the grids.
+whatever their systems.  Quadrature (:func:`evaluator`) and the step-size
+advisory make the same pass and sum the terms on the grids.  Every pass but
+the advisory's is guarded: a power's base at or below one floor raises.
 Time stepping is RK4 with an exact integrating factor exp(t sum c (ik)^o)
 over each field's constant-coefficient linear terms c*f_(o x), any order o;
 a variable-coefficient dispersion (Harry Dym's T^(-1/2) T_xxx) stays in the
@@ -272,6 +272,22 @@ class _Terms:
                        for j in range(1, max(map(len, index), default=1))]
         self.coeffs = np.array([every[k][1] for k in order])
         self.adds = [(r, order.index(k) if fs else None, c) for k, (r, c, fs) in enumerate(every)]
+        # (key, must stay positive) of undifferentiated reads under negative or fractional powers
+        frac = {k for k, o, e in self.powers if not o and e != int(e)}
+        self.guards = sorted({(k, k in frac) for k, o, e in self.powers
+                              if not o and (e < 0 or k in frac)})
+
+    def guard(self, grids, t=None, names=None):
+        """Raise SingularityError unless each guarded ``grids[key]`` clears _FLOOR (in
+        modulus for a negative power); ``names[key]`` is its (symbol, run words)."""
+        for key, positive in self.guards:
+            m = float(np.min(grids[key] if positive else np.abs(grids[key])))
+            if not m > _FLOOR:  # NaN fails this test too
+                sym, where = names[key] if names else (key, "")
+                what, kind = ((f"field {sym!r}", "positivity") if positive
+                              else (f"|{sym}|", "nonvanishing"))
+                raise SingularityError(f"{what}{where} reached {m:.3e} <= {kind} floor "
+                                       f"{_FLOOR:.1e}" + ("" if t is None else f" at t = {t:.6g}"))
 
     def products(self, vals):
         """Every product on ``vals`` (the grids in ``reads`` order), longest
@@ -304,7 +320,7 @@ class _Stepper:
     def __init__(self, systems, length, n, dt, where=None, zero=None):
         _require_power_of_two(n)
         self.length, self.n, self.dt = length, n, dt
-        self.fields, self.where, self.spans, self.idle, by_row, lam = (), [], [], [], [], []
+        self.fields, self.names, self.spans, self.idle, by_row, lam = (), [], [], [], [], []
         for k, system in enumerate(systems):
             laws = {f: _compile_terms(system.rhs[f], system.odd_fields)
                     for f in system.evolving_fields()}
@@ -327,38 +343,21 @@ class _Stepper:
             self.spans.append(slice(len(self.fields), len(self.fields) + len(fields)))
             self.idle.append(idle)
             self.fields += fields
-            self.where += [where[k] if where else ""] * len(fields)
+            self.names += [(f, where[k] if where else "") for f in fields]
         self.terms = t = _Terms(by_row)
         self.cutoff = n // 3  # the 2/3 rule: the highest mode a stage keeps
-        self.mask = np.arange(n // 2 + 1) <= self.cutoff
         self.read_rows = np.array([r for r, _ in t.reads], dtype=int)
         self.read_mult = np.array([_multiplier(n, length, o)
                                    for _, o in t.reads]).reshape(-1, n // 2 + 1)
-        self.scale = t.coeffs[:, None] * self.mask
+        self.scale = t.coeffs[:, None] * (np.arange(n // 2 + 1) <= self.cutoff)
         self.adds = [(r, k) for r, k, _ in t.adds if k is not None]
         self.consts = [(r, c * n) for r, k, c in t.adds if k is None]
-        # an undifferentiated fractional power needs a positive base and a
-        # negative one a nonzero base: row -> (grid index, must be positive)
-        frac = {r for r, o, e in t.powers if not o and e != int(e)}
-        self.guarded = {r: (t.reads.index((r, 0)), r in frac)
-                        for r, o, e in t.powers if not o and (e < 0 or r in frac)}
+        self.guard_reads = [(r, t.reads.index((r, 0))) for r, _ in t.guards]
         with np.errstate(over="ignore", invalid="ignore"):  # inf blows up at t = dt
             self.E, self.E2 = (np.exp(h * dt * np.array(lam)) for h in (1.0, 0.5))
             # the RK4 weights folded into the factors, once
             self.half_E2, self.dt_E2 = 0.5 * dt * self.E2, dt * self.E2
             self.sixth_E, self.third_E2 = dt / 6.0 * self.E, dt / 3.0 * self.E2
-
-    def _check_guards(self, grids, t):
-        """Raise SingularityError if a guarded row of ``grids`` (indexed by
-        row) is not above the floor at time t."""
-        for r, (_, positive) in self.guarded.items():
-            m = float(np.min(grids[r] if positive else np.abs(grids[r])))
-            if not m > _FLOOR:  # NaN fails this test too
-                sym = self.fields[r]
-                what, kind = ((f"field {sym!r}", "positivity") if positive
-                              else (f"|{sym}|", "nonvanishing"))
-                raise SingularityError(f"{what}{self.where[r]} reached {m:.3e} <= {kind} "
-                                       f"floor {_FLOOR:.1e} at t = {t:.6g}")
 
     def nonlinear_hat(self, hats, t):
         """The rfft of every row's terms at one RK stage, truncated once by
@@ -366,8 +365,7 @@ class _Stepper:
         and ``scale`` zeroes every mode above the cutoff of their one rfft
         as it applies the coefficients; constants add to mode 0."""
         grids = np.fft.irfft(hats[self.read_rows] * self.read_mult, self.n)
-        if self.guarded:
-            self._check_guards({r: grids[i] for r, (i, _) in self.guarded.items()}, t)
+        self.terms.guard({r: grids[i] for r, i in self.guard_reads}, t, self.names)
         spec = np.fft.rfft(self.terms.products(grids)) * self.scale
         out = np.zeros((len(self.fields), self.n // 2 + 1), dtype=complex)
         for r, k in self.adds:
@@ -377,12 +375,9 @@ class _Stepper:
         return out
 
     def advance(self, hats, t):
-        """One integrating-factor RK4 step in spectral space.
-
-        Every stage checks the guards on its own grids and raises
-        SingularityError at its own time; other non-finite values are caught
-        by the caller, so numpy's invalid-value warnings are suppressed.
-        """
+        """One integrating-factor RK4 step in spectral space.  Each stage
+        guards its own grids at its own time; other non-finite values are
+        caught by the caller, so numpy's invalid-value warnings are off."""
         dt = self.dt
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             e2_hats, e_hats = self.E2 * hats, self.E * hats
@@ -416,7 +411,7 @@ class _Stepper:
                 while frame.f_globals is globals():
                     frame, level = frame.f_back, level + 1
                 warnings.warn(
-                    f"field {self.fields[r]!r}{self.where[r]}: variable-coefficient "
+                    f"field {self.fields[r]!r}{self.names[r][1]}: variable-coefficient "
                     f"dispersion with dt*|a|*kmax^{m} ~ {bound:.3g} exceeds the "
                     "RK4 stability bound ~2.83; reduce dt or N", stacklevel=level)
 
@@ -462,8 +457,9 @@ def evolve_many(runs, dt):
         if t_end <= t0:
             raise ValueError(f"t_end{of} must exceed the initial time")
         steps = (t_end - t0) / dt
-        if not math.isfinite(steps):
-            raise ValueError(f"dt {dt!r} is too small: (t_end - t){of} / dt overflows")
+        if not steps <= 2 ** 53:  # beyond it a float step count is not an exact integer
+            raise ValueError(f"dt {dt!r} is too small: (t_end - t){of} / dt " + (
+                "overflows" if math.isinf(steps) else f"= {steps:.3g} exceeds 2**53 steps"))
         ends.append(int(round(steps)))
         if ends[-1] < 1 or abs(ends[-1] * dt - (t_end - t0)) > 1e-9 * (t_end - t0):
             raise ValueError(f"t_end - t{of} must be an integer number of steps")
@@ -487,7 +483,7 @@ def evolve_many(runs, dt):
     grids = [state.fields[f] for (state, *_), rows in zip(runs, stepper.spans)
              for f in stepper.fields[rows]]
     # the advisory raises |field| to negative powers, so the guards go first
-    stepper._check_guards(grids, t0)
+    stepper.terms.guard(grids, t0, stepper.names)
     stepper.cfl_advisory(grids)
 
     states = [[state] for state, *_ in runs]
@@ -498,7 +494,7 @@ def evolve_many(runs, dt):
         if bad.any():
             r = bad.argmax()
             raise BlowUpError(f"non-finite values in field {stepper.fields[r]!r}"
-                              f"{stepper.where[r]}", t0 + i * dt)
+                              f"{stepper.names[r][1]}", t0 + i * dt)
         for k, rows, idle in zip(live, stepper.spans, stepper.idle):
             state, _, _, every, _ = runs[k]
             if i % every == 0 or i == ends[k]:
@@ -506,6 +502,8 @@ def evolve_many(runs, dt):
                 fields.update((f, np.zeros(n)) for f in idle)
                 fields = {**state.fields, **fields}
                 states[k].append(dataclasses.replace(state, t=t0 + i * dt, fields=fields))
+        if i in ends and stepper.terms.guards:  # no stage reads a run's last state
+            stepper.terms.guard(np.fft.irfft(hats, n), t0 + i * dt, stepper.names)
         if i in ends and i < max(ends):  # the runs that end here leave the stack
             going = [j for j, k in enumerate(live) if ends[k] > i]
             hats = np.concatenate([hats[stepper.spans[j]] for j in going])
@@ -544,8 +542,8 @@ def evaluator(polys):
     returns maps ``(fields, length)`` to the values of each on the grids
     ``fields`` (periodic samples on [0, length) along the last axis, all of
     one shape (..., N), keyed by symbol), one row each, pointwise and
-    unfiltered, all read from one set of grids.  Odd generators read the
-    coefficient arrays of their ghost fields."""
+    unfiltered; odd generators read their ghosts' coefficient arrays, and a
+    base of a negative or fractional power at the floor raises SingularityError."""
     polys = [p.density if hasattr(p, "density") else p for p in polys]
     table = _Terms([_compile_terms(p, {base_symbol(s) for s in p.odd_syms}) for p in polys])
 
@@ -554,14 +552,16 @@ def evaluator(polys):
         if len(set(shapes.values())) > 1:
             raise ValueError("fields of unequal shape: " + ", ".join(
                 f"{s!r} {shape}" for s, shape in shapes.items()))
-        return table.sums(_grids(table.reads, fields, length), next(iter(shapes.values())))
+        vals = _grids(table.reads, fields, length)
+        table.guard(fields)
+        return table.sums(vals, next(iter(shapes.values())))
     return rows
 
 
 def evaluate_functional(density, state):
-    """Trapezoid quadrature of a density over the periodic domain (exact
-    mean * L on the equispaced grid).  Ghost generators are replaced by
-    derivatives of the ghost coefficient array."""
+    """Trapezoid quadrature (exact mean * L on the periodic grid) of a density,
+    its ghost generators read as derivatives of the ghost coefficient array;
+    raises SingularityError as :func:`evaluator` does."""
     return _quadrature(evaluator([density]), [state])[0][0]
 
 

@@ -424,18 +424,30 @@ def test_initial_data_must_be_numeric(capsys, tmp_path, command, text):
     assert err.startswith(f"{command}:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["miura", "--initial", "x^1000"],
-    ["simulate", "--system", "kdv", "--initial", "x^(-1)"],
-    ["simulate", "--system", "kdv", "--initial", "1 + cx", "--ghost-initial", "x^(-1)"],
+@pytest.mark.parametrize("argv, what", [
+    (["miura", "--initial", "x^1000"], "not finite"),
+    (["simulate", "--system", "kdv", "--initial", "x^(-1)"],
+     "'x^(-1)' leaves the domain of its powers: |x| reached 0.000e+00"),
+    (["simulate", "--system", "kdv", "--initial", "1 + cx", "--ghost-initial", "x^(-1)"],
+     "'x^(-1)' leaves the domain of its powers: |x| reached 0.000e+00"),
 ], ids=["miura-overflow", "simulate-initial", "simulate-ghost"])
-def test_initial_data_must_be_finite(capsys, tmp_path, argv):
-    # inf on the grid is a usage error before any map or step
+def test_initial_data_must_be_finite(capsys, tmp_path, argv, what):
+    # inf on the grid is a usage error before any map or step; x^(-1) at
+    # x = 0 meets the evaluator's guard first
     out = tmp_path / "out"
     code, stdout, err = invoke(capsys, *argv, "--n", "16", "--out", str(out))
     assert code == 2
-    assert err.startswith(f"{argv[0]}:") and "not finite" in err
+    assert err.startswith(f"{argv[0]}:") and what in err
     assert stdout == "" and not out.exists()
+
+
+def test_initial_data_outside_a_powers_domain_exits_2(capsys, tmp_path):
+    # 1/cos(2 pi x / L) at the grid point where cos is 6e-17 wrote a 1.6e16 spike
+    out = tmp_path / "m.csv"
+    code, stdout, err = invoke(capsys, "miura", "--initial", "cx^-1", "--out", str(out))
+    assert (code, stdout) == (2, "") and not out.exists()
+    assert err == ("miura: initial data 'cx^-1' leaves the domain of its powers: "
+                   "|cx| reached 6.123e-17 <= nonvanishing floor 1.0e-06\n")
 
 
 # mostly well-formed initial data; a zero denominator, a parameter name, a
@@ -571,6 +583,20 @@ def test_out_paths_never_escape_run(tmp_path, argv, ok, where):
     assert code == 0 or str(path) in err
 
 
+@pytest.mark.filterwarnings("ignore:.*stability bound:UserWarning")
+def test_a_guard_failure_on_the_last_state_writes_nothing(capsys, tmp_path):
+    # no stage reads the last step's output: the run exited 0 with
+    # min T = -0.075 in the CSV and NaN in manifest.json
+    code, _, err = invoke(capsys, "simulate", "--system", "harry-dym",
+                          "--initial", "1 + 9/10*cx", "--n", "128", "--L", "20",
+                          "--dt", "0.02", "--t-end", "0.04", "--diag", "H1",
+                          "--out", str(tmp_path))
+    assert code == 1
+    assert err.startswith("simulate: field 'T' reached") and "positivity floor" in err
+    assert "at t = 0.04\n" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_simulate_guard_failure_exit_code(capsys, tmp_path):
     # harry-dym data crossing the positivity floor is a runtime failure (1),
@@ -702,6 +728,16 @@ def test_a_step_count_beyond_float_range_exits_2(capsys, tmp_path, extra):
                                *extra, "--out", str(out))
     assert (code, stdout) == (2, "") and not out.exists()
     assert err == f"simulate: dt {float(extra[1])!r} is too small: (t_end - t) / dt overflows\n"
+
+
+def test_a_step_count_a_float_cannot_count_exits_2(capsys, tmp_path):
+    # 1e300 steps passed as an integer number of steps: the run never ended
+    out = tmp_path / "out"
+    code, stdout, err = invoke(capsys, "simulate", "--system", "kdv", "--soliton", "k=0.7",
+                               "--dt", "1e-300", "--out", str(out))
+    assert (code, stdout) == (2, "") and not out.exists()
+    assert err == ("simulate: dt 1e-300 is too small: (t_end - t) / dt = 1e+300 "
+                   "exceeds 2**53 steps\n")
 
 
 def test_deep_parentheses_exit_2(capsys):

@@ -427,6 +427,26 @@ def test_evolve_rejects_a_step_count_beyond_float_range(t_end, dt):
         evolve(st, build_system("kdv"), t_end, dt)
 
 
+def test_evolve_rejects_a_step_count_a_float_cannot_count(monkeypatch):
+    # 1e300 steps passed as an integer number of steps, and the run began
+    st = soliton_initial(0.7, 20.0, "kdv", 40.0, 64)
+    monkeypatch.setattr(np.fft, "rfft", None)  # the check precedes every transform
+    with pytest.raises(ValueError, match=r"^dt 1e-300 is too small: .* exceeds 2\*\*53 steps$"):
+        evolve(st, build_system("kdv"), 1.0, 1e-300)
+
+
+def test_a_million_steps_are_still_accepted(monkeypatch):
+    class Stepped(Exception):
+        pass
+
+    def advance(self, hats, t):
+        raise Stepped
+
+    monkeypatch.setattr(solver._Stepper, "advance", advance)
+    with pytest.raises(Stepped):
+        evolve(soliton_initial(0.7, 20.0, "kdv", 40.0, 64), build_system("kdv"), 1.0, 1e-6)
+
+
 def test_evolve_rejects_negative_dt():
     st = soliton_initial(0.5, 20.0, "kdv", 40.0, 128)
     with pytest.raises(ValueError, match="dt"):
@@ -833,7 +853,30 @@ def test_guards_trip_on_nan(name, sym):
     g = np.ones(16)
     g[3] = np.nan
     with pytest.raises(SingularityError, match="nan"):
-        stepper._check_guards({0: g}, 0.0)
+        stepper.terms.guard({0: g}, 0.0, stepper.names)
+
+
+def test_a_runs_last_state_is_guarded():
+    # no stage reads the last step's output: T went to -0.075 at t_end and
+    # the run returned it, with a NaN H1 from T^(3/2)
+    hd = build_system("harry-dym")
+    n = 128
+    T = 1.0 + 0.9 * np.cos(2 * np.pi * grid(20.0, n) / 20.0)
+    st = FieldState(0.0, 20.0, n, {"T": T, "c": np.zeros(n)})
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*stability bound", category=UserWarning)
+        with pytest.raises(SingularityError, match=r"positivity floor .* at t = 0\.04$"):
+            evolve(st, hd, 0.04, 0.02, diagnostics=["H1"])
+
+
+def test_evaluate_functional_is_guarded():
+    # T^(3/2) of a sign-changing T was NaN on half the grid, and so the integral
+    hd = build_system("harry-dym")
+    n = 64
+    T = np.cos(2 * np.pi * grid(20.0, n) / 20.0)
+    st = FieldState(0.0, 20.0, n, {"T": T, "c": np.zeros(n)})
+    with pytest.raises(SingularityError, match=r"^field 'T' reached -1\.000e\+00 <= positivity"):
+        evaluate_functional(hd.density("H1"), st)
 
 
 _RUNNABLE = {name: build_system(name) for name in ("kdv", "mkdv", "ckdv", "harry-dym")}
