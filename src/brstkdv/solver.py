@@ -40,20 +40,9 @@ import numpy as np
 
 from .graded import ParamPoly, base_symbol
 
-__all__ = [
-    "SolverError",
-    "BlowUpError",
-    "SingularityError",
-    "FieldState",
-    "Trajectory",
-    "spectral_derivative",
-    "evolve",
-    "evolve_many",
-    "evaluator",
-    "evaluate_functional",
-    "initial_state",
-    "soliton_initial",
-]
+__all__ = ["SolverError", "BlowUpError", "SingularityError", "FieldState", "Trajectory",
+           "spectral_derivative", "evolve", "evolve_many", "evaluator", "evaluate_functional",
+           "initial_state", "soliton_initial"]
 
 _RK4_IMAG_LIMIT = 2.0 * np.sqrt(2.0)
 _FLOOR = 1e-6  # positivity / nonvanishing floor of fractional and negative powers
@@ -375,9 +364,8 @@ class _Stepper:
         return out
 
     def advance(self, hats, t):
-        """One integrating-factor RK4 step in spectral space.  Each stage
-        guards its own grids at its own time; other non-finite values are
-        caught by the caller, so numpy's invalid-value warnings are off."""
+        """One integrating-factor RK4 step in spectral space.  Each stage guards its own
+        grids at its own time; the caller catches other non-finite values, unwarned."""
         dt = self.dt
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             e2_hats, e_hats = self.E2 * hats, self.E * hats
@@ -431,8 +419,7 @@ def evolve_many(runs, dt):
     trajectory is bit for bit the run's own :func:`evolve`.
     A diagnostic named by a string is the run's ``system.density(name)``.
     Errors name the run by its index in ``runs`` when there are several."""
-    where = [f" of run {i} ({run[1].name})" if len(runs) > 1 else ""
-             for i, run in enumerate(runs)]
+    where = [f" of run {i} ({run[1].name})" if len(runs) > 1 else "" for i, run in enumerate(runs)]
     runs = [(state, system, t_end, every, _diagnostics(system, diags, of))
             for (state, system, t_end, every, diags), of in zip(runs, where)]
     if not (math.isfinite(dt) and dt > 0):
@@ -473,11 +460,15 @@ def evolve_many(runs, dt):
         if twice:
             raise ValueError(f"diagnostic {twice[0]!r}{of} is given more than once")
         evaluators.append(evaluator(diagnostics))
-        for nm, d in zip(names[-1], diagnostics):
+        for nm, d, row in zip(names[-1], diagnostics, evaluators[-1].table.rows):
             unread = sorted(getattr(d, "density", d).symbols() - set(state.fields))
             if unread:
                 raise ValueError(f"diagnostic {nm!r}{of} reads field {unread[0]!r}, "
                                  "which the state does not have")
+            try:  # a diagnostic outside its powers' domain fails before step 1
+                _Terms([row]).guard(state.fields)
+            except SingularityError as e:
+                raise SingularityError(f"diagnostic {nm!r}{of} at t = {t0:.6g}: {e}") from None
     zero = [{f for f in state.fields if not state.fields[f].any()} for state, *_ in runs]
     live, stepper = [*range(len(runs))], _Stepper([r[1] for r in runs], length, n, dt, where, zero)
     grids = [state.fields[f] for (state, *_), rows in zip(runs, stepper.spans)
@@ -487,6 +478,7 @@ def evolve_many(runs, dt):
     stepper.cfl_advisory(grids)
 
     states = [[state] for state, *_ in runs]
+    values = [_quadrature(ev, [state], of) for (state, *_), ev, of in zip(runs, evaluators, where)]
     hats = np.fft.rfft(grids)
     for i in range(1, max(ends) + 1):
         hats = stepper.advance(hats, t0 + (i - 1) * dt)
@@ -495,15 +487,19 @@ def evolve_many(runs, dt):
             r = bad.argmax()
             raise BlowUpError(f"non-finite values in field {stepper.fields[r]!r}"
                               f"{stepper.names[r][1]}", t0 + i * dt)
+        last = np.fft.irfft(hats, n) if i in ends and stepper.terms.guards else None
+        if last is not None:  # no stage reads a run's last state: guard it, record from it
+            stepper.terms.guard(last, t0 + i * dt, stepper.names)
         for k, rows, idle in zip(live, stepper.spans, stepper.idle):
             state, _, _, every, _ = runs[k]
             if i % every == 0 or i == ends[k]:
-                fields = dict(zip(stepper.fields[rows], np.fft.irfft(hats[rows], n)))
+                grids = np.fft.irfft(hats[rows], n) if last is None else last[rows]
+                fields = dict(zip(stepper.fields[rows], grids))
                 fields.update((f, np.zeros(n)) for f in idle)
                 fields = {**state.fields, **fields}
                 states[k].append(dataclasses.replace(state, t=t0 + i * dt, fields=fields))
-        if i in ends and stepper.terms.guards:  # no stage reads a run's last state
-            stepper.terms.guard(np.fft.irfft(hats, n), t0 + i * dt, stepper.names)
+                for col, v in zip(values[k], _quadrature(evaluators[k], states[k][-1:], where[k])):
+                    col += v  # each snapshot's diagnostics as it is recorded
         if i in ends and i < max(ends):  # the runs that end here leave the stack
             going = [j for j, k in enumerate(live) if ends[k] > i]
             hats = np.concatenate([hats[stepper.spans[j]] for j in going])
@@ -512,11 +508,11 @@ def evolve_many(runs, dt):
                                [where[k] for k in live], [zero[k] for k in live])
     return [Trajectory(
         states=snaps,
-        diagnostics=dict(zip(nms, _quadrature(ev, snaps))),
+        diagnostics=dict(zip(nms, vals)),
         meta={"system": system.name,
               "parameters": {k: str(v) for k, v in system.parameters.items()},
               "dt": dt, "record_every": every, "t_end": t_end},
-    ) for (_, system, t_end, every, _), snaps, nms, ev in zip(runs, states, names, evaluators)]
+    ) for (_, system, t_end, every, _), snaps, nms, vals in zip(runs, states, names, values)]
 
 
 def _diagnostics(system, diags, of):
@@ -530,11 +526,16 @@ def _diagnostics(system, diags, of):
         raise KeyError(f"diagnostics{of}: {e.args[0]}" if of else e.args[0]) from None
 
 
-def _quadrature(values, states):
-    """Mean * L of each row of an :func:`evaluator` on ``states``, one list
-    per row, one call on each state's own fields: one snapshot's products
-    are held at a time."""
-    return np.transpose([np.mean(values(s.fields, s.L), axis=-1) * s.L for s in states]).tolist()
+def _quadrature(values, states, of=""):
+    """Mean * L of each row of an :func:`evaluator` on ``states``, one list per row, one
+    snapshot's products held at a time; a SingularityError names the run ``of`` and t."""
+    out = []
+    for s in states:
+        try:
+            out.append(np.mean(values(s.fields, s.L), axis=-1) * s.L)
+        except SingularityError as e:
+            raise SingularityError(f"diagnostics{of} at t = {s.t:.6g}: {e}") from None
+    return np.transpose(out).tolist()
 
 
 def evaluator(polys):
@@ -555,14 +556,13 @@ def evaluator(polys):
         vals = _grids(table.reads, fields, length)
         table.guard(fields)
         return table.sums(vals, next(iter(shapes.values())))
+    rows.table = table
     return rows
 
 
 def evaluate_functional(density, state):
-    """Trapezoid quadrature (exact mean * L on the periodic grid) of a density,
-    its ghost generators read as derivatives of the ghost coefficient array;
-    raises SingularityError as :func:`evaluator` does."""
-    return _quadrature(evaluator([density]), [state])[0][0]
+    """Trapezoid quadrature (exact mean * L) of a density; raises as :func:`evaluator` does."""
+    return float(np.mean(evaluator([density])(state.fields, state.L), axis=-1)[0] * state.L)
 
 
 def soliton_initial(k, x0, system, length=40.0, n=512, ghost="gradient"):

@@ -869,6 +869,34 @@ def test_a_runs_last_state_is_guarded():
             evolve(st, hd, 0.04, 0.02, diagnostics=["H1"])
 
 
+def test_a_diagnostic_outside_its_domain_fails_before_step_1(monkeypatch):
+    # the soliton's tails (5e-12) fail u^(1/2)'s floor at t = 0; the error
+    # came only after the last step and named no run, diagnostic or time
+    kdv = build_system("kdv")
+    st = soliton_initial(0.7, 20.0, "kdv", 40.0, 64)
+    monkeypatch.setattr(solver, "_Stepper", None)  # no stepper is built
+    with pytest.raises(SingularityError, match=r"^diagnostic 'u\^1/2' of run 1 \(kdv\) at t = 0: "
+                                               r"field 'u' reached .* <= positivity floor"):
+        evolve_many([(st, kdv, 0.01, 1, ()), (st, kdv, 0.01, 1, [parse("u^(1/2)")])], 1e-3)
+
+
+def test_a_diagnostic_leaving_its_domain_fails_at_that_snapshot(monkeypatch):
+    # dispersion turns cos x - cos 3x towards cos x + cos 3x: min u goes from
+    # 1.6e-3 to -6.4e-4 by t = 0.04, the fourth recorded snapshot of twenty
+    n = 32
+    x = grid(2 * np.pi, n)
+    st = FieldState(0.0, 2 * np.pi, n, {"u": 0.017 + 0.01 * (np.cos(x) - np.cos(3 * x)),
+                                        "c": np.zeros(n)})
+    steps, advance = [], solver._Stepper.advance
+    monkeypatch.setattr(solver._Stepper, "advance",
+                        lambda self, hats, t: steps.append(t) or advance(self, hats, t))
+    with pytest.raises(SingularityError, match=r"^diagnostics of run 1 \(kdv\) at t = 0\.04: "
+                                               r"field 'u' reached -6\.362e-04"):
+        evolve_many([(st, build_system("kdv"), 0.2, 10, ()),
+                     (st, build_system("kdv"), 0.2, 10, [parse("u^(1/2)")])], 1e-3)
+    assert len(steps) == 40
+
+
 def test_evaluate_functional_is_guarded():
     # T^(3/2) of a sign-changing T was NaN on half the grid, and so the integral
     hd = build_system("harry-dym")
