@@ -7,7 +7,10 @@ symbolic checks (tolerance 0) and numeric checks with explicit
 tolerances.  The same battery backs `brstkdv verify all`: it runs the
 checks serially in registry order, and both conservation reports (odd at
 1e-6, classical at 1e-8) and the zero-curvature check read one standard
-kdv soliton run.
+kdv soliton run.  The covariance check also holds both gauge slices of
+the zero-curvature equation: slice A leaves only the residual slice
+equation, and slice B is flat on the modified flow that the Miura map
+carries onto KdV.
 """
 
 from brstkdv.verify import run_all

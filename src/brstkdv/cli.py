@@ -49,8 +49,10 @@ def _load_config(path):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{ln}: expected key=value")
-            key, val = line.split("=", 1)
-            cfg[key.strip()] = val.strip()
+            key, val = (p.strip() for p in line.split("=", 1))
+            if key in cfg:
+                raise ValueError(f"{path}:{ln}: key {key!r} is given more than once")
+            cfg[key] = val
     return cfg
 
 
@@ -129,6 +131,8 @@ def _parse_soliton(spec):
             raise ValueError("soliton spec is k=<value>[,x0=<value>]")
         if key not in vals:
             raise ValueError(f"unknown soliton key {key!r}")
+        if vals[key] is not None:
+            raise ValueError(f"soliton key {key!r} is given more than once")
         try:
             vals[key] = float(v)
         except ValueError:

@@ -477,8 +477,19 @@ def evolve_many(runs, dt):
     stepper.terms.guard(grids, t0, stepper.names)
     stepper.cfl_advisory(grids)
 
-    states = [[state] for state, *_ in runs]
-    values = [_quadrature(ev, [state], of) for (state, *_), ev, of in zip(runs, evaluators, where)]
+    states, values = [[] for _ in runs], [[[] for _ in nms] for nms in names]
+
+    def record(k, state):  # a snapshot and its diagnostics, one snapshot's products at a time
+        states[k].append(state)
+        try:
+            row = np.mean(evaluators[k](state.fields, state.L), axis=-1) * state.L
+        except SingularityError as e:
+            raise SingularityError(f"diagnostics{where[k]} at t = {state.t:.6g}: {e}") from None
+        for col, v in zip(values[k], row.tolist()):
+            col.append(v)
+
+    for k, (state, *_) in enumerate(runs):
+        record(k, state)
     hats = np.fft.rfft(grids)
     for i in range(1, max(ends) + 1):
         hats = stepper.advance(hats, t0 + (i - 1) * dt)
@@ -487,19 +498,18 @@ def evolve_many(runs, dt):
             r = bad.argmax()
             raise BlowUpError(f"non-finite values in field {stepper.fields[r]!r}"
                               f"{stepper.names[r][1]}", t0 + i * dt)
-        last = np.fft.irfft(hats, n) if i in ends and stepper.terms.guards else None
-        if last is not None:  # no stage reads a run's last state: guard it, record from it
-            stepper.terms.guard(last, t0 + i * dt, stepper.names)
-        for k, rows, idle in zip(live, stepper.spans, stepper.idle):
-            state, _, _, every, _ = runs[k]
-            if i % every == 0 or i == ends[k]:
-                grids = np.fft.irfft(hats[rows], n) if last is None else last[rows]
-                fields = dict(zip(stepper.fields[rows], grids))
+        recording = [i % runs[k][3] == 0 or i == ends[k] for k in live]
+        if any(recording):
+            grids = np.fft.irfft(hats, n)
+            if i in ends:  # no stage reads a run's last state, so it is guarded here
+                stepper.terms.guard(grids, t0 + i * dt, stepper.names)
+        for k, rows, idle, rec in zip(live, stepper.spans, stepper.idle, recording):
+            if rec:  # the snapshot copies its own rows, so it keeps no other run's alive
+                state = runs[k][0]
+                fields = dict(zip(stepper.fields[rows], grids[rows].copy()))
                 fields.update((f, np.zeros(n)) for f in idle)
-                fields = {**state.fields, **fields}
-                states[k].append(dataclasses.replace(state, t=t0 + i * dt, fields=fields))
-                for col, v in zip(values[k], _quadrature(evaluators[k], states[k][-1:], where[k])):
-                    col += v  # each snapshot's diagnostics as it is recorded
+                record(k, dataclasses.replace(state, t=t0 + i * dt,
+                                              fields={**state.fields, **fields}))
         if i in ends and i < max(ends):  # the runs that end here leave the stack
             going = [j for j, k in enumerate(live) if ends[k] > i]
             hats = np.concatenate([hats[stepper.spans[j]] for j in going])
@@ -524,18 +534,6 @@ def _diagnostics(system, diags, of):
         return [system.density(d) if isinstance(d, str) else d for d in diags]
     except KeyError as e:
         raise KeyError(f"diagnostics{of}: {e.args[0]}" if of else e.args[0]) from None
-
-
-def _quadrature(values, states, of=""):
-    """Mean * L of each row of an :func:`evaluator` on ``states``, one list per row, one
-    snapshot's products held at a time; a SingularityError names the run ``of`` and t."""
-    out = []
-    for s in states:
-        try:
-            out.append(np.mean(values(s.fields, s.L), axis=-1) * s.L)
-        except SingularityError as e:
-            raise SingularityError(f"diagnostics{of} at t = {s.t:.6g}: {e}") from None
-    return np.transpose(out).tolist()
 
 
 def evaluator(polys):

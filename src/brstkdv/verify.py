@@ -2,9 +2,11 @@
 
 Each check returns a :class:`CheckReport` with measured metrics and the
 tolerance they were held to (0 for exact polynomial identities, where the
-metric is a count of surviving monomials).  Checks accept injectable
-inputs so the test suite can verify they *fail* under deliberately
-corrupted structure constants or equation coefficients.
+metric is a count of surviving monomials).  Every check is registered
+in ``CHECKS``; both gauge slices of the zero-curvature equation are
+metrics of ``check_upsilon_covariance``.  Checks accept injectable inputs
+so the test suite can verify they *fail* under deliberately corrupted
+structure constants or equation coefficients.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "check_upsilon_covariance",
     "check_system_invariance",
     "check_gradient_ghost",
-    "check_gauge_slices",
     "check_conservation",
     "check_miura_chain",
     "check_zero_curvature",
@@ -122,22 +123,39 @@ def check_nilpotency(structure=None):
     )
 
 
-def check_upsilon_covariance():
-    """The residual slice equation transforms as a weight-two density:
-    delta(Upsilon) = 2 Upsilon c_x + Upsilon_x c, exactly, with time
-    derivatives kept as markers."""
+def check_upsilon_covariance(structure=None):
+    """Both gauge slices of the zero-curvature equation, exactly.  On slice
+    A, F^0 and F^+ vanish identically (``slice_a_0``, ``slice_a_plus``),
+    which leaves F^- = -Upsilon as the one residual equation; Upsilon
+    transforms as a weight-two density, delta(Upsilon) = 2 Upsilon c_x +
+    Upsilon_x c (``covariance_defect``), with time derivatives kept as
+    markers, and the odd symmetry commutes with d/dx.  On slice B, F^+ and
+    F^- vanish on the mkdv flow, and the Miura map u = 2 R_x - 2 R^2 carries
+    that flow onto kdv's (``slice_b_miura``: the terms of d/dt u(R) on shell
+    that kdv's u_t at u(R) leaves).  ``structure`` replaces the (T-basis)
+    structure table of the slice curvatures."""
     c = GradedPoly.gen("c", odd_syms=frozenset({"c"}))
     cx = GradedPoly.gen("c", 1, odd_syms=frozenset({"c"}))
     rules, ups = upsilon_rules(), upsilon_poly()
-    diff = apply_derivation(ups, rules) - 2 * (ups * cx) - total_x_derivative(ups) * c
-    dups = total_x_derivative(ups)
-    consistency = (apply_derivation(dups, rules)
-                   - total_x_derivative(apply_derivation(ups, rules)))
-    metrics = {"covariance_defect": len(diff), "dx_commutation_defect": len(consistency)}
+    delta, dups = apply_derivation(ups, rules), total_x_derivative(ups)
+    diff = delta - 2 * (ups * cx) - dups * c
+    consistency = apply_derivation(dups, rules) - total_x_derivative(delta)
+    f0, fp, _ = slice_curvature(SLICE_A, structure)
+    mkdv = build_system("mkdv")
+    u = miura_substitution()
+    left = (reduce_on_shell(t_prolong(u), mkdv)
+            - substitute_family(build_system("kdv").rhs["u"], "u", u))
+    metrics = {"covariance_defect": len(diff), "dx_commutation_defect": len(consistency),
+               "slice_a_0": len(f0), "slice_a_plus": len(fp), "slice_b_miura": len(left)}
+    for lab, f in zip(("plus", "minus"), slice_curvature(SLICE_B, structure)[1:]):
+        metrics[f"slice_b_{lab}"] = len(reduce_on_shell(f, mkdv))
     return _report(
         "check_upsilon_covariance", metrics, 0.0,
-        "the residual slice equation is covariant under the odd symmetry "
-        "(it transforms with weight two) and the symmetry commutes with d/dx",
+        "on slice A the zero-curvature equation leaves only the residual "
+        "slice equation, which is covariant under the odd symmetry (it "
+        "transforms with weight two), and the symmetry commutes with d/dx; "
+        "the slice-B connection is flat on the modified KdV flow, which the "
+        "Miura map carries onto slice A's KdV flow",
     )
 
 
@@ -215,34 +233,6 @@ def check_gradient_ghost(density=None, system=None):
         "for each conserved density (premise re-verified), its variational "
         "gradient substituted for the ghost solves the ghost evolution "
         "equation exactly, including for a symbolic family parameter",
-    )
-
-
-def check_gauge_slices(structure=None):
-    """Both gauge slices of the zero-curvature equation, exactly: on slice A,
-    F^0 and F^+ vanish identically, which leaves F^- = -Upsilon as the one
-    residual equation; on slice B, F^+ and F^- vanish, and the mkdv flow
-    that the catalog reads off F^0 is carried by the Miura map
-    u = 2 R_x - 2 R^2 onto slice A's kdv flow (``slice_b_miura``: the terms
-    of d/dt u(R) on shell that kdv's u_t at u(R) leaves).  ``structure``
-    replaces the (T-basis) structure table.
-
-    Not in ``CHECKS`` yet: the benchmark's tracer reports a metric for each
-    registered check, and its metric list does not name this one."""
-    f0, fp, _ = slice_curvature(SLICE_A, structure)
-    mkdv = build_system("mkdv")
-    u = miura_substitution()
-    left = (reduce_on_shell(t_prolong(u), mkdv)
-            - substitute_family(build_system("kdv").rhs["u"], "u", u))
-    metrics = {"slice_a_0": len(f0), "slice_a_plus": len(fp), "slice_b_miura": len(left)}
-    for lab, f in zip(("plus", "minus"), slice_curvature(SLICE_B, structure)[1:]):
-        metrics[f"slice_b_{lab}"] = len(reduce_on_shell(f, mkdv))
-    return _report(
-        "check_gauge_slices", metrics, 0.0,
-        "on slice A the zero-curvature equation leaves only its lower "
-        "component, the residual slice equation; the slice-B connection is "
-        "flat on the modified KdV flow, which the Miura map carries onto "
-        "slice A's KdV flow",
     )
 
 

@@ -73,13 +73,17 @@ def test_odd_symmetry_is_nilpotent_on_all_twelve_generators():
     assert all(v == 0 for v in rep.metrics.values())  # reduced forms too
 
 
-# 2. the residual slice equation transforms with weight two, exactly
+# 2. the residual slice equation transforms with weight two, and both gauge
+#    slices give their flows, exactly
 
 def test_residual_slice_equation_is_covariant():
     rep = check_upsilon_covariance()
     assert rep.status == "pass"
     assert rep.metrics == {"covariance_defect": 0.0,
-                           "dx_commutation_defect": 0.0}
+                           "dx_commutation_defect": 0.0,
+                           "slice_a_0": 0.0, "slice_a_plus": 0.0,
+                           "slice_b_miura": 0.0, "slice_b_plus": 0.0,
+                           "slice_b_minus": 0.0}
 
 
 # 3. the coupled flows of both parameter families are exactly invariant

@@ -203,6 +203,17 @@ def test_config_file_rejects_unknown_key(capsys, tmp_path):
     assert err.startswith("miura:") and "'seed'" in err
 
 
+def test_config_file_rejects_a_repeated_key(capsys, tmp_path):
+    # the last of two dt lines used to win silently
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("system=kdv\nsoliton=k=0.5\ndt = 1e-3\nn=64\ndt=2e-3\n")
+    out = tmp_path / "run"
+    code, _, err = invoke(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert err == f"simulate: {cfg}:5: key 'dt' is given more than once\n"
+    assert not out.exists()
+
+
 def test_simulate_initial_expression(capsys, tmp_path):
     out = tmp_path / "run"
     code, _, _ = invoke(capsys, "simulate", "--system", "t-form",
@@ -545,6 +556,12 @@ def _config_runs(draw):
         st.sampled_from(["bogus=1", "t_end=0.01", "config=x.cfg", "=1", "no equals sign"]),
     )
     lines = _BASE[command] + draw(st.lists(line, max_size=5))
+    # a key set twice exits 2 before any value is read, so each key keeps its
+    # last line: the values still reach the run as they would override the base
+    keys = [ln.split("#", 1)[0].partition("=") for ln in lines]
+    last = {key.strip(): i for i, (key, eq, _) in enumerate(keys) if eq}
+    lines = [ln for i, (ln, (key, eq, _)) in enumerate(zip(lines, keys))
+             if not eq or last[key.strip()] == i]
     return command, "\n".join(lines) + "\n"
 
 
@@ -690,6 +707,8 @@ def test_miura_usage_errors(capsys):
                  "soliton spec must set k", id="soliton-without-k"),
     pytest.param(["simulate", "--system", "kdv", "--soliton", "k=1,y=2"],
                  "unknown soliton key 'y'", id="soliton-unknown-key"),
+    pytest.param(["simulate", "--system", "kdv", "--soliton", "k=0.7,k=0.9"],
+                 "soliton key 'k' is given more than once", id="soliton-repeated-key"),
     pytest.param(["simulate", "--system", "kdv", "--initial", "x_x"],
                  "derivative generator 'x' is not allowed in initial data",
                  id="initial-derivative"),

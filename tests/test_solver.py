@@ -377,17 +377,25 @@ def traced_peak(call):
 
 
 def test_diagnostics_pass_holds_one_snapshot_at_a_time():
-    # the default simulate run's soliton and densities: the pass over every
-    # recorded snapshot peaks at what one snapshot's evaluator call holds
+    # the default simulate run's soliton and densities over 11 snapshots: the
+    # diagnostics add to the run's peak at most what one snapshot's evaluator
+    # call holds, where a pass over the stacked snapshots adds about 11 times that
     kdv = build_system("kdv")
     dens = [kdv.density(nm) for nm in sorted(kdv.densities)]
-    traj = evolve(soliton_initial(0.7, 20.0, "kdv", 40.0, 512), kdv, 0.1, 1e-3, record_every=10)
-    values, first = evaluator(dens), traj.states[0]
-    values(first.fields, first.L)  # fills the multiplier cache
-    one = traced_peak(lambda: values(first.fields, first.L))
-    every = traced_peak(lambda: solver._quadrature(values, traj.states))
-    assert len(dens) == 7 and len(traj.states) == 11
-    assert every < 1.5 * one
+    st = soliton_initial(0.7, 20.0, "kdv", 40.0, 512)
+    values = evaluator(dens)
+    values(st.fields, st.L)  # fills the multiplier cache
+    one = traced_peak(lambda: values(st.fields, st.L))
+    runs = []
+
+    def run(diagnostics):
+        return traced_peak(lambda: runs.append(
+            evolve(st, kdv, 0.1, 1e-3, record_every=10, diagnostics=diagnostics)))
+
+    run(dens)  # compiles the stepper's terms
+    bare, full = run(()), run(dens)
+    assert len(dens) == 7 and [len(t.states) for t in runs] == [11] * 3
+    assert full - bare < 1.5 * one
 
 
 def test_evolve_rejects_duplicate_diagnostic_names():

@@ -25,7 +25,6 @@ from brstkdv.verify import (
     CHECKS,
     CheckReport,
     check_conservation,
-    check_gauge_slices,
     check_gradient_ghost,
     check_miura_chain,
     check_nilpotency,
@@ -58,10 +57,14 @@ def test_nilpotency_passes():
     assert all(v == 0.0 for v in rep.metrics.values())
 
 
+SLICES = {"slice_a_0": 0.0, "slice_a_plus": 0.0,
+          "slice_b_miura": 0.0, "slice_b_plus": 0.0, "slice_b_minus": 0.0}
+
+
 def test_covariance_passes_and_is_exact():
     rep = check_upsilon_covariance()
     assert rep.status == "pass"
-    assert rep.metrics == {"covariance_defect": 0.0, "dx_commutation_defect": 0.0}
+    assert rep.metrics == {"covariance_defect": 0.0, "dx_commutation_defect": 0.0, **SLICES}
 
 
 def test_invariance_battery_passes():
@@ -81,10 +84,10 @@ def test_gradient_ghost_battery_passes():
 
 
 def test_gauge_slices_pass_exactly():
-    rep = check_gauge_slices()
+    # the slice identities are the registered covariance check's metrics
+    rep = check_upsilon_covariance()
     assert rep.status == "pass" and rep.tolerance == 0.0
-    assert rep.metrics == {"slice_a_0": 0.0, "slice_a_plus": 0.0,
-                           "slice_b_miura": 0.0, "slice_b_plus": 0.0, "slice_b_minus": 0.0}
+    assert {k: v for k, v in rep.metrics.items() if k.startswith("slice_")} == SLICES
 
 
 def test_gradient_ghost_argument_validation():
@@ -146,7 +149,7 @@ def test_gauge_slices_fail_for_a_corrupted_constant(a, b, c, failing):
     f = [list(map(list, m)) for m in structure_table()]
     f[IDX[a]][IDX[b]][IDX[c]] = 2
     f[IDX[b]][IDX[a]][IDX[c]] = -2
-    rep = check_gauge_slices(structure=f)
+    rep = check_upsilon_covariance(structure=f)
     assert rep.status == "fail"
     assert {k for k, v in rep.metrics.items() if v} == failing
 
@@ -158,7 +161,7 @@ def test_gauge_slices_fail_for_a_detuned_modified_flow(monkeypatch):
     wrong = dataclasses.replace(mk, rhs={"R": parse("R_xxx - 5*R^2*R_x"), "c": mk.rhs["c"]})
     monkeypatch.setattr(brstkdv.verify, "build_system",
                         lambda name, **kw: wrong if name == "mkdv" else build_system(name, **kw))
-    rep = check_gauge_slices()
+    rep = check_upsilon_covariance()
     assert rep.status == "fail"
     assert {k: v for k, v in rep.metrics.items() if v} == {"slice_b_miura": 3.0}
 
@@ -346,3 +349,6 @@ def test_run_all_everything_passes(monkeypatch):
     assert rows == [5] * 200 + [4] * 800
     failing = {r.check: r.metrics for r in reports if r.status != "pass"}
     assert failing == {}
+    # the battery runs both gauge slices, under the covariance check
+    covariance = reports[names.index("check_upsilon_covariance")].metrics
+    assert {k: v for k, v in covariance.items() if k.startswith("slice_")} == SLICES
