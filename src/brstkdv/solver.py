@@ -7,14 +7,14 @@ spectra of the evolving fields of one or more runs as the rows of one
 (sum F, N/2+1) array, so each RK stage is one array expression for all of
 them: :func:`evolve_many` integrates runs on a shared grid in lockstep, each
 to its own end, and :func:`evolve` is its one-run case.  Polynomials are
-compiled once into a term table whose one product pass raises each power
-once and multiplies level by level, pointwise.  An RK stage makes one irfft
-for all grids, that pass, and one rfft for all terms, whose modes above N/3
-it then drops: the 2/3 rule, applied once per stage to the whole right-hand
-side.  So every step makes 8 FFT calls, however many runs are stacked and
-whatever their systems.  Quadrature (:func:`evaluator`) and the step-size
-advisory make the same pass and sum the terms on the grids.  Every pass but
-the advisory's is guarded: a power's base at or below one floor raises.
+compiled once into a term table whose one product pass raises each power once
+and multiplies level by level, pointwise, in work arrays (a stepper allocates
+its stage's once).  An RK stage makes one irfft for all grids, that pass, and
+one rfft for all terms, whose modes above N/3 it drops (the 2/3 rule); each
+row gathers its first term and adds the rest.  So every step makes 8 FFT
+calls, however many runs are stacked.  Quadrature (:func:`evaluator`) and the
+step-size advisory read their grids with one FFT pair and make the same pass.
+Every pass but the advisory's is guarded: a power's base at or below one floor raises.
 Time stepping is RK4 with an exact integrating factor exp(t sum c (ik)^o)
 over each field's constant-coefficient linear terms c*f_(o x), any order o;
 a variable-coefficient dispersion (Harry Dym's T^(-1/2) T_xxx) stays in the
@@ -96,13 +96,18 @@ def _grid_points(length, n):
 
 
 def spectral_derivative(f, order, length):
-    """Fourier differentiation along the last axis; any int order >= 1."""
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValueError(f"derivative order must be an int >= 1, got {order!r}")
+    """Fourier differentiation along the last axis, by one rfft and one irfft; any
+    int order >= 1, or a list or tuple of them, one per row of ``f``'s first axis."""
+    rows = isinstance(order, (list, tuple))
+    for o in order if rows else [order]:
+        if isinstance(o, bool) or not isinstance(o, (int, np.integer)) or o < 1:
+            raise ValueError(f"derivative order must be an int >= 1, got {o!r}")
     f = np.asarray(f, dtype=float)
     n = f.shape[-1]
     _require_power_of_two(n)
-    return np.fft.irfft(np.fft.rfft(f) * _multiplier(n, length, order), n)
+    mult = (np.expand_dims([_multiplier(n, length, o) for o in order], tuple(range(1, f.ndim - 1)))
+            if rows else _multiplier(n, length, order))
+    return np.fft.irfft(np.fft.rfft(f) * mult, n)
 
 
 @dataclass(frozen=True)
@@ -212,27 +217,24 @@ def _compile_terms(poly, odd_fields):
 
 
 def _grids(reads, fields, length):
-    """The physical grids of the (field, order) pairs ``reads``, stacked in
-    that order, one derivative call per order on the stacked (..., N) fields."""
+    """The grids of the (field, order) pairs ``reads``, stacked in that order and read as an
+    RK stage reads them: the (..., N) fields at order 0, the rest by one FFT pair."""
     missing = sorted({s for s, _ in reads} - set(fields))
     if missing:
         raise KeyError(f"no field {missing[0]!r} in state")
-    grids = {(s, o): fields[s] for s, o in reads if not o}
-    for order in sorted({o for _, o in reads} - {0}):
-        read = [k for k in reads if k[1] == order]
-        grids.update(zip(read, spectral_derivative(
-            np.stack([fields[s] for s, _ in read]), order, length)))
-    return np.array([grids[k] for k in reads])
+    derived = [(fields[s], o) for s, o in reads if o]
+    derived = iter(spectral_derivative(*zip(*derived), length) if derived else ())
+    return np.array([next(derived) if o else fields[s] for s, o in reads])
 
 
-def _raise(g, e):
-    """g**e, a small nonzero integer e by products (libm's pow is slow on g < 0)."""
+def _raise(g, e, out=None):
+    """g**e, into ``out`` if e != 1; a small integer e != 0 by products (pow is slow on g < 0)."""
     if e != int(e) or not 0 < abs(e) <= 8:
-        return np.power(g, e)
+        return np.power(g, e, out=out)
     p = g
     for _ in range(abs(int(e)) - 1):
-        p = p * g
-    return 1.0 / p if e < 0 else p
+        p = np.multiply(p, g, out=out)
+    return np.divide(1.0, p, out=out) if e < 0 else p
 
 
 class _Terms:
@@ -270,7 +272,8 @@ class _Terms:
         """Raise SingularityError unless each guarded ``grids[key]`` clears _FLOOR (in
         modulus for a negative power); ``names[key]`` is its (symbol, run words)."""
         for key, positive in self.guards:
-            m = float(np.min(grids[key] if positive else np.abs(grids[key])))
+            g = grids[key] if positive else np.abs(grids[key])
+            m = float(np.minimum.reduce(g, None))  # np.min adds 1 us a call
             if not m > _FLOOR:  # NaN fails this test too
                 sym, where = names[key] if names else (key, "")
                 what, kind = ((f"field {sym!r}", "positivity") if positive
@@ -278,20 +281,27 @@ class _Terms:
                 raise SingularityError(f"{what}{where} reached {m:.3e} <= {kind} floor "
                                        f"{_FLOOR:.1e}" + ("" if t is None else f" at t = {t:.6g}"))
 
-    def products(self, vals):
-        """Every product on ``vals`` (the grids in ``reads`` order), longest
-        first, pointwise: nothing is truncated between the factors."""
-        if self.powers:
-            vals = np.concatenate((vals, np.stack([_raise(vals[i], e)
-                                                   for i, e in self.raise_from])))
-        acc = vals[self.first]
+    def work(self, shape):
+        """Arrays for :meth:`products` on grids of ``shape``: grids+powers, products, factors."""
+        top = len(self.levels[0]) if self.levels else 0  # the largest level
+        return [np.empty((k, *shape))
+                for k in (len(self.reads + self.powers), len(self.first), top)]
+
+    def products(self, grids, work):
+        """Every product on ``grids`` (in ``reads`` order), longest first, pointwise, in ``work``
+        with the powers after the grids; nothing is truncated between the factors."""
+        vals, prods, factors = work
+        vals[:len(self.reads)] = grids
+        for j, (i, e) in enumerate(self.raise_from, len(self.reads)):
+            _raise(vals[i], e, vals[j])
+        vals.take(self.first, axis=0, out=prods, mode="clip")
         for idx in self.levels:
-            acc[:len(idx)] *= vals[idx]
-        return acc
+            prods[:len(idx)] *= vals.take(idx, axis=0, out=factors[:len(idx)], mode="clip")
+        return prods
 
     def sums(self, vals, shape):
-        """Each row's sum on grids of ``shape``, in term order."""
-        prods = self.products(vals)
+        """Each row's sum on the grids ``vals`` (shape (0,) if no reads) of ``shape``."""
+        prods = self.products(np.reshape(vals, (-1,) + shape), self.work(shape))
         out = np.zeros((len(self.rows),) + shape)
         for r, k, c in self.adds:
             out[r] += c if k is None else c * prods[k]
@@ -338,10 +348,13 @@ class _Stepper:
         self.read_rows = np.array([r for r, _ in t.reads], dtype=int)
         self.read_mult = np.array([_multiplier(n, length, o)
                                    for _, o in t.reads]).reshape(-1, n // 2 + 1)
-        self.scale = t.coeffs[:, None] * (np.arange(n // 2 + 1) <= self.cutoff)
-        self.adds = [(r, k) for r, k, _ in t.adds if k is not None]
+        self.scale = (t.coeffs[:, None] * (np.arange(n // 2 + 1) <= self.cutoff)).astype(complex)
+        heads = {r: k for r, k, _ in reversed(t.adds) if k is not None}  # each row's first product
+        self.heads = [k for _, k in sorted(heads.items())] if len(heads) == len(self.fields) else []
+        self.tails = [(r, k) for r, k, _ in t.adds if k is not None and k not in self.heads]
         self.consts = [(r, c * n) for r, k, c in t.adds if k is None]
         self.guard_reads = [(r, t.reads.index((r, 0))) for r, _ in t.guards]
+        self.spectra, self.work = np.empty(self.read_mult.shape, dtype=complex), t.work((n,))
         with np.errstate(over="ignore", invalid="ignore"):  # inf blows up at t = dt
             self.E, self.E2 = (np.exp(h * dt * np.array(lam)) for h in (1.0, 0.5))
             # the RK4 weights folded into the factors, once
@@ -349,31 +362,36 @@ class _Stepper:
             self.sixth_E, self.third_E2 = dt / 6.0 * self.E, dt / 3.0 * self.E2
 
     def nonlinear_hat(self, hats, t):
-        """The rfft of every row's terms at one RK stage, truncated once by
-        the 2/3 rule: the products are formed pointwise on the guarded grids,
-        and ``scale`` zeroes every mode above the cutoff of their one rfft
-        as it applies the coefficients; constants add to mode 0."""
-        grids = np.fft.irfft(hats[self.read_rows] * self.read_mult, self.n)
+        """The rfft of every row's terms at one RK stage, truncated once by the 2/3 rule,
+        as a new array: the products are formed pointwise on the guarded grids, and ``scale``
+        zeroes every mode above the cutoff of their one rfft as it applies the coefficients.
+        A row gathers its first term (all start at 0 if one has none), then adds the rest."""
+        spectra = hats.take(self.read_rows, axis=0, out=self.spectra, mode="clip")
+        grids = np.fft.irfft(np.multiply(spectra, self.read_mult, out=spectra), self.n)
         self.terms.guard({r: grids[i] for r, i in self.guard_reads}, t, self.names)
-        spec = np.fft.rfft(self.terms.products(grids)) * self.scale
-        out = np.zeros((len(self.fields), self.n // 2 + 1), dtype=complex)
-        for r, k in self.adds:
+        spec = np.fft.rfft(self.terms.products(grids, self.work))
+        spec *= self.scale
+        out = spec.take(self.heads, axis=0) if self.heads else np.zeros_like(hats)
+        for r, k in self.tails:
             out[r] += spec[k]
         for r, c in self.consts:
             out[r, 0] += c
         return out
 
     def advance(self, hats, t):
-        """One integrating-factor RK4 step in spectral space.  Each stage guards its own
-        grids at its own time; the caller catches other non-finite values, unwarned."""
-        dt = self.dt
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            e2_hats, e_hats = self.E2 * hats, self.E * hats
-            a = self.nonlinear_hat(hats, t)
-            b = self.nonlinear_hat(e2_hats + self.half_E2 * a, t + 0.5 * dt)
-            c = self.nonlinear_hat(e2_hats + 0.5 * dt * b, t + 0.5 * dt)
-            d = self.nonlinear_hat(e_hats + self.dt_E2 * c, t + dt)
-            return e_hats + self.sixth_E * a + self.third_E2 * (b + c) + dt / 6.0 * d
+        """One integrating-factor RK4 step in spectral space, formed in place in formula order.
+        Each stage guards its own grids; the caller catches the rest, under np.errstate."""
+        dt, x, h = self.dt, np.empty_like(hats), 0.5 * self.dt
+        e2_hats, e_hats = self.E2 * hats, self.E * hats
+        a = self.nonlinear_hat(hats, t)
+        b = self.nonlinear_hat(np.add(e2_hats, np.multiply(self.half_E2, a, out=x), out=x), t + h)
+        c = self.nonlinear_hat(np.add(e2_hats, np.multiply(h, b, out=x), out=x), t + h)
+        d = self.nonlinear_hat(np.add(e_hats, np.multiply(self.dt_E2, c, out=x), out=x), t + dt)
+        # e_hats + sixth_E * a + third_E2 * (b + c) + dt / 6 * d
+        e_hats += np.multiply(self.sixth_E, a, out=a)
+        e_hats += np.multiply(self.third_E2, np.add(b, c, out=b), out=b)
+        e_hats += np.multiply(dt / 6.0, d, out=d)
+        return e_hats
 
     def cfl_advisory(self, rows):
         """Warn for each row whose stiffest table term looks unstable on the
@@ -478,11 +496,13 @@ def evolve_many(runs, dt):
     stepper.cfl_advisory(grids)
 
     states, values = [[] for _ in runs], [[[] for _ in nms] for nms in names]
+    caller = np.geterr()  # the steps run unwarned, the diagnostics under the caller's settings
 
     def record(k, state):  # a snapshot and its diagnostics, one snapshot's products at a time
         states[k].append(state)
         try:
-            row = np.mean(evaluators[k](state.fields, state.L), axis=-1) * state.L
+            with np.errstate(**caller):
+                row = np.mean(evaluators[k](state.fields, state.L), axis=-1) * state.L
         except SingularityError as e:
             raise SingularityError(f"diagnostics{where[k]} at t = {state.t:.6g}: {e}") from None
         for col, v in zip(values[k], row.tolist()):
@@ -491,31 +511,31 @@ def evolve_many(runs, dt):
     for k, (state, *_) in enumerate(runs):
         record(k, state)
     hats = np.fft.rfft(grids)
-    for i in range(1, max(ends) + 1):
-        hats = stepper.advance(hats, t0 + (i - 1) * dt)
-        bad = ~np.isfinite(hats).all(axis=1)
-        if bad.any():
-            r = bad.argmax()
-            raise BlowUpError(f"non-finite values in field {stepper.fields[r]!r}"
-                              f"{stepper.names[r][1]}", t0 + i * dt)
-        recording = [i % runs[k][3] == 0 or i == ends[k] for k in live]
-        if any(recording):
-            grids = np.fft.irfft(hats, n)
-            if i in ends:  # no stage reads a run's last state, so it is guarded here
-                stepper.terms.guard(grids, t0 + i * dt, stepper.names)
-        for k, rows, idle, rec in zip(live, stepper.spans, stepper.idle, recording):
-            if rec:  # the snapshot copies its own rows, so it keeps no other run's alive
-                state = runs[k][0]
-                fields = dict(zip(stepper.fields[rows], grids[rows].copy()))
-                fields.update((f, np.zeros(n)) for f in idle)
-                record(k, dataclasses.replace(state, t=t0 + i * dt,
-                                              fields={**state.fields, **fields}))
-        if i in ends and i < max(ends):  # the runs that end here leave the stack
-            going = [j for j, k in enumerate(live) if ends[k] > i]
-            hats = np.concatenate([hats[stepper.spans[j]] for j in going])
-            live = [live[j] for j in going]
-            stepper = _Stepper([runs[k][1] for k in live], length, n, dt,
-                               [where[k] for k in live], [zero[k] for k in live])
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for i in range(1, max(ends) + 1):
+            hats = stepper.advance(hats, t0 + (i - 1) * dt)
+            if not np.isfinite(hats).all():  # one reduction a step; the row only on failure
+                r = (~np.isfinite(hats).all(axis=1)).argmax()
+                raise BlowUpError(f"non-finite values in field {stepper.fields[r]!r}"
+                                  f"{stepper.names[r][1]}", t0 + i * dt)
+            recording = [i % runs[k][3] == 0 or i == ends[k] for k in live]
+            if any(recording):
+                grids = np.fft.irfft(hats, n)
+                if i in ends:  # no stage reads a run's last state, so it is guarded here
+                    stepper.terms.guard(grids, t0 + i * dt, stepper.names)
+            for k, rows, idle, rec in zip(live, stepper.spans, stepper.idle, recording):
+                if rec:  # the snapshot copies its own rows, so it keeps no other run's alive
+                    state = runs[k][0]
+                    fields = dict(zip(stepper.fields[rows], grids[rows].copy()))
+                    fields.update((f, np.zeros(n)) for f in idle)
+                    record(k, dataclasses.replace(state, t=t0 + i * dt,
+                                                  fields={**state.fields, **fields}))
+            if i in ends and i < max(ends):  # the runs that end here leave the stack
+                going = [j for j, k in enumerate(live) if ends[k] > i]
+                hats = np.concatenate([hats[stepper.spans[j]] for j in going])
+                live = [live[j] for j in going]
+                stepper = _Stepper([runs[k][1] for k in live], length, n, dt,
+                                   [where[k] for k in live], [zero[k] for k in live])
     return [Trajectory(
         states=snaps,
         diagnostics=dict(zip(nms, vals)),

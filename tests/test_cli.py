@@ -715,13 +715,18 @@ def test_miura_usage_errors(capsys):
     pytest.param(["simulate", "--system", "kdv", "--initial", "odd: c; c"],
                  "initial-data expressions must be even", id="initial-odd"),
 ])
-def test_usage_errors_print_one_line_naming_the_command(capsys, tmp_path, argv, message):
+def test_usage_errors_print_one_line_naming_the_command(capsys, monkeypatch, tmp_path, argv,
+                                                       message):
+    # simulate writes to the working directory by default: a case that ran
+    # would leave its files here, not in the checkout
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "direction.cfg"
     cfg.write_text("direction=bogus\n")
     code, out, err = invoke(capsys, *(a.format(cfg=cfg) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith(f"{argv[0]}: {message}") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not {"trajectory.csv", "manifest.json"} & {f.name for f in tmp_path.iterdir()}
 
 
 @pytest.mark.parametrize("argv, what", [

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from brstkdv import parse
 from brstkdv.graded import GradedPoly
-from brstkdv import solver
+from brstkdv import solver, verify
 from brstkdv.reductions import build_system
 from brstkdv.solver import (
     _raise,
@@ -98,6 +98,13 @@ def test_derivative_validation():
             spectral_derivative(np.zeros(64), order, 1.0)
     with pytest.raises(ValueError):
         spectral_derivative(np.zeros(48), 1, 1.0)  # not a power of two
+    # one order per row of a stack, each row as its own call gives it
+    f = np.stack([np.sin(3 * x), np.cos(x)])
+    want = np.stack([d5, spectral_derivative(np.cos(x), 1, 2 * np.pi)])
+    assert np.array_equal(spectral_derivative(f, [5, 1], 2 * np.pi), want)
+    assert np.array_equal(spectral_derivative(f[:, None], (5, 1), 2 * np.pi), want[:, None])
+    with pytest.raises(ValueError, match="order must be an int >= 1, got 0$"):
+        spectral_derivative(f, [1, 0], 1.0)
 
 
 @pytest.mark.parametrize("length", [-5.0, 0.0, float("inf"), float("nan")])
@@ -123,7 +130,7 @@ def test_dealias_projects_high_modes():
         assert np.all(out[:, n // 3 + 1:] == 0), system.name
         assert np.all(np.abs(out[:, 1:n // 3 + 1]).max(axis=1) > 0), system.name
         grids = np.fft.irfft(hats[stepper.read_rows] * stepper.read_mult, n)
-        raw = np.fft.rfft(stepper.terms.products(grids))
+        raw = np.fft.rfft(stepper.terms.products(grids, stepper.work))
         assert np.abs(raw[:, n // 3 + 1:]).max() > 1e-3 * np.abs(raw).max(), system.name
 
 
@@ -630,12 +637,13 @@ def test_evaluate_many_reads_each_grid_once(monkeypatch):
     polys = [parse("u_x*T"), parse("u_x + T_xx"), parse("T_x"), GradedPoly.number(3),
              GradedPoly.zero()]
     calls = []
-    real = solver.spectral_derivative
-    monkeypatch.setattr(solver, "spectral_derivative",
-                        lambda f, o, ln: calls.append((o, np.shape(f))) or real(f, o, ln))
+    for name in ("rfft", "irfft"):
+        real = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda a, *args, name=name, real=real, **kwargs:
+                            calls.append((name, np.shape(a))) or real(a, *args, **kwargs))
     rows = evaluator(polys)(fields, length)
-    # one call per distinct order: u_x and T_x stacked, u_x once for both rows
-    assert sorted(calls) == [(1, (2, n)), (2, (1, n))]
+    # one FFT pair reads u_x, T_x and T_xx: u_x once for both rows
+    assert calls == [("rfft", (3, n)), ("irfft", (3, n // 2 + 1))]
     assert rows.shape == (5, n)
     for row, p in zip(rows, polys):
         assert np.array_equal(row, evaluator([p])(fields, length)[0])
@@ -1206,6 +1214,134 @@ def test_rk_stage_matches_physical_space_reference(system):
         scale = np.max(np.abs(want[sym]))
         assert scale > 0
         assert np.max(np.abs(got[sym] - want[sym])) <= 1e-12 * scale
+
+
+# --- the stage's work arrays against the stage as first written ------------------
+
+def _oracle_stage(stepper, hats, t):
+    """The RK stage as it was first written: the powers stacked and
+    concatenated after the grids, each row's terms added into a zero
+    spectrum, then its constants."""
+    terms, m = stepper.terms, stepper.n // 2 + 1
+    grids = np.fft.irfft(hats[stepper.read_rows] * stepper.read_mult, stepper.n)
+    terms.guard({r: grids[i] for r, i in stepper.guard_reads}, t, stepper.names)
+    vals = grids
+    if terms.powers:
+        vals = np.concatenate((grids, np.stack([_raise(grids[i], e)
+                                                for i, e in terms.raise_from])))
+    acc = vals[terms.first]
+    for idx in terms.levels:
+        acc[:len(idx)] *= vals[idx]
+    spec = np.fft.rfft(acc) * (terms.coeffs[:, None] * (np.arange(m) <= stepper.cutoff))
+    out = np.zeros((len(stepper.fields), m), dtype=complex)
+    for r, k, _ in terms.adds:
+        if k is not None:
+            out[r] += spec[k]
+    for r, k, c in terms.adds:
+        if k is None:
+            out[r, 0] += c * stepper.n
+    return out
+
+
+def _oracle_advance(stepper, hats, t):
+    """The IF-RK4 step as it was first written, on the oracle's stages."""
+    dt = stepper.dt
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        e2_hats, e_hats = stepper.E2 * hats, stepper.E * hats
+        a = _oracle_stage(stepper, hats, t)
+        b = _oracle_stage(stepper, e2_hats + stepper.half_E2 * a, t + 0.5 * dt)
+        c = _oracle_stage(stepper, e2_hats + 0.5 * dt * b, t + 0.5 * dt)
+        d = _oracle_stage(stepper, e_hats + stepper.dt_E2 * c, t + dt)
+        return e_hats + stepper.sixth_E * a + stepper.third_E2 * (b + c) + dt / 6.0 * d
+
+
+def _lockstep_runs():
+    """run_all's lockstep pass: kdv with every density, then the chain's legs."""
+    densities = verify._kdv_densities("classical") + verify._kdv_densities("brst-invariant")
+    return [verify._soliton_run(densities), *verify._miura_runs()]
+
+
+# a ghost row that is all integrating factor, and a flow that is all of it
+_BLANK_ROW = SimpleNamespace(
+    name="blank-row", even_fields=["u"], odd_fields=["c"],
+    rhs={"u": P("3*u*u_x + u_xxx"), "c": P("c_xxx")}, evolving_fields=lambda: ("u", "c"))
+_LINEAR = SimpleNamespace(
+    name="linear", even_fields=["u"], odd_fields=["c"],
+    rhs={"u": P("u_xxx"), "c": P("c_5x")}, evolving_fields=lambda: ("u", "c"))
+
+
+def _stage_case(case):
+    """A stepper and the spectra of its initial rows."""
+    if case == "run_all":
+        runs = _lockstep_runs()
+        states, systems = [r[0] for r in runs], [r[1] for r in runs]
+        zero = [{f for f in s.fields if not s.fields[f].any()} for s in states]
+        stepper = _Stepper(systems, verify._LENGTH, verify._N, verify._DT, None, zero)
+    else:
+        system = {"stub": _STUB, "blank-row": _BLANK_ROW, "linear": _LINEAR}.get(
+            case) or build_system(case)
+        n, length = 128, 20.0
+        z = 2 * np.pi * grid(length, n) / length
+        f = 1.0 + 0.3 * np.cos(z) + 0.2 * np.sin(2 * z) + 0.05 * np.cos(25 * z)
+        c = 0.5 * np.sin(z) + 0.1 * np.cos(3 * z) + 0.05 * np.sin(25 * z)
+        states = [FieldState(0.0, length, n, dict(zip(system.evolving_fields(), (f, c))))]
+        stepper = _Stepper([system], length, n, 1e-3)
+    return stepper, np.fft.rfft([st.fields[f] for st, rows in zip(states, stepper.spans)
+                                 for f in stepper.fields[rows]])
+
+
+@pytest.mark.parametrize("case", ["run_all", "harry-dym", "stub", "blank-row", "linear"])
+def test_stage_matches_the_stacked_oracle(case):
+    # run_all's stack raises w to negative powers under the nonvanishing
+    # guard, harry-dym T to fractional ones; the stub has a constant term,
+    # blank-row a row with no table term, and linear no table at all
+    stepper, hats = _stage_case(case)
+    powers = {e for *_, e in stepper.terms.powers}
+    assert {"run_all": min(powers, default=0) < 0 and stepper.terms.guards,
+            "harry-dym": any(e != int(e) for e in powers),
+            "stub": stepper.consts, "blank-row": len(stepper.terms.first) and not stepper.heads,
+            "linear": not len(stepper.terms.first)}[case]
+    for h, t in [(hats, 0.0), (0.9 * hats, 5e-4)]:
+        assert np.array_equal(stepper.nonlinear_hat(h, t), _oracle_stage(stepper, h, t))
+        assert np.array_equal(stepper.advance(h, t), _oracle_advance(stepper, h, t))
+
+
+def test_a_stage_and_a_step_return_arrays_of_their_own():
+    # advance holds four stage outputs at once, and the caller the step's
+    stepper, hats = _stage_case("run_all")
+    buffers = (*stepper.work, stepper.spectra)
+    a = stepper.nonlinear_hat(hats, 0.0)
+    kept = a.copy()
+    b = stepper.nonlinear_hat(0.9 * hats, 0.0)
+    assert a.tobytes() == kept.tobytes()
+    assert not any(np.shares_memory(a, x) for x in (b, hats, *buffers))
+    step = stepper.advance(hats, 0.0)
+    kept = step.copy()
+    after = stepper.advance(step, 1e-3)
+    assert step.tobytes() == kept.tobytes()
+    assert not any(np.shares_memory(step, x) for x in (after, hats, *buffers))
+
+
+def _hd_runs():
+    x = grid(20.0, 128)
+    st = FieldState(0.0, 20.0, 128, {"T": 1.0 + 0.3 * np.cos(2 * np.pi * x / 20.0),
+                                     "c": 0.1 * np.sin(2 * np.pi * x / 20.0)})
+    return [(st, build_system("harry-dym"), 0.01, 10, ["H1"])]
+
+
+@pytest.mark.parametrize("runs, dt", [pytest.param(_lockstep_runs, verify._DT, id="run_all"),
+                                      pytest.param(_hd_runs, 1e-4, id="harry-dym")])
+def test_evolve_many_matches_the_oracle_stepper_byte_for_byte(monkeypatch, runs, dt):
+    def flat(trajectories):
+        return b"".join(
+            np.float64([s.t for s in tr.states]).tobytes()
+            + b"".join(s.fields[f].tobytes() for s in tr.states for f in sorted(s.fields))
+            + np.float64([v for k in sorted(tr.diagnostics) for v in tr.diagnostics[k]]).tobytes()
+            for tr in trajectories)
+
+    got = flat(evolve_many(runs(), dt))
+    monkeypatch.setattr(_Stepper, "advance", _oracle_advance)
+    assert got == flat(evolve_many(runs(), dt))
 
 
 def _ffts_per_step(monkeypatch, systems, states):
